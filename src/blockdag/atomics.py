@@ -2,41 +2,12 @@
 
 CPython's GIL makes single bytecode operations atomic, but read-modify-write
 sequences (``x += 1``, compare-and-swap) are not. These helpers provide the
-few atomic operations the DAG builder, scheduler, and validator rely on.
+atomic operations the scheduler's claim protocol relies on.
 """
 
 from __future__ import annotations
 
 import threading
-
-
-class AtomicCounter:
-    """Monotonic claim counter with fetch-and-increment semantics."""
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self, start: int = 0) -> None:
-        self._value = start
-        self._lock = threading.Lock()
-
-    def fetch_inc(self) -> int:
-        with self._lock:
-            value = self._value
-            self._value = value + 1
-            return value
-
-    def dec(self) -> None:
-        with self._lock:
-            self._value -= 1
-
-    def inc(self) -> int:
-        with self._lock:
-            self._value += 1
-            return self._value
-
-    @property
-    def value(self) -> int:
-        return self._value
 
 
 class AtomicIntArray:
@@ -48,8 +19,9 @@ class AtomicIntArray:
 
     __slots__ = ("_values", "_locks")
 
-    def __init__(self, size: int, *, stripes: int = 64) -> None:
-        self._values = [0] * size
+    def __init__(self, values: list[int], *, stripes: int = 64) -> None:
+        self._values = list(values)
+        size = len(self._values)
         self._locks = [threading.Lock() for _ in range(max(1, min(stripes, size or 1)))]
 
     def __len__(self) -> int:
@@ -73,27 +45,3 @@ class AtomicIntArray:
 
     def snapshot(self) -> list[int]:
         return list(self._values)
-
-
-class AtomicOnce:
-    """Write-once cell: the first set wins, later sets are ignored."""
-
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self) -> None:
-        self._value = None
-        self._lock = threading.Lock()
-
-    def set_if_unset(self, value) -> bool:
-        with self._lock:
-            if self._value is not None:
-                return False
-            self._value = value
-            return True
-
-    @property
-    def value(self):
-        return self._value
-
-    def is_set(self) -> bool:
-        return self._value is not None

@@ -14,6 +14,7 @@ row's total execution wall time.
 from __future__ import annotations
 
 import statistics
+import sys
 import time
 from dataclasses import dataclass
 
@@ -174,7 +175,11 @@ def run_experiment(plan: ExperimentPlan) -> list[dict]:
                     verdicts.extend(rep_verdicts)
             except OracleDivergenceError:
                 raise
-            except Exception:  # noqa: BLE001 - recorded per-row, run continues
+            except Exception as exc:  # noqa: BLE001 - recorded per-row, run continues
+                print(
+                    f"{plan.axis}={value} strategy {strategy} failed: {type(exc).__name__}: {exc}",
+                    file=sys.stderr,
+                )
                 row.update({"mean_ms": "", "tps": "", "ds_build_ms": "", "verdict": "error"})
                 rows.append(row)
                 continue

@@ -2,22 +2,23 @@
 
 An edge (i, j) with i < j exists exactly when transactions i and j overlap
 in a read-write, write-read, or write-write pattern; read-read overlap never
-creates an edge. Construction is multi-threaded: workers claim transaction
-indices from a shared atomic counter and each scans forward for conflicts,
-so the edge (i, j) is always added by the worker that owns i.
+creates an edge. Construction is one single-threaded pass over the block
+that keeps, per address, the transactions so far that wrote it and the ones
+that read or wrote it: transaction j's predecessors are the prior writers of
+every address j touches plus the prior readers of every address j writes.
+Threads would not help, since they cannot overlap Python work under the GIL.
+The same pass feeds the validator, so building and validating agree on the
+edge set by construction.
 
 Two representations are provided. The adjacency-matrix variant backs the
 edge relation with a flat byte grid (direct access); the linked-list variant
-keeps a per-node successor list with insert-if-absent. Both expose the same
-surface and must produce identical edge sets and indegrees for any block and
-any worker count.
+keeps a per-node successor list. Both are filled in bulk from the pass and
+must hold identical edge sets and indegrees for any block.
 """
 
 from __future__ import annotations
 
-import threading
-
-from .atomics import AtomicCounter, AtomicIntArray
+from .atomics import AtomicIntArray
 from .model import Block, Transaction
 
 VARIANTS = ("matrix", "linked-list")
@@ -33,33 +34,71 @@ def conflicts(a: Transaction, b: Transaction) -> bool:
     )
 
 
+def predecessor_sets(block: Block) -> list[set[int]]:
+    """Each transaction's predecessor set, from one pass over the block.
+
+    The pass keeps, per address, the transactions so far that wrote it and
+    the ones that read or wrote it. A read waits for every prior writer and
+    a write for every prior reader or writer, which is exactly conflicts().
+    A transaction is registered only after its own set is taken, so it is
+    never its own predecessor.
+    """
+    writers: dict[bytes, list[int]] = {}
+    accessors: dict[bytes, list[int]] = {}
+    out: list[set[int]] = []
+    for j, txn in enumerate(block.transactions):
+        preds: set[int] = set()
+        for address in txn.read_set:
+            prior = writers.get(address)
+            if prior:
+                preds.update(prior)
+        for address in txn.write_set:
+            prior = accessors.get(address)
+            if prior:
+                preds.update(prior)
+        out.append(preds)
+        for address in txn.read_set | txn.write_set:
+            accessors.setdefault(address, []).append(j)
+        for address in txn.write_set:
+            writers.setdefault(address, []).append(j)
+    return out
+
+
 class DependencyDAG:
     """Shared behavior of both DAG representations.
 
-    The indegree array is atomic because workers adding edges that target
-    the same transaction increment it concurrently, and the scheduler later
-    claims transactions by compare-and-swapping indegree 0 -> -1.
+    The indegree array is atomic because the scheduler claims transactions
+    by compare-and-swapping indegree 0 -> -1 from several threads.
     """
 
     def __init__(self, txn_count: int) -> None:
         self.txn_count = txn_count
-        self.indegree = AtomicIntArray(txn_count)
-        self._edge_count = AtomicCounter()
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count.value
+        self.indegree = AtomicIntArray([0] * txn_count)
+        self.edge_count = 0
 
     def add_edge(self, i: int, j: int) -> bool:
         if not 0 <= i < j < self.txn_count:
             raise ValueError(f"edge ({i}, {j}) out of range for n={self.txn_count}")
         if self._insert(i, j):
             self.indegree.add(j, 1)
-            self._edge_count.inc()
+            self.edge_count += 1
             return True
         return False
 
+    def _fill(self, preds: list[set[int]]) -> None:
+        """Load every transaction's predecessor set into this empty DAG.
+
+        ``preds[j]`` must hold distinct indices below j.
+        """
+        indegree = [len(p) for p in preds]
+        self.indegree = AtomicIntArray(indegree)
+        self.edge_count = sum(indegree)
+        self._store(preds)
+
     def _insert(self, i: int, j: int) -> bool:
+        raise NotImplementedError
+
+    def _store(self, preds: list[set[int]]) -> None:
         raise NotImplementedError
 
     def has_edge(self, i: int, j: int) -> bool:
@@ -94,20 +133,20 @@ class MatrixDAG(DependencyDAG):
     def __init__(self, txn_count: int) -> None:
         super().__init__(txn_count)
         self._cells = bytearray(txn_count * txn_count)
-        self._locks = [threading.Lock() for _ in range(64)]
 
     def _insert(self, i: int, j: int) -> bool:
         k = i * self.txn_count + j
-        cells = self._cells
-        if cells[k]:
+        if self._cells[k]:
             return False
-        # The lock only makes the test-and-set exact when two threads race
-        # the same pair; distinct pairs almost never share a stripe.
-        with self._locks[k & 63]:
-            if cells[k]:
-                return False
-            cells[k] = 1
-            return True
+        self._cells[k] = 1
+        return True
+
+    def _store(self, preds: list[set[int]]) -> None:
+        n = self.txn_count
+        cells = self._cells
+        for j, column in enumerate(preds):
+            for i in column:
+                cells[i * n + j] = 1
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self._cells[i * self.txn_count + j])
@@ -128,27 +167,28 @@ class MatrixDAG(DependencyDAG):
 
 
 class LinkedListDAG(DependencyDAG):
-    """Per-node successor lists with insert-if-absent under a node lock."""
+    """Per-node successor lists with insert-if-absent."""
 
     variant = "linked-list"
 
     def __init__(self, txn_count: int) -> None:
         super().__init__(txn_count)
         self._succ: list[list[int]] = [[] for _ in range(txn_count)]
-        self._succ_sets: list[set[int]] = [set() for _ in range(txn_count)]
-        self._node_locks = [threading.Lock() for _ in range(txn_count)]
 
     def _insert(self, i: int, j: int) -> bool:
-        with self._node_locks[i]:
-            members = self._succ_sets[i]
-            if j in members:
-                return False
-            members.add(j)
-            self._succ[i].append(j)
-            return True
+        if j in self._succ[i]:
+            return False
+        self._succ[i].append(j)
+        return True
+
+    def _store(self, preds: list[set[int]]) -> None:
+        succ = self._succ
+        for j, column in enumerate(preds):
+            for i in column:
+                succ[i].append(j)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self._succ_sets[i]
+        return j in self._succ[i]
 
     def successors(self, i: int) -> list[int]:
         return sorted(self._succ[i])
@@ -162,90 +202,27 @@ def _new_dag(txn_count: int, variant: str) -> DependencyDAG:
     raise ValueError(f"unknown DAG variant: {variant!r} (expected one of {VARIANTS})")
 
 
-def _access_masks(block: Block) -> tuple[list[int], list[int], list[int]]:
-    """Per-transaction read/write bitmasks over the block's address universe.
-
-    Conflict for (i, j) reduces to two integer ANDs:
-    write_i & (read_j | write_j)  or  read_i & write_j.
-    """
-    bit_of: dict[bytes, int] = {}
-    read_masks: list[int] = []
-    write_masks: list[int] = []
-    for txn in block.transactions:
-        rm = 0
-        for addr in txn.read_set:
-            bit = bit_of.setdefault(addr, len(bit_of))
-            rm |= 1 << bit
-        wm = 0
-        for addr in txn.write_set:
-            bit = bit_of.setdefault(addr, len(bit_of))
-            wm |= 1 << bit
-        read_masks.append(rm)
-        write_masks.append(wm)
-    combined = [r | w for r, w in zip(read_masks, write_masks)]
-    return read_masks, write_masks, combined
-
-
-def _scan_worker(
-    dag: DependencyDAG,
-    claim: AtomicCounter,
-    read_masks: list[int],
-    write_masks: list[int],
-    combined_masks: list[int],
-) -> None:
-    n = dag.txn_count
-    add_edge = dag.add_edge
-    while True:
-        i = claim.fetch_inc()
-        if i >= n:
-            claim.dec()
-            return
-        rm = read_masks[i]
-        wm = write_masks[i]
-        for j in range(i + 1, n):
-            if (wm & combined_masks[j]) or (rm & write_masks[j]):
-                add_edge(i, j)
-
-
 def build_dag(block: Block, workers: int = 1, variant: str = "matrix") -> DependencyDAG:
-    """Construct the block's dependency DAG with the given worker count.
+    """Construct the block's dependency DAG in the chosen representation.
 
-    The result is independent of the worker count and of which variant is
-    chosen: same edge set, same indegrees. All nodes exist up front, so
-    workers never observe a partially registered graph.
+    ``workers`` must be >= 1 and is otherwise unused: the single pass of
+    predecessor_sets runs on the calling thread, because threads cannot
+    overlap pure-Python work under the GIL. The result is the same edge set
+    and indegrees for every variant.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    n = block.txn_count
-    dag = _new_dag(n, variant)
-    if n == 0:
-        return dag
-    read_masks, write_masks, combined_masks = _access_masks(block)
-    claim = AtomicCounter()
-    if workers == 1:
-        _scan_worker(dag, claim, read_masks, write_masks, combined_masks)
-        return dag
-    threads = [
-        threading.Thread(
-            target=_scan_worker,
-            args=(dag, claim, read_masks, write_masks, combined_masks),
-            name=f"dag-build-{w}",
-        )
-        for w in range(workers)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    dag = _new_dag(block.txn_count, variant)
+    dag._fill(predecessor_sets(block))
     return dag
 
 
 def brute_force_dag(block: Block) -> DependencyDAG:
     """Single-threaded reference builder, straight from the edge definition.
 
-    Deliberately kept independent of build_dag's bitmask fast path: it calls
-    conflicts() on the declared sets pair by pair, and exists so the
-    concurrent builder has something to be checked against.
+    Deliberately kept independent of build_dag's per-address pass: it calls
+    conflicts() on the declared sets pair by pair, and exists so the fast
+    builder has something to be checked against.
     """
     dag = MatrixDAG(block.txn_count)
     txns = block.transactions
@@ -260,12 +237,13 @@ def dag_from_shared(block: Block) -> DependencyDAG:
     """Rebuild a DAG from the dependency lists embedded in a shared block."""
     if not block.has_shared_dag:
         raise ValueError("block does not carry a shared DAG")
-    dag = MatrixDAG(block.txn_count)
+    preds = []
     for txn in block.transactions:
-        for dep in txn.declared_dependencies:
-            if not 0 <= dep < txn.index:
-                raise ValueError(
-                    f"transaction {txn.index} declares invalid dependency {dep}"
-                )
-            dag.add_edge(dep, txn.index)
+        deps = txn.declared_dependencies
+        if deps and (min(deps) < 0 or max(deps) >= txn.index):
+            bad = next(dep for dep in deps if not 0 <= dep < txn.index)
+            raise ValueError(f"transaction {txn.index} declares invalid dependency {bad}")
+        preds.append(set(deps))
+    dag = MatrixDAG(block.txn_count)
+    dag._fill(preds)
     return dag

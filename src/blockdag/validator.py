@@ -1,30 +1,32 @@
 """Verification of a miner-shared dependency DAG.
 
-The validator never rebuilds the DAG by pairwise scanning. Instead it
-indexes the block by address, then checks two things:
+The validator never rebuilds the DAG by pairwise scanning, and never fills
+a DAG's storage. It checks the block's structure, runs the builder's
+per-address pass (``dag.predecessor_sets``) once, and compares every
+recomputed predecessor set with the transaction's declared dependencies:
 
-* missing edges — for every address, each (reader, writer) and
-  (writer, writer) pair of distinct transactions must have the
-  corresponding low-to-high edge in the shared DAG;
-* extra edges — the indegree recomputed from those conflict pairs must
-  equal the indegree array shared with the block. A pair sharing several
-  addresses is counted once, enforced by a shared seen-set.
+* structure — each dependency list holds distinct indices strictly below
+  the transaction's own, and its length equals the shared indegree entry;
+* missing edges — a recomputed predecessor that is not declared;
+* extra edges — a declared dependency that is not a recomputed predecessor.
 
-Recomputed indegree accrues to the higher index of each pair, matching the
-low-to-high edge direction. Detection does not depend on how many worker
-threads run the check: the missing-edge phase completes (or early-exits)
-before any indegree comparison happens.
+Verdicts keep a fixed precedence over the whole block: a structural defect
+anywhere is ``MALICIOUS_EXTRA_EDGE``; otherwise a missing edge anywhere is
+``MALICIOUS_MISSING_EDGE``; otherwise any other mismatch is
+``MALICIOUS_EXTRA_EDGE``.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import compress
+from operator import attrgetter, eq
 
-from .atomics import AtomicCounter, AtomicIntArray, AtomicOnce
+from .dag import predecessor_sets
 from .model import Address, Block
+
+_DEPENDENCIES = attrgetter("declared_dependencies")
 
 
 class Verdict(enum.Enum):
@@ -58,111 +60,17 @@ class AddressAccessIndex:
 
 
 def build_access_index(block: Block) -> AddressAccessIndex:
-    """One pass over the block fills every address's read and write lists."""
+    """One pass over the block fills every address's read and write lists.
+
+    Transactions are visited in index order, so every list comes out sorted.
+    """
     index = AddressAccessIndex()
     for txn in block.transactions:
-        for address in sorted(txn.read_set):
+        for address in txn.read_set:
             index._entry(address).read_list.append(txn.index)
-        for address in sorted(txn.write_set):
+        for address in txn.write_set:
             index._entry(address).write_list.append(txn.index)
     return index
-
-
-def _structurally_invalid(block: Block) -> bool:
-    # A coherent shared DAG has, for each transaction, a duplicate-free
-    # dependency list of strictly lower indices whose length matches the
-    # shared indegree entry. Anything else is tampering by construction.
-    indegree = block.shared_indegree
-    n = block.txn_count
-    for txn in block.transactions:
-        deps = txn.declared_dependencies
-        if any(dep < 0 or dep >= txn.index for dep in deps):
-            return True
-        if len(set(deps)) != len(deps):
-            return True
-        entry = indegree[txn.index]
-        if entry < 0 or entry >= max(n, 1):
-            return True
-        if entry != len(deps):
-            return True
-    return False
-
-
-class _Scratch:
-    """Shared accumulator state for one validation run."""
-
-    def __init__(self, block: Block, workers: int) -> None:
-        n = block.txn_count
-        self.n = n
-        self.preds = [frozenset(t.declared_dependencies) for t in block.transactions]
-        self.cal_deg = AtomicIntArray(n)
-        self.seen: set[int] = set()
-        self.seen_locks = [threading.Lock() for _ in range(32)]
-        self.verdict = AtomicOnce()
-        self.barrier = threading.Barrier(workers)
-
-    def count_pair(self, lo: int, hi: int) -> None:
-        key = lo * self.n + hi
-        with self.seen_locks[key & 31]:
-            if key in self.seen:
-                return
-            self.seen.add(key)
-        self.cal_deg.add(hi, 1)
-
-
-def _check_address(entry: AddressEntry, scratch: _Scratch) -> bool:
-    """Missing-edge pass for one address; False means an edge was absent."""
-    preds = scratch.preds
-    count_pair = scratch.count_pair
-    reads = entry.read_list
-    writes = entry.write_list
-    for r in reads:
-        for w in writes:
-            if r == w:
-                continue
-            lo, hi = (r, w) if r < w else (w, r)
-            if lo not in preds[hi]:
-                return False
-            count_pair(lo, hi)
-    for lo, hi in combinations(writes, 2):
-        if lo not in preds[hi]:
-            return False
-        count_pair(lo, hi)
-    return True
-
-
-def _validation_worker(
-    worker_id: int,
-    workers: int,
-    entries: list[AddressEntry],
-    claim: AtomicCounter,
-    scratch: _Scratch,
-    shared_indegree: tuple[int, ...],
-) -> None:
-    verdict = scratch.verdict
-    adds_count = len(entries)
-    while not verdict.is_set():
-        k = claim.fetch_inc()
-        if k >= adds_count:
-            claim.dec()
-            break
-        if not _check_address(entries[k], scratch):
-            verdict.set_if_unset(Verdict.MALICIOUS_MISSING_EDGE)
-            break
-    if verdict.is_set():
-        scratch.barrier.abort()
-        return
-    try:
-        scratch.barrier.wait()
-    except threading.BrokenBarrierError:
-        return
-    cal_deg = scratch.cal_deg
-    for j in range(worker_id, scratch.n, workers):
-        if verdict.is_set():
-            return
-        if cal_deg.get(j) != shared_indegree[j]:
-            verdict.set_if_unset(Verdict.MALICIOUS_EXTRA_EDGE)
-            return
 
 
 def validate_dag(
@@ -172,37 +80,32 @@ def validate_dag(
 ) -> Verdict:
     """Judge the DAG a block carries: honest, or malicious and how.
 
-    Workers claim addresses from an atomic counter for the missing-edge
-    phase; a barrier separates it from the indegree comparison so partial
-    counts are never compared. The verdict is identical for any worker
-    count.
+    ``index`` is accepted so callers that already built one can pass it,
+    but it is not read: the pass keeps its own per-address lists, which is
+    cheaper than looking up prefixes of finished ones. ``workers`` must be
+    >= 1 and is otherwise unused; the check runs on the calling thread.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if not block.has_shared_dag:
+    # The honest case is decided by whole-list comparisons that run at C
+    # speed and build a set only for transactions that declare dependencies,
+    # which keeps validation cheaper than the build's per-edge fill. Only a
+    # block that fails them is walked transaction by transaction.
+    deps_of = list(map(_DEPENDENCIES, block.transactions))
+    if block.shared_indegree is None or None in deps_of:
         raise ValueError("block does not carry a shared DAG")
-    if _structurally_invalid(block):
+    indegree = list(block.shared_indegree)
+    if list(map(len, deps_of)) != indegree:
         return Verdict.MALICIOUS_EXTRA_EDGE
-    if index is None:
-        index = build_access_index(block)
-    entries = list(index.entries.values())
-    scratch = _Scratch(block, workers)
-    claim = AtomicCounter()
-    args = (entries, claim, scratch, block.shared_indegree)
-    if workers == 1:
-        _validation_worker(0, 1, *args)
-    else:
-        threads = [
-            threading.Thread(
-                target=_validation_worker,
-                args=(w, workers, *args),
-                name=f"validate-{w}",
-            )
-            for w in range(workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    verdict = scratch.verdict.value
-    return verdict if verdict is not None else Verdict.HONEST
+    computed = predecessor_sets(block)
+    if list(map(len, computed)) == indegree and all(
+        map(eq, compress(computed, indegree), map(frozenset, compress(deps_of, indegree)))
+    ):
+        return Verdict.HONEST
+    missing = False
+    for j, (preds, deps) in enumerate(zip(computed, deps_of)):
+        declared = set(deps)
+        if len(declared) != len(deps) or (deps and (min(deps) < 0 or max(deps) >= j)):
+            return Verdict.MALICIOUS_EXTRA_EDGE
+        missing = missing or not preds <= declared
+    return Verdict.MALICIOUS_MISSING_EDGE if missing else Verdict.MALICIOUS_EXTRA_EDGE

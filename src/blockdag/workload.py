@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, replace
 
 from . import families
-from .dag import brute_force_dag
+from .dag import build_dag
 from .model import Block
 
 FAMILY_CHOICES = families.FAMILIES + ("mixed",)
@@ -219,9 +219,9 @@ class _UnionFind:
 
 
 def conflict_metrics(block: Block) -> ConflictMetrics:
-    """Compute cp1/cp2/cp3 from the block's reference DAG."""
+    """Compute cp1/cp2/cp3 from the block's dependency DAG."""
     n = block.txn_count
-    dag = brute_force_dag(block)
+    dag = build_dag(block)
     if n == 0:
         return ConflictMetrics(cp1=0.0, cp2=0.0, cp3=0)
     touched = [False] * n

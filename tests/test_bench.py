@@ -124,7 +124,7 @@ def test_digest_check_raises_on_divergence():
         _check_digest("adj-dag", 0, b"a", b"b")
 
 
-def test_strategy_failure_recorded_per_row(monkeypatch):
+def test_strategy_failure_recorded_per_row(monkeypatch, capsys):
     import blockdag.bench as bench_mod
 
     def boom(*args, **kwargs):
@@ -137,6 +137,10 @@ def test_strategy_failure_recorded_per_row(monkeypatch):
     assert by_strategy["tree"]["mean_ms"] == ""
     assert by_strategy["serial"]["verdict"] == "-"
     assert float(by_strategy["serial"]["tps"]) > 0
+    err_lines = capsys.readouterr().err.splitlines()
+    assert err_lines == [
+        "txns_per_block=8 strategy tree failed: RuntimeError: tree scheduler exploded"
+    ]
 
 
 # CLI
@@ -220,13 +224,21 @@ def test_cli_verify_only_bad_file(tmp_path, capsys):
 
 
 def test_cli_help_mentions_strategies():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import blockdag
+
+    # The child imports the same blockdag as this process, installed or not.
+    src = str(Path(blockdag.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "blockdag.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert re.search(r"smart-validate", proc.stdout)

@@ -1,10 +1,11 @@
 import random
+import threading
 from dataclasses import replace
 
 import pytest
 
 from blockdag.codec import attach_dag
-from blockdag.dag import build_dag
+from blockdag.dag import build_dag, dag_from_shared
 from blockdag.model import Block
 from blockdag.validator import Verdict, build_access_index, validate_dag
 
@@ -150,3 +151,68 @@ def test_index_argument_is_optional_but_honored():
     index = build_access_index(shared)
     assert validate_dag(shared, index, workers=2) is Verdict.HONEST
     assert validate_dag(shared, None, workers=2) is Verdict.HONEST
+
+
+def test_access_index_lists_are_strictly_increasing():
+    rng = random.Random(29)
+    for _ in range(30):
+        index = build_access_index(random_family_block(rng))
+        for entry in index.entries.values():
+            for ordered in (entry.read_list, entry.write_list):
+                assert all(a < b for a, b in zip(ordered, ordered[1:]))
+
+
+def _retamper(shared, deps_by_txn, indegree_by_txn=None):
+    """Copy of a shared block with some dependency lists replaced; each
+    replaced list's indegree entry follows its length unless overridden."""
+    transactions = list(shared.transactions)
+    indegree = list(shared.shared_indegree)
+    for index, deps in deps_by_txn.items():
+        transactions[index] = replace(transactions[index], declared_dependencies=deps)
+        indegree[index] = len(deps)
+    for index, entry in (indegree_by_txn or {}).items():
+        indegree[index] = entry
+    return Block(tuple(transactions), tuple(indegree))
+
+
+# 0 writes a, 1 reads a (edge 0->1); 2 writes b, 3 reads c (no edge 2->3)
+_MISSING_FIRST = structural_block(
+    [(set(), {b"a"}), ({b"a"}, set()), (set(), {b"b"}), ({b"c"}, set())]
+)
+# 0 writes b, 1 reads c (no edge 0->1); 2 writes a, 3 reads a (edge 2->3)
+_EXTRA_FIRST = structural_block(
+    [(set(), {b"b"}), ({b"c"}, set()), (set(), {b"a"}), ({b"a"}, set())]
+)
+
+
+def test_missing_edge_outranks_a_later_extra_edge():
+    bad = _retamper(_shared(_MISSING_FIRST), {1: (), 3: (2,)})
+    for workers in (1, 8):
+        assert validate_dag(bad, workers=workers) is Verdict.MALICIOUS_MISSING_EDGE
+
+
+def test_missing_edge_outranks_an_earlier_extra_edge():
+    bad = _retamper(_shared(_EXTRA_FIRST), {1: (0,), 3: ()})
+    for workers in (1, 8):
+        assert validate_dag(bad, workers=workers) is Verdict.MALICIOUS_MISSING_EDGE
+
+
+def test_structural_defect_outranks_a_missing_edge():
+    after = _retamper(_shared(_MISSING_FIRST), {1: (), 3: (2, 2)})
+    incoherent = _retamper(_shared(_MISSING_FIRST), {1: ()}, {3: 1})
+    before = _retamper(_shared(_EXTRA_FIRST), {1: (1,), 3: ()})
+    for bad in (after, incoherent, before):
+        assert validate_dag(bad, workers=8) is Verdict.MALICIOUS_EXTRA_EDGE
+
+
+def test_build_validate_and_rebuild_start_no_thread(monkeypatch):
+    def no_threads(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    block = random_family_block(random.Random(37), n=40)
+    monkeypatch.setattr(threading, "Thread", no_threads)
+    for variant in ("matrix", "linked-list"):
+        dag = build_dag(block, workers=8, variant=variant)
+    shared = attach_dag(block, dag)
+    assert validate_dag(shared, workers=8) is Verdict.HONEST
+    assert dag_from_shared(shared).edge_set() == dag.edge_set()

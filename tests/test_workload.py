@@ -102,6 +102,41 @@ def test_mean_edge_density_non_decreasing_in_the_knob():
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:])), (family, means)
 
 
+def _oracle_metrics(block):
+    """cp1/cp2/cp3 straight from the brute-force DAG, with a plain BFS for
+    the components."""
+    n = block.txn_count
+    edges = brute_force_dag(block).edge_set()
+    neighbours = {k: set() for k in range(n)}
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    components = 0
+    unseen = set(range(n))
+    while unseen:
+        components += 1
+        frontier = [unseen.pop()]
+        while frontier:
+            for k in neighbours[frontier.pop()] & unseen:
+                unseen.discard(k)
+                frontier.append(k)
+    touched = sum(1 for k in range(n) if neighbours[k])
+    possible = n * (n - 1) // 2
+    return ConflictMetrics(
+        cp1=touched / n, cp2=len(edges) / possible if possible else 0.0, cp3=components
+    )
+
+
+@pytest.mark.parametrize("family", ALL)
+def test_metrics_equal_brute_force_oracle(family):
+    for pct in (0, 20, 100):
+        for seed in range(3):
+            block = generate_block(
+                WorkloadSpec(family=family, txns_per_block=40 + 7 * seed, dependency_pct=pct, rng_seed=seed)
+            )
+            assert conflict_metrics(block) == _oracle_metrics(block), (pct, seed)
+
+
 def test_component_count_bounded_by_matched_pairs():
     # any matching of the conflict edges merges that many vertex pairs,
     # so the component count can be at most n minus the matching size
