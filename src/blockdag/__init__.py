@@ -25,15 +25,10 @@ from .dag import (
     dag_from_shared,
 )
 from .scheduler import (
-    ALL_DONE,
-    NONE_AVAILABLE,
     ParallelExecutionError,
-    ScheduleCursor,
-    ScheduleRun,
-    commit_txn,
+    ReadyQueue,
     execute_block_parallel,
     execute_block_serial,
-    select_txn,
 )
 from .tree import (
     PredecessorTree,
@@ -60,7 +55,6 @@ from .codec import (
 
 __all__ = [
     "ABSENT",
-    "ALL_DONE",
     "Address",
     "AddressAccessIndex",
     "Block",
@@ -73,11 +67,9 @@ __all__ = [
     "LinkedListDAG",
     "MalformedBlockError",
     "MatrixDAG",
-    "NONE_AVAILABLE",
     "ParallelExecutionError",
     "PredecessorTree",
-    "ScheduleCursor",
-    "ScheduleRun",
+    "ReadyQueue",
     "StateStore",
     "Transaction",
     "TreeRun",
@@ -89,7 +81,6 @@ __all__ = [
     "build_access_index",
     "build_dag",
     "build_predecessor_tree",
-    "commit_txn",
     "conflict_metrics",
     "conflicts",
     "dag_from_shared",
@@ -100,7 +91,6 @@ __all__ = [
     "generate_blocks",
     "max_block_txns",
     "parse_block",
-    "select_txn",
     "serialize_block",
     "state_digest",
     "tree_insert",

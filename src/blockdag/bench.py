@@ -59,8 +59,12 @@ class ExperimentPlan:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if self.sim_work_us < 0:
+            raise ValueError("sim_work_us must be >= 0")
+        for value in self.values:
+            _, workers = _spec_for_value(self, value)
+            if workers < 1:
+                raise ValueError("workers must be >= 1")
 
 
 def _spec_for_value(plan: ExperimentPlan, value: int) -> tuple[WorkloadSpec, int]:

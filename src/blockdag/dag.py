@@ -18,7 +18,6 @@ must hold identical edge sets and indegrees for any block.
 
 from __future__ import annotations
 
-from .atomics import AtomicIntArray
 from .model import Block, Transaction
 
 VARIANTS = ("matrix", "linked-list")
@@ -67,20 +66,20 @@ def predecessor_sets(block: Block) -> list[set[int]]:
 class DependencyDAG:
     """Shared behavior of both DAG representations.
 
-    The indegree array is atomic because the scheduler claims transactions
-    by compare-and-swapping indegree 0 -> -1 from several threads.
+    ``indegree[j]`` is the number of edges into j. Executors copy it and
+    never change the DAG, so one DAG can be executed any number of times.
     """
 
     def __init__(self, txn_count: int) -> None:
         self.txn_count = txn_count
-        self.indegree = AtomicIntArray([0] * txn_count)
+        self.indegree = [0] * txn_count
         self.edge_count = 0
 
     def add_edge(self, i: int, j: int) -> bool:
         if not 0 <= i < j < self.txn_count:
             raise ValueError(f"edge ({i}, {j}) out of range for n={self.txn_count}")
         if self._insert(i, j):
-            self.indegree.add(j, 1)
+            self.indegree[j] += 1
             self.edge_count += 1
             return True
         return False
@@ -90,9 +89,8 @@ class DependencyDAG:
 
         ``preds[j]`` must hold distinct indices below j.
         """
-        indegree = [len(p) for p in preds]
-        self.indegree = AtomicIntArray(indegree)
-        self.edge_count = sum(indegree)
+        self.indegree = [len(p) for p in preds]
+        self.edge_count = sum(self.indegree)
         self._store(preds)
 
     def _insert(self, i: int, j: int) -> bool:
@@ -122,7 +120,7 @@ class DependencyDAG:
         return preds
 
     def indegree_snapshot(self) -> list[int]:
-        return self.indegree.snapshot()
+        return list(self.indegree)
 
 
 class MatrixDAG(DependencyDAG):

@@ -1,102 +1,30 @@
-"""Block execution: DAG-driven parallel scheduling plus the serial baseline.
+"""Block execution: one blocking worker loop plus the serial baseline.
 
-A transaction is runnable when its indegree is zero. Workers claim one by
-atomically swapping that zero to -1, execute the family processor, append to
-the shared commit log, and only then decrement each successor's indegree.
-Appending before the decrement is what makes the recorded schedule a
-topological order: no successor can even be claimed until its predecessor
-is already in the log.
+``run_scheduled`` runs a block on a pool of threads that share one
+condition variable. Under it a worker asks a *grant* step for a runnable
+transaction and waits on the condition while there is none; after running
+the processor it re-takes the condition, appends the result to the commit
+log and calls a *commit* step that releases what waited on the transaction.
+Appending before the lock is released is what makes the recorded schedule a
+topological order: nothing that depends on a transaction can be granted
+until that transaction is already in the log. A waiting worker is woken,
+never by a timer, when another worker's grant succeeds (there may be more
+work), when the last transaction commits, or when a worker crashes.
+
+The DAG executor's grant pops a heap of ready transactions and its commit
+decrements each successor's indegree (``ReadyQueue``); the predecessor-tree baseline
+(``blockdag.tree``) plugs its per-address grant check into the same loop.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
-from dataclasses import dataclass
 
 from . import families
 from .dag import DependencyDAG
 from .model import Block, ExecutionReport, StateStore, state_digest
-
-
-class _Sentinel:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-
-NONE_AVAILABLE = _Sentinel("NONE_AVAILABLE")
-ALL_DONE = _Sentinel("ALL_DONE")
-
-# Idle workers yield first, then nap briefly, so a spinning thread does not
-# starve the one doing useful work of the interpreter lock.
-_BACKOFF_SECONDS = 50e-6
-
-
-@dataclass
-class ScheduleCursor:
-    """Per-worker scan hint: the last index this worker claimed."""
-
-    pos: int = 0
-
-
-class ScheduleRun:
-    """Execution-time state for one pass over a DAG.
-
-    Indegree -1 marks "claimed"; it cannot distinguish in-flight from
-    finished, so commit keeps a separate per-transaction flag plus a count
-    that drives the all-done answer.
-    """
-
-    def __init__(self, dag: DependencyDAG) -> None:
-        self.dag = dag
-        self._committed = bytearray(dag.txn_count)
-        self._commit_lock = threading.Lock()
-        self.committed_count = 0
-
-    def is_committed(self, index: int) -> bool:
-        return bool(self._committed[index])
-
-    def _mark_committed(self, index: int) -> None:
-        with self._commit_lock:
-            assert not self._committed[index], f"transaction {index} committed twice"
-            self._committed[index] = 1
-            self.committed_count += 1
-
-
-def select_txn(run: ScheduleRun, cursor: ScheduleCursor):
-    """Claim a zero-indegree transaction, scanning from the cursor and wrapping.
-
-    Returns the claimed index, NONE_AVAILABLE when unfinished transactions
-    exist but none is claimable right now (caller retries), or ALL_DONE once
-    every transaction has been claimed and committed.
-    """
-    n = run.dag.txn_count
-    if run.committed_count >= n:
-        return ALL_DONE
-    indegree = run.dag.indegree
-    start = cursor.pos
-    for i in range(start, n):
-        if indegree.get(i) == 0 and indegree.compare_and_swap(i, 0, -1):
-            cursor.pos = i
-            return i
-    for i in range(0, start):
-        if indegree.get(i) == 0 and indegree.compare_and_swap(i, 0, -1):
-            cursor.pos = i
-            return i
-    return ALL_DONE if run.committed_count >= n else NONE_AVAILABLE
-
-
-def commit_txn(run: ScheduleRun, index: int) -> None:
-    """Mark the claimed transaction done and release its successors."""
-    run._mark_committed(index)
-    indegree = run.dag.indegree
-    for j in run.dag.successors(index):
-        indegree.add(j, -1)
 
 
 class ParallelExecutionError(RuntimeError):
@@ -105,37 +33,6 @@ class ParallelExecutionError(RuntimeError):
     def __init__(self, message: str, report: ExecutionReport) -> None:
         super().__init__(message)
         self.report = report
-
-
-def _run_worker(
-    run: ScheduleRun,
-    cursor: ScheduleCursor,
-    block: Block,
-    store: StateStore,
-    processor,
-    sim_work_s: float,
-    log: list,
-    log_lock: threading.Lock,
-    stop: threading.Event,
-    errors: list,
-) -> None:
-    try:
-        while not stop.is_set():
-            selected = select_txn(run, cursor)
-            if selected is ALL_DONE:
-                return
-            if selected is NONE_AVAILABLE:
-                time.sleep(_BACKOFF_SECONDS)
-                continue
-            ok = processor(block.transactions[selected], store)
-            if sim_work_s:
-                time.sleep(sim_work_s)
-            with log_lock:
-                log.append((selected, ok))
-            commit_txn(run, selected)
-    except BaseException as exc:  # noqa: BLE001 - surfaced as run failure
-        errors.append(exc)
-        stop.set()
 
 
 def _report_from_log(log: list, store: StateStore, wall: float) -> ExecutionReport:
@@ -148,41 +45,70 @@ def _report_from_log(log: list, store: StateStore, wall: float) -> ExecutionRepo
     )
 
 
-def execute_block_parallel(
+def run_scheduled(
     block: Block,
-    dag: DependencyDAG,
     store: StateStore,
     workers: int,
+    grant,
+    commit,
     processor=None,
     sim_work_us: int = 0,
 ) -> ExecutionReport:
-    """Execute every transaction exactly once, conflict-free, in parallel.
+    """Execute every transaction of the block once on ``workers`` threads.
 
-    The DAG's indegree array is consumed by the run; build a fresh DAG (or
-    one per repetition) to execute the same block again.
+    ``grant()`` returns the index of a transaction that may run now, marking
+    it taken, or None when there is none; ``commit(i)`` records that i has
+    finished. Both are only ever called under the loop's one lock. Raises
+    ParallelExecutionError, carrying the partial report, when a processor or
+    either step raises.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if dag.txn_count != block.txn_count:
-        raise ValueError("DAG does not match block")
     processor = processor or families.apply_transaction
-    run = ScheduleRun(dag)
-    log: list[tuple[int, bool]] = []
-    log_lock = threading.Lock()
-    stop = threading.Event()
-    errors: list[BaseException] = []
     sim_work_s = sim_work_us / 1e6
-    n = block.txn_count
+    txns = block.transactions
+    n = len(txns)
+    cond = threading.Condition(threading.Lock())
+    log: list[tuple[int, bool]] = []
+    errors: list[BaseException] = []
+    waiting = 0
+
+    def worker() -> None:
+        nonlocal waiting
+        index = None
+        ok = False
+        try:
+            while True:
+                with cond:
+                    if index is not None:
+                        log.append((index, ok))
+                        commit(index)
+                    while True:
+                        if errors or len(log) == n:
+                            cond.notify_all()
+                            return
+                        index = grant()
+                        if index is not None:
+                            break
+                        waiting += 1
+                        cond.wait()
+                        waiting -= 1
+                    # A failed grant would fail for a woken worker too, so
+                    # only a successful one wakes the next waiter; that one
+                    # passes the wake-up on if it finds work as well.
+                    if waiting:
+                        cond.notify()
+                ok = processor(txns[index], store)
+                if sim_work_s:
+                    time.sleep(sim_work_s)
+        except BaseException as exc:  # noqa: BLE001 - surfaced as run failure
+            with cond:
+                errors.append(exc)
+                cond.notify_all()
+
     started = time.perf_counter()
-    threads = []
-    for w in range(workers):
-        cursor = ScheduleCursor(pos=(w * n) // workers if n else 0)
-        t = threading.Thread(
-            target=_run_worker,
-            args=(run, cursor, block, store, processor, sim_work_s, log, log_lock, stop, errors),
-            name=f"exec-{w}",
-        )
-        threads.append(t)
+    threads = [threading.Thread(target=worker, name=f"exec-{w}") for w in range(workers)]
+    for t in threads:
         t.start()
     for t in threads:
         t.join()
@@ -194,6 +120,56 @@ def execute_block_parallel(
             report,
         ) from errors[0]
     return report
+
+
+class ReadyQueue:
+    """Per-run DAG scheduling state: the grant and commit steps of the loop.
+
+    Successor lists and a copy of the indegrees are taken once, so the run
+    never changes the DAG and one DAG can be executed any number of times.
+    A transaction enters the queue when its last predecessor commits, and
+    the lowest ready index is granted first, as the tree baseline does: in
+    arrival order, a transaction on a long dependency chain would wait
+    behind every independent one that became ready before it.
+    """
+
+    def __init__(self, dag: DependencyDAG) -> None:
+        self.successors = [dag.successors(i) for i in range(dag.txn_count)]
+        self.indegree = list(dag.indegree)
+        # ascending, so already a heap
+        self.ready = [i for i, d in enumerate(self.indegree) if d == 0]
+
+    def grant(self) -> int | None:
+        """The lowest-index ready transaction, or None when none is ready."""
+        return heapq.heappop(self.ready) if self.ready else None
+
+    def commit(self, index: int) -> None:
+        """Release each successor of a finished transaction once."""
+        indegree = self.indegree
+        for j in self.successors[index]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                heapq.heappush(self.ready, j)
+
+
+def execute_block_parallel(
+    block: Block,
+    dag: DependencyDAG,
+    store: StateStore,
+    workers: int,
+    processor=None,
+    sim_work_us: int = 0,
+) -> ExecutionReport:
+    """Execute every transaction exactly once, conflict-free, in parallel.
+
+    The DAG is only read, so it can be executed again.
+    """
+    if dag.txn_count != block.txn_count:
+        raise ValueError("DAG does not match block")
+    queue = ReadyQueue(dag)
+    return run_scheduled(
+        block, store, workers, queue.grant, queue.commit, processor, sim_work_us
+    )
 
 
 def execute_block_serial(

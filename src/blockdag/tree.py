@@ -6,18 +6,17 @@ To grant a transaction, the scheduler re-checks the completion status of all
 lower-index transactions sharing an address with it in a conflicting
 pattern — that per-address bookkeeping, serialized behind one lock, is the
 cost this design pays relative to the DAG scheduler, and it is preserved
-here on purpose.
+here on purpose. Workers run on the same blocking loop as the DAG executor
+(``blockdag.scheduler.run_scheduled``), with this grant check and
+``TreeRun.mark_done`` as its grant and commit steps.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 
-from . import families
-from .model import Block, ExecutionReport, StateStore, Transaction, state_digest
-from .scheduler import ALL_DONE, NONE_AVAILABLE, _BACKOFF_SECONDS, _report_from_log
+from .model import Block, ExecutionReport, StateStore, Transaction
+from .scheduler import run_scheduled
 
 UNSCHEDULED = 0
 RUNNING = 1
@@ -143,10 +142,10 @@ def _grantable(tree: PredecessorTree, run: TreeRun, index: int) -> bool:
     return True
 
 
-def tree_next_txn(tree: PredecessorTree, run: TreeRun):
+def tree_next_txn(tree: PredecessorTree, run: TreeRun) -> int | None:
     """Grant the lowest-index unscheduled transaction whose conflicting
-    predecessors are all done, marking it RUNNING; callers serialize this
-    behind one lock."""
+    predecessors are all done, marking it RUNNING, or return None when no
+    transaction can be granted now; callers serialize this behind one lock."""
     n = tree.txn_count
     status = run.status
     first = run._first_pending
@@ -159,7 +158,7 @@ def tree_next_txn(tree: PredecessorTree, run: TreeRun):
         if _grantable(tree, run, i):
             status[i] = RUNNING
             return i
-    return ALL_DONE if run.done_count >= n else NONE_AVAILABLE
+    return None
 
 
 def tree_predecessors(tree: PredecessorTree, index: int) -> set[int]:
@@ -176,27 +175,6 @@ def tree_predecessors(tree: PredecessorTree, index: int) -> set[int]:
     return preds
 
 
-def _tree_worker(tree, run, lock, block, store, processor, sim_work_s, log, stop, errors):
-    try:
-        while not stop.is_set():
-            with lock:
-                granted = tree_next_txn(tree, run)
-            if granted is ALL_DONE:
-                return
-            if granted is NONE_AVAILABLE:
-                time.sleep(_BACKOFF_SECONDS)
-                continue
-            ok = processor(block.transactions[granted], store)
-            if sim_work_s:
-                time.sleep(sim_work_s)
-            with lock:
-                log.append((granted, ok))
-                run.mark_done(granted)
-    except BaseException as exc:  # noqa: BLE001
-        errors.append(exc)
-        stop.set()
-
-
 def execute_block_tree(
     block: Block,
     tree: PredecessorTree,
@@ -205,35 +183,20 @@ def execute_block_tree(
     processor=None,
     sim_work_us: int = 0,
 ) -> ExecutionReport:
-    """Run the block through the predecessor-tree scheduler."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    """Run the block through the predecessor-tree scheduler.
+
+    Raises ParallelExecutionError, carrying the partial report, when a
+    worker fails.
+    """
     if tree.txn_count != block.txn_count:
         raise ValueError("tree does not match block")
-    processor = processor or families.apply_transaction
     run = TreeRun(tree)
-    lock = threading.Lock()
-    log: list[tuple[int, bool]] = []
-    stop = threading.Event()
-    errors: list[BaseException] = []
-    sim_work_s = sim_work_us / 1e6
-    started = time.perf_counter()
-    threads = [
-        threading.Thread(
-            target=_tree_worker,
-            args=(tree, run, lock, block, store, processor, sim_work_s, log, stop, errors),
-            name=f"tree-exec-{w}",
-        )
-        for w in range(workers)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wall = time.perf_counter() - started
-    report = _report_from_log(log, store, wall)
-    if errors:
-        raise RuntimeError(
-            f"tree worker failed after {len(log)} of {block.txn_count} commits"
-        ) from errors[0]
-    return report
+    return run_scheduled(
+        block,
+        store,
+        workers,
+        lambda: tree_next_txn(tree, run),
+        run.mark_done,
+        processor,
+        sim_work_us,
+    )

@@ -117,6 +117,18 @@ def test_plan_validation():
         _small_plan(repetitions=0).validate()
     with pytest.raises(ValueError):
         _small_plan(workers=0).validate()
+    # every axis value is checked, not only the first
+    with pytest.raises(ValueError):
+        _small_plan(values=(10, 0)).validate()
+    with pytest.raises(ValueError):
+        _small_plan(axis="num_blocks", values=(1,), txns_per_block=0).validate()
+    with pytest.raises(ValueError):
+        _small_plan(axis="dependency_pct", values=(20, 101)).validate()
+    with pytest.raises(ValueError):
+        _small_plan(axis="workers", values=(2, 0)).validate()
+    with pytest.raises(ValueError):
+        _small_plan(sim_work_us=-5).validate()
+    _small_plan(axis="workers", values=(1, 2), workers=0).validate()
 
 
 def test_digest_check_raises_on_divergence():
@@ -177,6 +189,24 @@ def test_cli_requires_experiment_or_verify(capsys):
 def test_cli_rejects_list_for_non_axis_flag(capsys):
     rc = cli_main(["--experiment", "2", "--txns", "10,20", "--blocks", "1,2"])
     assert rc == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--experiment", "2", "--txns", "0"],
+        ["--experiment", "1", "--txns", "0"],
+        ["--experiment", "4", "--workers", "2,0"],
+        ["--experiment", "4", "--workers", "0,2"],
+        ["--experiment", "1", "--sim-work-us", "-5", "--strategies", "serial"],
+    ],
+    ids=["txns-axis-zero", "txns-scalar-zero", "later-worker-zero", "first-worker-zero", "negative-sim"],
+)
+def test_cli_rejects_out_of_range_values_up_front(argv, capsys):
+    assert cli_main(argv) == 64
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_out_file(tmp_path, capsys):

@@ -1,22 +1,28 @@
 import random
+import sys
 import threading
+import time
 
 import pytest
 
+from blockdag import scheduler
 from blockdag.dag import build_dag
-from blockdag.families import block_from_ops, wallet_create, wallet_deposit, wallet_withdraw
+from blockdag.families import (
+    apply_transaction,
+    block_from_ops,
+    wallet_create,
+    wallet_deposit,
+    wallet_withdraw,
+)
 from blockdag.model import StateStore, state_digest
 from blockdag.scheduler import (
-    ALL_DONE,
-    NONE_AVAILABLE,
     ParallelExecutionError,
-    ScheduleCursor,
-    ScheduleRun,
-    commit_txn,
+    ReadyQueue,
     execute_block_parallel,
     execute_block_serial,
-    select_txn,
 )
+from blockdag.tree import build_predecessor_tree, execute_block_tree
+from blockdag.workload import WorkloadSpec, generate_block
 
 from _helpers import (
     assert_exactly_once,
@@ -34,41 +40,31 @@ def _chain_block(n):
     return structural_block(specs)
 
 
-def test_select_claims_lowest_ready_from_cursor():
+def test_grant_takes_lowest_ready_first():
     block = structural_block([(set(), {b"A"}), ({b"A"}, set()), (set(), {b"B"})])
-    run = ScheduleRun(build_dag(block))
-    cursor = ScheduleCursor()
-    assert select_txn(run, cursor) == 0
-    assert run.dag.indegree_snapshot() == [-1, 1, 0]
-    assert cursor.pos == 0
+    queue = ReadyQueue(build_dag(block))
+    assert queue.grant() == 0
+    # 1 waits for 0, so the next grant skips to 2
+    assert queue.grant() == 2
+    assert queue.indegree == [0, 1, 0]
 
 
-def test_select_reports_none_available_until_commit():
+def test_grant_returns_none_until_commit():
     block = structural_block([(set(), {b"A"}), ({b"A"}, set())])
-    run = ScheduleRun(build_dag(block))
-    cursor = ScheduleCursor()
-    assert select_txn(run, cursor) == 0
-    # claimed but uncommitted predecessor: successor stays unavailable
-    assert select_txn(run, cursor) is NONE_AVAILABLE
-    commit_txn(run, 0)
-    assert select_txn(run, cursor) == 1
+    queue = ReadyQueue(build_dag(block))
+    assert queue.grant() == 0
+    # granted but uncommitted predecessor: successor stays unavailable
+    assert queue.grant() is None
+    queue.commit(0)
+    assert queue.grant() == 1
 
 
-def test_select_all_done_after_every_commit():
+def test_grant_returns_none_after_every_commit():
     block = structural_block([(set(), {b"A"}), (set(), {b"B"})])
-    run = ScheduleRun(build_dag(block))
-    cursor = ScheduleCursor()
+    queue = ReadyQueue(build_dag(block))
     for _ in range(2):
-        commit_txn(run, select_txn(run, cursor))
-    assert select_txn(run, cursor) is ALL_DONE
-
-
-def test_select_wraps_around_the_cursor():
-    block = structural_block([(set(), {b"A"}), (set(), {b"B"})])
-    run = ScheduleRun(build_dag(block))
-    cursor = ScheduleCursor(pos=1)
-    assert select_txn(run, cursor) == 1
-    assert select_txn(run, cursor) == 0
+        queue.commit(queue.grant())
+    assert queue.grant() is None
 
 
 def test_commit_decrements_each_successor_once():
@@ -82,34 +78,27 @@ def test_commit_decrements_each_successor_once():
             ({b"A"}, {b"C"}),
         ]
     )
-    run = ScheduleRun(build_dag(block))
-    cursor = ScheduleCursor()
-    before = run.dag.indegree_snapshot()
-    claimed = select_txn(run, cursor)
-    assert claimed == 0
-    commit_txn(run, 0)
-    after = run.dag.indegree_snapshot()
+    dag = build_dag(block)
+    queue = ReadyQueue(dag)
+    before = list(queue.indegree)
+    assert queue.grant() == 0
+    queue.commit(0)
+    after = queue.indegree
     assert after[4] == before[4] - 1
     assert after[5] == before[5] - 1
     assert after[3] == before[3]
+    # 4 had no other predecessor and is queued behind the initial ready set
+    assert [queue.grant() for _ in range(4)] == [1, 2, 4, None]
+    assert dag.indegree_snapshot() == before
 
 
 def test_commit_without_successors_touches_nothing_else():
     block = structural_block([(set(), {b"A"}), (set(), {b"B"})])
-    run = ScheduleRun(build_dag(block))
-    cursor = ScheduleCursor()
-    assert select_txn(run, cursor) == 0
-    commit_txn(run, 0)
-    assert run.dag.indegree_snapshot()[1] == 0
-
-
-def test_double_commit_is_a_contract_violation():
-    block = structural_block([(set(), {b"A"})])
-    run = ScheduleRun(build_dag(block))
-    select_txn(run, ScheduleCursor())
-    commit_txn(run, 0)
-    with pytest.raises(AssertionError):
-        commit_txn(run, 0)
+    queue = ReadyQueue(build_dag(block))
+    assert queue.grant() == 0
+    queue.commit(0)
+    assert queue.indegree == [0, 0]
+    assert queue.grant() == 1
 
 
 def test_chain_schedules_in_order_for_any_worker_count():
@@ -241,3 +230,112 @@ def test_parallel_rejects_bad_arguments():
     other = structural_block([(set(), {b"a"}), (set(), {b"b"})])
     with pytest.raises(ValueError):
         execute_block_parallel(other, dag, StateStore(), workers=1)
+
+
+def _within(seconds, fn):
+    """Run fn on a daemon thread; fail the test if it has not returned in time."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - handed back to the test
+            result["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert not t.is_alive(), "execution did not terminate"
+    return result
+
+
+def _voting_block(n):
+    # every voting transaction writes the whole registry, so the DAG is a chain
+    return generate_block(WorkloadSpec(family="voting", txns_per_block=n, rng_seed=5))
+
+
+def _run_dag(block, store, workers, **kwargs):
+    return execute_block_parallel(block, build_dag(block), store, workers, **kwargs)
+
+
+def _run_tree(block, store, workers, **kwargs):
+    return execute_block_tree(block, build_predecessor_tree(block), store, workers, **kwargs)
+
+
+EXECUTORS = pytest.mark.parametrize("execute", [_run_dag, _run_tree], ids=["dag", "tree"])
+
+
+def test_same_dag_executes_twice_with_same_digest():
+    rng = random.Random(149)
+    block = random_family_block(rng, n=120)
+    dag = build_dag(block)
+    indegree = dag.indegree_snapshot()
+    serial = execute_block_serial(block, StateStore())
+
+    def twice():
+        return [
+            execute_block_parallel(block, dag, StateStore(), workers=3).final_digest
+            for _ in range(2)
+        ]
+
+    result = _within(30, twice)
+    assert result["value"] == [serial.final_digest] * 2
+    assert dag.indegree_snapshot() == indegree
+
+
+@EXECUTORS
+def test_crash_while_workers_wait_is_typed_with_partial_report(execute):
+    block = _voting_block(30)
+    assert build_dag(block).edge_count == 30 * 29 // 2
+
+    def crash_on_three(txn, store):
+        if txn.index == 3:
+            # give the other three workers time to block on the empty queue
+            time.sleep(0.05)
+            raise RuntimeError("processor blew up")
+        return True
+
+    result = _within(10, lambda: execute(block, StateStore(), 4, processor=crash_on_three))
+    error = result["error"]
+    assert isinstance(error, ParallelExecutionError)
+    assert "processor blew up" in str(error)
+    assert isinstance(error.__cause__, RuntimeError)
+    assert error.report.schedule == [0, 1, 2]
+
+
+@EXECUTORS
+def test_idle_workers_do_not_poll(execute, monkeypatch):
+    block = _voting_block(40)
+    serial = execute_block_serial(block, StateStore())
+
+    def no_sleep(seconds):
+        raise AssertionError(f"idle worker slept {seconds} s")
+
+    def slow_first(txn, store):
+        if txn.index == 0:
+            # the other workers start meanwhile and find nothing runnable
+            threading.Event().wait(0.05)
+        return apply_transaction(txn, store)
+
+    monkeypatch.setattr(scheduler.time, "sleep", no_sleep)
+    report = execute(block, StateStore(), 4, processor=slow_first, sim_work_us=0)
+    assert report.final_digest == serial.final_digest
+    assert report.schedule == list(range(block.txn_count))
+
+
+@EXECUTORS
+def test_many_workers_with_short_switch_interval_keep_every_guarantee(execute):
+    rng = random.Random(151)
+    blocks = [random_family_block(rng, n=150) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for block in blocks:
+            serial = execute_block_serial(block, StateStore())
+            result = _within(60, lambda: execute(block, StateStore(), 8))
+            report = result["value"]
+            assert report.final_digest == serial.final_digest
+            assert_exactly_once(report.schedule, block.txn_count)
+            assert_topological(report.schedule, build_dag(block).edges())
+    finally:
+        sys.setswitchinterval(interval)

@@ -4,7 +4,7 @@ import pytest
 
 from blockdag.dag import brute_force_dag
 from blockdag.model import StateStore
-from blockdag.scheduler import ALL_DONE, NONE_AVAILABLE, execute_block_serial
+from blockdag.scheduler import execute_block_serial
 from blockdag.tree import (
     DONE,
     RUNNING,
@@ -69,7 +69,7 @@ def test_dependent_waits_for_running_predecessor():
     tree = build_predecessor_tree(block)
     run = TreeRun(tree)
     assert tree_next_txn(tree, run) == 0
-    assert tree_next_txn(tree, run) is NONE_AVAILABLE
+    assert tree_next_txn(tree, run) is None
     run.mark_done(0)
     assert tree_next_txn(tree, run) == 1
 
@@ -80,7 +80,8 @@ def test_all_done():
     run = TreeRun(tree)
     run_idx = tree_next_txn(tree, run)
     run.mark_done(run_idx)
-    assert tree_next_txn(tree, run) is ALL_DONE
+    assert tree_next_txn(tree, run) is None
+    assert run.done_count == block.txn_count
 
 
 def test_read_read_sharing_does_not_block():
@@ -96,7 +97,7 @@ def test_writer_waits_for_earlier_reader():
     tree = build_predecessor_tree(block)
     run = TreeRun(tree)
     assert tree_next_txn(tree, run) == 0
-    assert tree_next_txn(tree, run) is NONE_AVAILABLE
+    assert tree_next_txn(tree, run) is None
     run.mark_done(0)
     assert tree_next_txn(tree, run) == 1
 
@@ -134,11 +135,9 @@ def test_tree_is_reusable_across_runs():
     for _ in range(2):
         run = TreeRun(tree)
         order = []
-        while True:
+        while run.done_count < block.txn_count:
             nxt = tree_next_txn(tree, run)
-            if nxt is ALL_DONE:
-                break
-            if nxt is NONE_AVAILABLE:
+            if nxt is None:
                 # single-threaded drain: finish the oldest running txn
                 running = [i for i, s in enumerate(run.status) if s == RUNNING]
                 run.mark_done(running[0])
