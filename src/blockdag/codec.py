@@ -6,10 +6,19 @@ adjacency is rebuilt on the consuming side. All integers are little-endian
 and fixed-width, variable fields are length-prefixed, and the whole message
 ends in a CRC-32 so a corrupted block is always a parse error, never a
 silently different block. Full byte layout: docs/wire-format.md.
+
+Both directions are one loop over a local offset with precompiled
+``struct.Struct`` objects: a dependency list and the indegree trailer are
+each packed or unpacked in a single call, and their range checks are one
+``max()``. Every count read off the wire is checked against the bytes left
+before it is used, and strings that are not UTF-8 are malformed, so a
+CRC-valid body that lies raises a ``BlockCodecError`` subclass, never
+``struct.error``, ``IndexError``, ``MemoryError`` or ``UnicodeDecodeError``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import zlib
@@ -39,6 +48,13 @@ _OPCODE_NAMES = {
 _ARG_INT = 0
 _ARG_STR = 1
 _ARG_PAIRS = 2
+
+_HEADER = struct.Struct("<BBII")  # version, flags, total length, txn count
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_INT_ARG = struct.Struct("<BQ")  # tag, value
+_PAIRS_HEAD = struct.Struct("<BH")  # tag, pair count
 
 
 class BlockCodecError(Exception):
@@ -72,9 +88,47 @@ def max_block_txns() -> int:
         raise ValueError(f"BLOCKDAG_MAX_TXNS is not an integer: {raw!r}") from None
 
 
+@functools.lru_cache(maxsize=1024)
+def _u32_array(count: int) -> struct.Struct:
+    """Packs or unpacks ``count`` consecutive u32 values in one call."""
+    return struct.Struct(f"<{count}I")
+
+
+def _truncated(size: int, off: int, end: int) -> TruncatedBlockError:
+    return TruncatedBlockError(f"needed {size} bytes at offset {off}, have {end - off}")
+
+
+def _blob16(data: bytes) -> bytes:
+    if len(data) > 0xFFFF:
+        raise ValueError("field too long for u16 length prefix")
+    return _U16.pack(len(data)) + data
+
+
+def _read_blob16(data: bytes, off: int, end: int) -> tuple[bytes, int]:
+    """The u16-length-prefixed field at ``off`` and the offset after it."""
+    if off + 2 > end:
+        raise _truncated(2, off, end)
+    size = _U16.unpack_from(data, off)[0]
+    off += 2
+    if off + size > end:
+        raise _truncated(size, off, end)
+    return data[off : off + size], off + size
+
+
+def _read_str16(data: bytes, off: int, end: int) -> tuple[str, int]:
+    """The u16-length-prefixed UTF-8 string at ``off`` and the offset after it."""
+    raw, after = _read_blob16(data, off, end)
+    try:
+        return raw.decode(), after
+    except UnicodeDecodeError as exc:
+        raise MalformedBlockError(
+            f"string at offset {off + 2} is not UTF-8: {exc.reason}"
+        ) from exc
+
+
 def attach_dag(block: Block, dag: DependencyDAG) -> Block:
     """New block carrying the DAG: per-transaction predecessor lists plus
-    the indegree trailer."""
+    the indegree trailer, both taken from the DAG's kept predecessor tuples."""
     if dag.txn_count != block.txn_count:
         raise ValueError("DAG does not match block")
     preds = dag.predecessor_lists()
@@ -84,99 +138,14 @@ def attach_dag(block: Block, dag: DependencyDAG) -> Block:
             read_set=txn.read_set,
             write_set=txn.write_set,
             payload=txn.payload,
-            declared_dependencies=tuple(preds[txn.index]),
+            declared_dependencies=preds[txn.index],
         )
         for txn in block.transactions
     )
     return Block(
         transactions=transactions,
-        shared_indegree=tuple(len(p) for p in preds),
+        shared_indegree=tuple(map(len, preds)),
     )
-
-
-class _Writer:
-    def __init__(self) -> None:
-        self.buf = bytearray()
-
-    def u8(self, v: int) -> None:
-        self.buf.append(v)
-
-    def u16(self, v: int) -> None:
-        self.buf += struct.pack("<H", v)
-
-    def u32(self, v: int) -> None:
-        self.buf += struct.pack("<I", v)
-
-    def u64(self, v: int) -> None:
-        self.buf += struct.pack("<Q", v)
-
-    def blob16(self, data: bytes) -> None:
-        if len(data) > 0xFFFF:
-            raise ValueError("field too long for u16 length prefix")
-        self.u16(len(data))
-        self.buf += data
-
-
-class _Reader:
-    def __init__(self, data: bytes, offset: int, end: int) -> None:
-        self.data = data
-        self.offset = offset
-        self.end = end
-
-    def _take(self, size: int) -> bytes:
-        if self.offset + size > self.end:
-            raise TruncatedBlockError(
-                f"needed {size} bytes at offset {self.offset}, have {self.end - self.offset}"
-            )
-        piece = self.data[self.offset : self.offset + size]
-        self.offset += size
-        return piece
-
-    def u8(self) -> int:
-        return self._take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def blob16(self) -> bytes:
-        return self._take(self.u16())
-
-
-def _write_arg(w: _Writer, arg) -> None:
-    if isinstance(arg, bool):
-        raise ValueError("boolean op arguments are not supported on the wire")
-    if isinstance(arg, int):
-        w.u8(_ARG_INT)
-        w.u64(arg)
-    elif isinstance(arg, str):
-        w.u8(_ARG_STR)
-        w.blob16(arg.encode())
-    elif isinstance(arg, tuple):
-        w.u8(_ARG_PAIRS)
-        w.u16(len(arg))
-        for key, value in arg:
-            w.blob16(key.encode())
-            w.blob16(value.encode())
-    else:
-        raise ValueError(f"unsupported op argument type: {type(arg).__name__}")
-
-
-def _read_arg(r: _Reader):
-    tag = r.u8()
-    if tag == _ARG_INT:
-        return r.u64()
-    if tag == _ARG_STR:
-        return r.blob16().decode()
-    if tag == _ARG_PAIRS:
-        count = r.u16()
-        return tuple((r.blob16().decode(), r.blob16().decode()) for _ in range(count))
-    raise MalformedBlockError(f"unknown argument tag {tag}")
 
 
 def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
@@ -192,106 +161,161 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     if dag is not None:
         block = attach_dag(block, dag)
     has_dag = block.has_shared_dag
-    w = _Writer()
-    w.u8(WIRE_VERSION)
-    w.u8(_FLAG_SHARED_DAG if has_dag else 0)
-    w.u32(0)  # total length, patched below
-    w.u32(block.txn_count)
+    flags = _FLAG_SHARED_DAG if has_dag else 0
+    # total length is patched in once the body is known
+    out = bytearray(_HEADER.pack(WIRE_VERSION, flags, 0, block.txn_count))
     for txn in block.transactions:
         op: FamilyOp = txn.payload
         try:
-            w.u8(_FAMILY_TAGS[op.family])
-            w.u8(_OPCODE_TAGS[op.family][op.opcode])
+            family_tag = _FAMILY_TAGS[op.family]
+            opcode_tag = _OPCODE_TAGS[op.family][op.opcode]
         except KeyError:
             raise ValueError(f"op {op.family}/{op.opcode} has no wire tag") from None
-        w.u8(len(op.args))
+        out += bytes((family_tag, opcode_tag, len(op.args)))
         for arg in op.args:
-            _write_arg(w, arg)
+            if isinstance(arg, bool):
+                raise ValueError("boolean op arguments are not supported on the wire")
+            if isinstance(arg, int):
+                out += _INT_ARG.pack(_ARG_INT, arg)
+            elif isinstance(arg, str):
+                out.append(_ARG_STR)
+                out += _blob16(arg.encode())
+            elif isinstance(arg, tuple):
+                out += _PAIRS_HEAD.pack(_ARG_PAIRS, len(arg))
+                for key, value in arg:
+                    out += _blob16(key.encode())
+                    out += _blob16(value.encode())
+            else:
+                raise ValueError(f"unsupported op argument type: {type(arg).__name__}")
         for address_set in (txn.read_set, txn.write_set):
-            w.u16(len(address_set))
+            out += _U16.pack(len(address_set))
             for address in sorted(address_set):
-                w.blob16(address)
+                out += _blob16(address)
         if has_dag:
             deps = txn.declared_dependencies
-            w.u32(len(deps))
-            for dep in deps:
-                w.u32(dep)
+            out += _u32_array(len(deps) + 1).pack(len(deps), *deps)
     if has_dag:
-        for entry in block.shared_indegree:
-            w.u32(entry)
-    struct.pack_into("<I", w.buf, 2, len(w.buf) + 4)
-    w.u32(zlib.crc32(w.buf))
-    return bytes(w.buf)
+        out += _u32_array(block.txn_count).pack(*block.shared_indegree)
+    _U32.pack_into(out, 2, len(out) + 4)
+    out += _U32.pack(zlib.crc32(out))
+    return bytes(out)
 
 
 def parse_block(data: bytes) -> Block:
     """Parse wire bytes back into a Block, or raise a descriptive error."""
     if len(data) < _MIN_SIZE:
         raise TruncatedBlockError(f"{len(data)} bytes is below the minimum of {_MIN_SIZE}")
-    declared_total = struct.unpack_from("<I", data, 2)[0]
+    declared_total = _U32.unpack_from(data, 2)[0]
     if len(data) < declared_total:
         raise TruncatedBlockError(
             f"declared length {declared_total}, got {len(data)} bytes"
         )
     if len(data) > declared_total:
         raise MalformedBlockError("trailing bytes after declared length")
-    stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
+    end = len(data) - 4
+    if zlib.crc32(data[:end]) != _U32.unpack_from(data, end)[0]:
         raise ChecksumMismatchError("checksum mismatch")
-    version = data[0]
+    version, flags, _, txn_count = _HEADER.unpack_from(data)
     if version != WIRE_VERSION:
         raise MalformedBlockError(f"unsupported version {version}")
-    flags = data[1]
     if flags & ~_FLAG_SHARED_DAG:
         raise MalformedBlockError(f"unknown flag bits 0x{flags:02x}")
     has_dag = bool(flags & _FLAG_SHARED_DAG)
-    r = _Reader(data, 6, len(data) - 4)
-    txn_count = r.u32()
     cap = max_block_txns()
     if txn_count > cap:
         raise BlockTooLargeError(f"block declares {txn_count} txns, cap is {cap}")
+    off = _HEADER.size
     transactions = []
     for index in range(txn_count):
-        family_tag = r.u8()
-        opcode_tag = r.u8()
-        family = _FAMILY_NAMES.get(family_tag)
+        if off + 2 > end:
+            raise _truncated(2, off, end)
+        family = _FAMILY_NAMES.get(data[off])
         if family is None:
-            raise MalformedBlockError(f"unknown family tag {family_tag}")
-        opcode = _OPCODE_NAMES[family].get(opcode_tag)
+            raise MalformedBlockError(f"unknown family tag {data[off]}")
+        opcode = _OPCODE_NAMES[family].get(data[off + 1])
         if opcode is None:
-            raise MalformedBlockError(f"unknown {family} opcode tag {opcode_tag}")
-        argc = r.u8()
-        args = tuple(_read_arg(r) for _ in range(argc))
+            raise MalformedBlockError(f"unknown {family} opcode tag {data[off + 1]}")
+        off += 2
+        if off >= end:
+            raise _truncated(1, off, end)
+        argc = data[off]
+        off += 1
+        args = []
+        for _ in range(argc):
+            if off >= end:
+                raise _truncated(1, off, end)
+            tag = data[off]
+            off += 1
+            if tag == _ARG_INT:
+                if off + 8 > end:
+                    raise _truncated(8, off, end)
+                args.append(_U64.unpack_from(data, off)[0])
+                off += 8
+            elif tag == _ARG_STR:
+                text, off = _read_str16(data, off, end)
+                args.append(text)
+            elif tag == _ARG_PAIRS:
+                if off + 2 > end:
+                    raise _truncated(2, off, end)
+                count = _U16.unpack_from(data, off)[0]
+                off += 2
+                pairs = []
+                for _ in range(count):
+                    key, off = _read_str16(data, off, end)
+                    value, off = _read_str16(data, off, end)
+                    pairs.append((key, value))
+                args.append(tuple(pairs))
+            else:
+                raise MalformedBlockError(f"unknown argument tag {tag}")
         sets = []
         for _ in range(2):
-            count = r.u16()
-            sets.append(frozenset(r.blob16() for _ in range(count)))
+            if off + 2 > end:
+                raise _truncated(2, off, end)
+            count = _U16.unpack_from(data, off)[0]
+            off += 2
+            addresses = []
+            for _ in range(count):
+                address, off = _read_blob16(data, off, end)
+                addresses.append(address)
+            sets.append(frozenset(addresses))
         deps = None
         if has_dag:
-            dep_count = r.u32()
-            deps = tuple(r.u32() for _ in range(dep_count))
-            for dep in deps:
-                if dep >= index:
-                    raise MalformedBlockError(
-                        f"transaction {index} declares dependency {dep} not below it"
-                    )
+            if off + 4 > end:
+                raise _truncated(4, off, end)
+            dep_count = _U32.unpack_from(data, off)[0]
+            off += 4
+            size = 4 * dep_count
+            if off + size > end:
+                raise _truncated(size, off, end)
+            deps = _u32_array(dep_count).unpack_from(data, off)
+            off += size
+            if deps and max(deps) >= index:
+                bad = next(dep for dep in deps if dep >= index)
+                raise MalformedBlockError(
+                    f"transaction {index} declares dependency {bad} not below it"
+                )
         transactions.append(
             Transaction(
                 index=index,
                 read_set=sets[0],
                 write_set=sets[1],
-                payload=FamilyOp(family, opcode, args),
+                payload=FamilyOp(family, opcode, tuple(args)),
                 declared_dependencies=deps,
             )
         )
     shared_indegree = None
     if has_dag:
-        shared_indegree = tuple(r.u32() for _ in range(txn_count))
-        for index, entry in enumerate(shared_indegree):
-            if entry >= max(txn_count, 1):
-                raise MalformedBlockError(
-                    f"indegree {entry} for transaction {index} out of range"
-                )
-    if r.offset != r.end:
-        raise MalformedBlockError(f"{r.end - r.offset} undeclared bytes in body")
+        size = 4 * txn_count
+        if off + size > end:
+            raise _truncated(size, off, end)
+        shared_indegree = _u32_array(txn_count).unpack_from(data, off)
+        off += size
+        limit = max(txn_count, 1)
+        if shared_indegree and max(shared_indegree) >= limit:
+            index = next(i for i, entry in enumerate(shared_indegree) if entry >= limit)
+            raise MalformedBlockError(
+                f"indegree {shared_indegree[index]} for transaction {index} out of range"
+            )
+    if off != end:
+        raise MalformedBlockError(f"{end - off} undeclared bytes in body")
     return Block(transactions=tuple(transactions), shared_indegree=shared_indegree)

@@ -13,10 +13,15 @@ edge set by construction.
 Two representations are provided. The adjacency-matrix variant backs the
 edge relation with a flat byte grid (direct access); the linked-list variant
 keeps a per-node successor list. Both are filled in bulk from the pass and
-must hold identical edge sets and indegrees for any block.
+must hold identical edge sets and indegrees for any block. Both also keep
+each transaction's predecessors as an ascending tuple, which is what the
+wire codec embeds and what the executor transposes into successor lists, so
+neither has to walk the edge relation.
 """
 
 from __future__ import annotations
+
+import bisect
 
 from .model import Block, Transaction
 
@@ -66,21 +71,32 @@ def predecessor_sets(block: Block) -> list[set[int]]:
 class DependencyDAG:
     """Shared behavior of both DAG representations.
 
-    ``indegree[j]`` is the number of edges into j. Executors copy it and
-    never change the DAG, so one DAG can be executed any number of times.
+    ``indegree[j]`` is the number of edges into j, and ``_preds[j]`` the
+    ascending tuple of their sources; both are kept in step with the edge
+    relation. Executors copy what they need and never change the DAG, so
+    one DAG can be executed any number of times.
     """
 
     def __init__(self, txn_count: int) -> None:
         self.txn_count = txn_count
         self.indegree = [0] * txn_count
         self.edge_count = 0
+        self._preds: list[tuple[int, ...]] = [()] * txn_count
 
     def add_edge(self, i: int, j: int) -> bool:
+        """Insert edge (i, j) if absent; True when it was new.
+
+        Keeping j's predecessor tuple sorted copies it, so one call costs
+        O(indegree of j); bulk loads go through ``_fill`` instead.
+        """
         if not 0 <= i < j < self.txn_count:
             raise ValueError(f"edge ({i}, {j}) out of range for n={self.txn_count}")
         if self._insert(i, j):
             self.indegree[j] += 1
             self.edge_count += 1
+            preds = self._preds[j]
+            at = bisect.bisect(preds, i)
+            self._preds[j] = preds[:at] + (i,) + preds[at:]
             return True
         return False
 
@@ -91,12 +107,13 @@ class DependencyDAG:
         """
         self.indegree = [len(p) for p in preds]
         self.edge_count = sum(self.indegree)
-        self._store(preds)
+        self._preds = [tuple(sorted(p)) if p else () for p in preds]
+        self._store(self._preds)
 
     def _insert(self, i: int, j: int) -> bool:
         raise NotImplementedError
 
-    def _store(self, preds: list[set[int]]) -> None:
+    def _store(self, preds: list[tuple[int, ...]]) -> None:
         raise NotImplementedError
 
     def has_edge(self, i: int, j: int) -> bool:
@@ -113,11 +130,9 @@ class DependencyDAG:
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges())
 
-    def predecessor_lists(self) -> list[list[int]]:
-        preds: list[list[int]] = [[] for _ in range(self.txn_count)]
-        for i, j in self.edges():
-            preds[j].append(i)
-        return preds
+    def predecessor_lists(self) -> list[tuple[int, ...]]:
+        """Each transaction's predecessors, ascending; no edge walk."""
+        return list(self._preds)
 
     def indegree_snapshot(self) -> list[int]:
         return list(self.indegree)
@@ -139,7 +154,7 @@ class MatrixDAG(DependencyDAG):
         self._cells[k] = 1
         return True
 
-    def _store(self, preds: list[set[int]]) -> None:
+    def _store(self, preds: list[tuple[int, ...]]) -> None:
         n = self.txn_count
         cells = self._cells
         for j, column in enumerate(preds):
@@ -179,7 +194,7 @@ class LinkedListDAG(DependencyDAG):
         self._succ[i].append(j)
         return True
 
-    def _store(self, preds: list[set[int]]) -> None:
+    def _store(self, preds: list[tuple[int, ...]]) -> None:
         succ = self._succ
         for j, column in enumerate(preds):
             for i in column:

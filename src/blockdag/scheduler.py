@@ -125,8 +125,9 @@ def run_scheduled(
 class ReadyQueue:
     """Per-run DAG scheduling state: the grant and commit steps of the loop.
 
-    Successor lists and a copy of the indegrees are taken once, so the run
-    never changes the DAG and one DAG can be executed any number of times.
+    Successor lists (the transpose of the DAG's kept predecessor tuples,
+    ascending) and a copy of the indegrees are taken once, so the run never
+    changes the DAG and one DAG can be executed any number of times.
     A transaction enters the queue when its last predecessor commits, and
     the lowest ready index is granted first, as the tree baseline does: in
     arrival order, a transaction on a long dependency chain would wait
@@ -134,7 +135,11 @@ class ReadyQueue:
     """
 
     def __init__(self, dag: DependencyDAG) -> None:
-        self.successors = [dag.successors(i) for i in range(dag.txn_count)]
+        successors: list[list[int]] = [[] for _ in range(dag.txn_count)]
+        for j, preds in enumerate(dag.predecessor_lists()):
+            for i in preds:
+                successors[i].append(j)
+        self.successors = successors
         self.indegree = list(dag.indegree)
         # ascending, so already a heap
         self.ready = [i for i, d in enumerate(self.indegree) if d == 0]

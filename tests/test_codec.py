@@ -1,5 +1,7 @@
 import hashlib
 import random
+import struct
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -16,7 +18,22 @@ from blockdag.codec import (
     serialize_block,
 )
 from blockdag.dag import build_dag
-from blockdag.families import block_from_ops, intkey_set
+from blockdag.families import (
+    block_from_ops,
+    insurance_create,
+    insurance_read,
+    insurance_update,
+    intkey_dec,
+    intkey_inc,
+    intkey_set,
+    voting_add_voter,
+    voting_create_party,
+    voting_vote,
+    wallet_create,
+    wallet_deposit,
+    wallet_transfer,
+    wallet_withdraw,
+)
 from blockdag.model import Block
 from blockdag.workload import WorkloadSpec, generate_block
 
@@ -26,6 +43,14 @@ from _helpers import random_family_block
 def _random_shared_block(rng):
     block = random_family_block(rng)
     return attach_dag(block, build_dag(block, workers=2))
+
+
+def _restamp(data) -> bytes:
+    """Bytes with the total length and the CRC recomputed, so only the body lies."""
+    data = bytearray(data)
+    struct.pack_into("<I", data, 2, len(data))
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+    return bytes(data)
 
 
 def test_round_trip_plain_block():
@@ -71,6 +96,36 @@ def test_golden_bytes_for_fixed_block():
     block = block_from_ops([intkey_set("k", 5)])
     digest = hashlib.sha256(serialize_block(block)).hexdigest()
     assert digest == "efd6e8849578140701ce3d5cfa04d6d592c423eb10dfdacb202c32396e134384"
+
+
+def test_golden_bytes_for_shared_dag_block():
+    # Every family, every argument tag (int, string, field pairs), a
+    # non-ASCII string, a u64 at its maximum and a shared DAG; frozen so the
+    # bulk packing cannot drift from wire format v1.
+    block = block_from_ops(
+        [
+            wallet_create("alice"),
+            wallet_deposit("alice", 100),
+            wallet_create("bob"),
+            wallet_transfer("alice", "bob", 40),
+            wallet_withdraw("bob", 2**64 - 1),
+            intkey_set("k", 5),
+            intkey_inc("k", 2),
+            intkey_dec("ключ", 1),
+            voting_create_party("red"),
+            voting_add_voter("v1"),
+            voting_vote("v1", "red"),
+            insurance_create("r1", {"name": "ann", "plan": "gold"}),
+            insurance_update("r1", {"plan": "silver"}),
+            insurance_read("r1"),
+        ]
+    )
+    for variant in ("matrix", "linked-list"):
+        data = serialize_block(block, build_dag(block, variant=variant))
+        assert len(data) == 957
+        digest = hashlib.sha256(data).hexdigest()
+        assert digest == "41c9f56888d042aebdffaa126cd278a3609b8fd14d2a88afed109fa09f247fb5"
+        assert serialize_block(parse_block(data)) == data
 
 
 def test_single_byte_corruption_always_fails_parse():
@@ -176,3 +231,83 @@ def test_serialize_with_dag_argument_embeds_it():
 def test_empty_block_round_trips():
     empty = Block(())
     assert parse_block(serialize_block(empty)) == empty
+
+
+@pytest.mark.parametrize(
+    "ops, raw, bad",
+    [
+        ([intkey_set("k", 1)], b"\x01\x01\x00k", b"\x01\x01\x00\xff"),
+        (
+            [insurance_create("r", {"f": "v"})],
+            b"\x01\x00f\x01\x00v",
+            b"\x01\x00\xc3\x01\x00v",
+        ),
+        (
+            [insurance_create("r", {"f": "v"})],
+            b"\x01\x00f\x01\x00v",
+            b"\x01\x00f\x01\x00\x80",
+        ),
+    ],
+    ids=["string", "pair-key", "pair-value"],
+)
+def test_invalid_utf8_in_a_string_argument_is_malformed(ops, raw, bad):
+    data = serialize_block(block_from_ops(ops))
+    assert data.count(raw) == 1
+    with pytest.raises(MalformedBlockError):
+        parse_block(_restamp(data.replace(raw, bad)))
+
+
+# A two-transaction shared block and, for each count field in it (from
+# docs/wire-format.md), its offset, width, true value and the lies tried:
+# insurance_create("r", {"f": "v"}) then insurance_read("r"), which
+# depends on it.
+_COUNT_BLOCK_OPS = [insurance_create("r", {"f": "v"}), insurance_read("r")]
+_U8_MAX, _U16_MAX, _U32_MAX = 0xFF, 0xFFFF, 0xFFFFFFFF
+_COUNT_FIELDS = {
+    "txn-count": (6, "<I", 2, (0, 1, 3, 4, 1 << 30, _U32_MAX)),
+    "argc": (12, "<B", 2, (1, 3, 4, _U8_MAX)),
+    "string-length": (14, "<H", 1, (0, 2, 3, _U16_MAX)),
+    "pair-count": (18, "<H", 1, (0, 2, 3, _U16_MAX)),
+    "pair-key-length": (20, "<H", 1, (0, 2, 3, _U16_MAX)),
+    "read-set-count": (26, "<H", 1, (0, 2, 3, _U16_MAX)),
+    "address-length": (28, "<H", 11, (10, 12, 13, _U16_MAX)),
+    "write-set-count": (41, "<H", 1, (0, 2, 3, _U16_MAX)),
+    "empty-write-set-count": (82, "<H", 0, (1, 2, _U16_MAX)),
+    "empty-dependency-count": (56, "<I", 0, (1, 2, 1 << 30, _U32_MAX)),
+    "dependency-count": (84, "<I", 1, (0, 2, 3, 1 << 30, _U32_MAX)),
+    "dependency": (88, "<I", 0, (1, 2, _U32_MAX)),
+    "trailer-entry": (96, "<I", 1, (2, 3, _U32_MAX)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_COUNT_FIELDS))
+def test_restamped_block_with_a_lying_count_is_a_codec_error(field):
+    block = block_from_ops(_COUNT_BLOCK_OPS)
+    data = serialize_block(block, build_dag(block))
+    assert len(data) == 104
+    offset, fmt, truth, lies = _COUNT_FIELDS[field]
+    assert struct.unpack_from(fmt, data, offset)[0] == truth
+    for lie in lies:
+        tampered = bytearray(data)
+        struct.pack_into(fmt, tampered, offset, lie)
+        # a BlockCodecError subclass; never struct.error, IndexError,
+        # MemoryError or UnicodeDecodeError from a count read off the wire
+        with pytest.raises(BlockCodecError):
+            parse_block(_restamp(tampered))
+
+
+def test_restamped_mutations_parse_or_raise_codec_errors():
+    rng = random.Random(13)
+    for trial in range(300):
+        block = _random_shared_block(rng) if trial % 2 else random_family_block(rng)
+        body = bytearray(serialize_block(block)[:-4])
+        for _ in range(rng.randrange(1, 4)):
+            pos = rng.randrange(10, len(body))
+            if rng.randrange(2):
+                body[pos] = rng.choice((0x00, 0x01, 0x7F, 0x80, 0xC3, 0xFF))
+            else:
+                body[pos : pos + 4] = b"\xff\xff\xff\xff"
+        try:
+            parse_block(_restamp(body + b"\x00" * 4))
+        except BlockCodecError:
+            pass  # any other exception class fails the test

@@ -155,6 +155,37 @@ def test_indegree_sums_to_edge_count():
         assert [len(p) for p in preds] == dag.indegree_snapshot()
 
 
+def _edge_walk_predecessors(dag):
+    preds = [[] for _ in range(dag.txn_count)]
+    for i, j in dag.edges():
+        preds[j].append(i)
+    return [tuple(sorted(p)) for p in preds]
+
+
+def test_kept_predecessor_tuples_match_the_edge_walk():
+    rng = random.Random(61)
+    for _ in range(30):
+        block = random_structural_block(rng, max_n=40)
+        dags = [build_dag(block, variant=variant) for variant in ("matrix", "linked-list")]
+        dags.append(brute_force_dag(block))  # built edge by edge with add_edge
+        dags.append(dag_from_shared(attach_dag(block, dags[0])))
+        for dag in dags:
+            preds = dag.predecessor_lists()
+            assert preds == _edge_walk_predecessors(dag)
+            assert all(type(p) is tuple for p in preds)
+            assert [len(p) for p in preds] == dag.indegree_snapshot()
+
+
+def test_add_edge_keeps_predecessors_ascending_in_any_order():
+    for variant in ("matrix", "linked-list"):
+        dag = build_dag(structural_block([(set(), set())] * 5), variant=variant)
+        for i, j in [(3, 4), (0, 4), (2, 4), (0, 4), (1, 4), (0, 2)]:
+            dag.add_edge(i, j)
+        assert dag.predecessor_lists() == [(), (), (0,), (), (0, 1, 2, 3)]
+        assert dag.predecessor_lists() == _edge_walk_predecessors(dag)
+        assert dag.indegree_snapshot() == [0, 0, 1, 0, 4]
+
+
 def test_successor_lists_are_sorted_and_deduplicated():
     block = structural_block(
         [

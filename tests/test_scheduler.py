@@ -49,6 +49,16 @@ def test_grant_takes_lowest_ready_first():
     assert queue.indegree == [0, 1, 0]
 
 
+def test_ready_queue_successors_match_both_variants():
+    rng = random.Random(17)
+    for _ in range(20):
+        block = random_family_block(rng)
+        for variant in ("matrix", "linked-list"):
+            dag = build_dag(block, variant=variant)
+            queue = ReadyQueue(dag)
+            assert queue.successors == [dag.successors(i) for i in range(dag.txn_count)]
+
+
 def test_grant_returns_none_until_commit():
     block = structural_block([(set(), {b"A"}), ({b"A"}, set())])
     queue = ReadyQueue(build_dag(block))
