@@ -10,13 +10,16 @@ Threads would not help, since they cannot overlap Python work under the GIL.
 The same pass feeds the validator, so building and validating agree on the
 edge set by construction.
 
-Two representations are provided. The adjacency-matrix variant backs the
-edge relation with a flat byte grid (direct access); the linked-list variant
-keeps a per-node successor list. Both are filled in bulk from the pass and
-must hold identical edge sets and indegrees for any block. Both also keep
-each transaction's predecessors as an ascending tuple, which is what the
-wire codec embeds and what the executor transposes into successor lists, so
-neither has to walk the edge relation.
+Every DAG keeps each transaction's predecessors as an ascending tuple,
+which is what the wire codec embeds and what the executor reads, so neither
+has to walk the edge relation. A plain ``DependencyDAG`` holds nothing else
+and answers edge queries from those tuples; ``dag_from_shared`` returns one,
+since the validate path only executes the DAG it has just checked. Two
+representations add storage on top, and ``build_dag`` fills the one it is
+asked for: the adjacency-matrix variant backs the edge relation with a flat
+byte grid (direct access), and the linked-list variant keeps a per-node
+successor list. Every kind must hold identical edge sets and indegrees for
+any block.
 """
 
 from __future__ import annotations
@@ -69,12 +72,14 @@ def predecessor_sets(block: Block) -> list[set[int]]:
 
 
 class DependencyDAG:
-    """Shared behavior of both DAG representations.
+    """A DAG kept as predecessor tuples, and the base of both representations.
 
     ``indegree[j]`` is the number of edges into j, and ``_preds[j]`` the
     ascending tuple of their sources; both are kept in step with the edge
-    relation. Executors copy what they need and never change the DAG, so
-    one DAG can be executed any number of times.
+    relation. This class answers every edge query from the tuples, and a
+    subclass that adds storage overrides ``_insert``, ``_store``,
+    ``has_edge`` and ``successors``. Executors never change the DAG, so one
+    DAG can be executed any number of times.
     """
 
     def __init__(self, txn_count: int) -> None:
@@ -100,10 +105,10 @@ class DependencyDAG:
             return True
         return False
 
-    def _fill(self, preds: list[set[int]]) -> None:
-        """Load every transaction's predecessor set into this empty DAG.
+    def _fill(self, preds: list) -> None:
+        """Load every transaction's predecessors into this empty DAG.
 
-        ``preds[j]`` must hold distinct indices below j.
+        ``preds[j]`` must hold distinct indices below j, in any order.
         """
         self.indegree = [len(p) for p in preds]
         self.edge_count = sum(self.indegree)
@@ -111,16 +116,19 @@ class DependencyDAG:
         self._store(self._preds)
 
     def _insert(self, i: int, j: int) -> bool:
-        raise NotImplementedError
+        """Record edge (i, j) in the storage; False when it was there."""
+        return not self.has_edge(i, j)
 
     def _store(self, preds: list[tuple[int, ...]]) -> None:
-        raise NotImplementedError
+        """Load the storage from filled predecessor tuples; none here."""
 
     def has_edge(self, i: int, j: int) -> bool:
-        raise NotImplementedError
+        preds = self._preds[j]
+        at = bisect.bisect_left(preds, i)
+        return at < len(preds) and preds[at] == i
 
     def successors(self, i: int) -> list[int]:
-        raise NotImplementedError
+        return [j for j in range(i + 1, self.txn_count) if self.has_edge(i, j)]
 
     def edges(self):
         for i in range(self.txn_count):
@@ -235,28 +243,33 @@ def brute_force_dag(block: Block) -> DependencyDAG:
 
     Deliberately kept independent of build_dag's per-address pass: it calls
     conflicts() on the declared sets pair by pair, and exists so the fast
-    builder has something to be checked against.
+    builder has something to be checked against. Each transaction's
+    predecessors are collected in ascending order and loaded once, since
+    inserting edge by edge would copy a predecessor tuple per edge.
     """
-    dag = MatrixDAG(block.txn_count)
     txns = block.transactions
-    for i in range(block.txn_count):
-        for j in range(i + 1, block.txn_count):
-            if conflicts(txns[i], txns[j]):
-                dag.add_edge(i, j)
+    dag = MatrixDAG(block.txn_count)
+    dag._fill(
+        [[i for i in range(j) if conflicts(txns[i], txn)] for j, txn in enumerate(txns)]
+    )
     return dag
 
 
 def dag_from_shared(block: Block) -> DependencyDAG:
-    """Rebuild a DAG from the dependency lists embedded in a shared block."""
+    """The DAG embedded in a shared block, kept as predecessor tuples only.
+
+    Duplicate dependencies count once, in indegree too. No storage is
+    filled: the validate path only executes this DAG, and the executor
+    reads the tuples.
+    """
     if not block.has_shared_dag:
         raise ValueError("block does not carry a shared DAG")
-    preds = []
-    for txn in block.transactions:
-        deps = txn.declared_dependencies
-        if deps and (min(deps) < 0 or max(deps) >= txn.index):
-            bad = next(dep for dep in deps if not 0 <= dep < txn.index)
-            raise ValueError(f"transaction {txn.index} declares invalid dependency {bad}")
-        preds.append(set(deps))
-    dag = MatrixDAG(block.txn_count)
-    dag._fill(preds)
+    dag = DependencyDAG(block.txn_count)
+    dag._fill([set(txn.declared_dependencies) for txn in block.transactions])
+    # each tuple is ascending, so its ends are its minimum and maximum
+    for j, preds in enumerate(dag._preds):
+        if preds and (preds[0] < 0 or preds[-1] >= j):
+            deps = block.transactions[j].declared_dependencies
+            bad = next(dep for dep in deps if not 0 <= dep < j)
+            raise ValueError(f"transaction {j} declares invalid dependency {bad}")
     return dag

@@ -12,12 +12,15 @@ never by a timer, when another worker's grant succeeds (there may be more
 work), when the last transaction commits, or when a worker crashes.
 
 The DAG executor's grant pops a heap of ready transactions and its commit
-decrements each successor's indegree (``ReadyQueue``); the predecessor-tree baseline
-(``blockdag.tree``) plugs its per-address grant check into the same loop.
+re-checks only the transactions that waited on the committed one, each
+against its own predecessor tuple (``ReadyQueue``); the predecessor-tree
+baseline (``blockdag.tree``) plugs its per-address grant check into the
+same loop.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import threading
 import time
@@ -125,36 +128,67 @@ def run_scheduled(
 class ReadyQueue:
     """Per-run DAG scheduling state: the grant and commit steps of the loop.
 
-    Successor lists (the transpose of the DAG's kept predecessor tuples,
-    ascending) and a copy of the indegrees are taken once, so the run never
-    changes the DAG and one DAG can be executed any number of times.
-    A transaction enters the queue when its last predecessor commits, and
-    the lowest ready index is granted first, as the tree baseline does: in
-    arrival order, a transaction on a long dependency chain would wait
+    It reads the DAG's kept predecessor tuples and keeps no successor lists
+    or indegree copy, so the run never changes the DAG and one DAG can be
+    executed any number of times. A transaction waits on one uncommitted
+    predecessor at a time, its highest first. When that one commits, the
+    rest are checked downwards from it, but only down to ``low``: every
+    index below ``low`` has committed, and bisect skips them. ``upper[j]``
+    is the position in j's tuple of the predecessor j waits on, and only
+    falls, so no predecessor is checked twice for the same transaction. A
+    chain therefore costs one bisect per commit, and nothing more than one
+    check per edge is ever spent.
+
+    A transaction enters the heap at the commit of its last predecessor,
+    and the lowest ready index is granted first, as the tree baseline does:
+    in arrival order, a transaction on a long dependency chain would wait
     behind every independent one that became ready before it.
     """
 
     def __init__(self, dag: DependencyDAG) -> None:
-        successors: list[list[int]] = [[] for _ in range(dag.txn_count)]
-        for j, preds in enumerate(dag.predecessor_lists()):
-            for i in preds:
-                successors[i].append(j)
-        self.successors = successors
-        self.indegree = list(dag.indegree)
-        # ascending, so already a heap
-        self.ready = [i for i, d in enumerate(self.indegree) if d == 0]
+        self.preds = preds = dag.predecessor_lists()
+        self.done = bytearray(dag.txn_count)
+        self.low = 0
+        self.upper = [len(p) - 1 for p in preds]
+        # index -> the transactions waiting for it to commit
+        self.waiters: dict[int, list[int]] = {}
+        ready = []
+        for j, p in enumerate(preds):
+            if p:
+                self.waiters.setdefault(p[-1], []).append(j)
+            else:
+                ready.append(j)
+        self.ready = ready  # ascending, so already a heap
 
     def grant(self) -> int | None:
         """The lowest-index ready transaction, or None when none is ready."""
         return heapq.heappop(self.ready) if self.ready else None
 
     def commit(self, index: int) -> None:
-        """Release each successor of a finished transaction once."""
-        indegree = self.indegree
-        for j in self.successors[index]:
-            indegree[j] -= 1
-            if not indegree[j]:
+        """Mark a transaction finished and release what it was last to block."""
+        done = self.done
+        done[index] = 1
+        if index == self.low:
+            low = index + 1
+            while low < len(done) and done[low]:
+                low += 1
+            self.low = low
+        waiting = self.waiters.pop(index, None)
+        if not waiting:
+            return
+        preds, upper, waiters, low = self.preds, self.upper, self.waiters, self.low
+        for j in waiting:
+            p = preds[j]
+            k = upper[j]
+            floor = bisect.bisect_left(p, low, 0, k)
+            k -= 1
+            while k >= floor and done[p[k]]:
+                k -= 1
+            if k < floor:
                 heapq.heappush(self.ready, j)
+            else:
+                upper[j] = k
+                waiters.setdefault(p[k], []).append(j)
 
 
 def execute_block_parallel(

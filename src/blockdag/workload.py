@@ -226,15 +226,15 @@ def conflict_metrics(block: Block) -> ConflictMetrics:
         return ConflictMetrics(cp1=0.0, cp2=0.0, cp3=0)
     touched = [False] * n
     uf = _UnionFind(n)
-    edge_count = 0
-    for i, j in dag.edges():
-        touched[i] = True
-        touched[j] = True
-        uf.union(i, j)
-        edge_count += 1
+    for j, preds in enumerate(dag.predecessor_lists()):
+        if preds:
+            touched[j] = True
+        for i in preds:
+            touched[i] = True
+            uf.union(i, j)
     possible = n * (n - 1) // 2
     cp1 = sum(touched) / n
-    cp2 = edge_count / possible if possible else 0.0
+    cp2 = dag.edge_count / possible if possible else 0.0
     cp3 = len({uf.find(k) for k in range(n)})
     return ConflictMetrics(cp1=cp1, cp2=cp2, cp3=cp3)
 

@@ -1,15 +1,23 @@
 import random
+import threading
+from dataclasses import replace
 
 import pytest
 
-from blockdag.codec import attach_dag
+from blockdag.codec import attach_dag, parse_block, serialize_block
 from blockdag.dag import (
+    DependencyDAG,
+    LinkedListDAG,
     MatrixDAG,
     brute_force_dag,
     build_dag,
     conflicts,
     dag_from_shared,
 )
+from blockdag.families import apply_transaction, block_from_ops, wallet_deposit
+from blockdag.model import Block, StateStore
+from blockdag.scheduler import execute_block_parallel, execute_block_serial
+from blockdag.validator import Verdict, validate_dag
 
 from _helpers import (
     is_acyclic,
@@ -167,8 +175,14 @@ def test_kept_predecessor_tuples_match_the_edge_walk():
     for _ in range(30):
         block = random_structural_block(rng, max_n=40)
         dags = [build_dag(block, variant=variant) for variant in ("matrix", "linked-list")]
-        dags.append(brute_force_dag(block))  # built edge by edge with add_edge
+        dags.append(brute_force_dag(block))
         dags.append(dag_from_shared(attach_dag(block, dags[0])))
+        edges = sorted(dags[0].edge_set())
+        rng.shuffle(edges)
+        for empty in (MatrixDAG(block.txn_count), DependencyDAG(block.txn_count)):
+            for i, j in edges:  # built edge by edge with add_edge
+                empty.add_edge(i, j)
+            dags.append(empty)
         for dag in dags:
             preds = dag.predecessor_lists()
             assert preds == _edge_walk_predecessors(dag)
@@ -177,8 +191,10 @@ def test_kept_predecessor_tuples_match_the_edge_walk():
 
 
 def test_add_edge_keeps_predecessors_ascending_in_any_order():
-    for variant in ("matrix", "linked-list"):
-        dag = build_dag(structural_block([(set(), set())] * 5), variant=variant)
+    block = structural_block([(set(), set())] * 5)
+    dags = [build_dag(block, variant=variant) for variant in ("matrix", "linked-list")]
+    dags.append(dag_from_shared(attach_dag(block, dags[0])))
+    for dag in dags:
         for i, j in [(3, 4), (0, 4), (2, 4), (0, 4), (1, 4), (0, 2)]:
             dag.add_edge(i, j)
         assert dag.predecessor_lists() == [(), (), (0,), (), (0, 1, 2, 3)]
@@ -234,3 +250,95 @@ def test_dag_from_shared_requires_shared_dag():
     block = structural_block([({b"a"}, set())])
     with pytest.raises(ValueError):
         dag_from_shared(block)
+
+
+def test_tuple_only_dag_answers_edge_queries_like_the_matrix():
+    rng = random.Random(73)
+    for trial in range(30):
+        block = (
+            random_structural_block(rng, max_n=40)
+            if trial % 2
+            else random_family_block(rng)
+        )
+        matrix = build_dag(block)
+        shared = dag_from_shared(attach_dag(block, matrix))
+        assert type(shared) is DependencyDAG
+        n = block.txn_count
+        for i in range(n):
+            assert shared.successors(i) == matrix.successors(i)
+            for j in range(i + 1, n):
+                assert shared.has_edge(i, j) == matrix.has_edge(i, j)
+        assert shared.edge_set() == matrix.edge_set()
+        assert shared.edge_count == matrix.edge_count
+
+
+def test_dag_from_shared_deduplicates_and_sorts_declared_lists():
+    block = attach_dag(
+        structural_block([(set(), set())] * 4), DependencyDAG(4)
+    )
+    declared = [(), (0, 0), (1, 0, 1), (2, 0, 2, 1, 0)]
+    shared = Block(
+        tuple(
+            replace(txn, declared_dependencies=deps)
+            for txn, deps in zip(block.transactions, declared)
+        ),
+        tuple(len(deps) for deps in declared),
+    )
+    dag = dag_from_shared(shared)
+    assert dag.predecessor_lists() == [(), (0,), (0, 1), (0, 1, 2)]
+    assert dag.indegree_snapshot() == [0, 1, 2, 3]
+    assert dag.edge_count == 6
+    assert dag.edge_set() == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)}
+
+
+def test_dag_from_shared_rejects_dependency_not_below_index():
+    block = structural_block([(set(), set())] * 3)
+    for deps, bad in [((0, 2), 2), ((1, 3, 0), 3), ((-1, 0), -1)]:
+        txns = list(block.transactions)
+        txns[2] = replace(txns[2], declared_dependencies=deps)
+        txns[0] = replace(txns[0], declared_dependencies=())
+        txns[1] = replace(txns[1], declared_dependencies=())
+        shared = Block(tuple(txns), (0, 0, len(deps)))
+        with pytest.raises(ValueError, match=f"transaction 2 declares invalid dependency {bad}$"):
+            dag_from_shared(shared)
+
+
+def test_shared_extra_edge_is_honoured_by_the_executor():
+    # independent deposits, but the shared DAG makes 3 wait for 0
+    block = block_from_ops([wallet_deposit(f"acct{i}", i + 1) for i in range(4)])
+    honest = attach_dag(block, build_dag(block))
+    assert build_dag(block).edge_count == 0
+    txns = list(honest.transactions)
+    txns[3] = replace(txns[3], declared_dependencies=(0,))
+    shared = Block(tuple(txns), (0, 0, 0, 1))
+    assert validate_dag(shared) is Verdict.MALICIOUS_EXTRA_EDGE
+
+    def slow_first(txn, store):
+        if txn.index == 0:
+            # give the other worker time to run everything it may
+            threading.Event().wait(0.05)
+        return apply_transaction(txn, store)
+
+    report = execute_block_parallel(
+        shared, dag_from_shared(shared), StateStore(), 2, processor=slow_first
+    )
+    assert report.schedule.index(0) < report.schedule.index(3)
+
+
+def test_validate_path_fills_no_dag_storage(monkeypatch):
+    rng = random.Random(79)
+    blocks = [random_family_block(rng, n=60) for _ in range(6)]
+    wires = [serialize_block(block, build_dag(block)) for block in blocks]
+
+    def no_store(self, preds):
+        raise AssertionError(f"{type(self).__name__} storage filled on the validate path")
+
+    monkeypatch.setattr(MatrixDAG, "_store", no_store)
+    monkeypatch.setattr(LinkedListDAG, "_store", no_store)
+    for block, wire in zip(blocks, wires):
+        shared = parse_block(wire)
+        assert validate_dag(shared) is Verdict.HONEST
+        report = execute_block_parallel(shared, dag_from_shared(shared), StateStore(), 2)
+        assert report.final_digest == execute_block_serial(block, StateStore()).final_digest
+    with pytest.raises(AssertionError, match="storage filled"):
+        build_dag(blocks[0])

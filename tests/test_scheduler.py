@@ -1,3 +1,4 @@
+import heapq
 import random
 import sys
 import threading
@@ -6,7 +7,8 @@ import time
 import pytest
 
 from blockdag import scheduler
-from blockdag.dag import build_dag
+from blockdag.codec import attach_dag
+from blockdag.dag import brute_force_dag, build_dag, dag_from_shared
 from blockdag.families import (
     apply_transaction,
     block_from_ops,
@@ -28,6 +30,7 @@ from _helpers import (
     assert_exactly_once,
     assert_topological,
     random_family_block,
+    random_structural_block,
     structural_block,
 )
 
@@ -41,22 +44,112 @@ def _chain_block(n):
 
 
 def test_grant_takes_lowest_ready_first():
-    block = structural_block([(set(), {b"A"}), ({b"A"}, set()), (set(), {b"B"})])
+    block = structural_block(
+        [(set(), {b"A"}), ({b"A"}, set()), (set(), {b"B"}), (set(), {b"C"})]
+    )
     queue = ReadyQueue(build_dag(block))
     assert queue.grant() == 0
     # 1 waits for 0, so the next grant skips to 2
     assert queue.grant() == 2
-    assert queue.indegree == [0, 1, 0]
+    queue.commit(0)
+    # 1 is released after 3 became ready, and still goes first
+    assert [queue.grant() for _ in range(3)] == [1, 3, None]
 
 
-def test_ready_queue_successors_match_both_variants():
+class _IndegreeQueue:
+    """Reference model of the ready queue: successor lists from the edge
+    walk, one indegree count per transaction, a heap of ready indices."""
+
+    def __init__(self, dag):
+        self.successors = [dag.successors(i) for i in range(dag.txn_count)]
+        self.indegree = dag.indegree_snapshot()
+        self.ready = [i for i, d in enumerate(self.indegree) if d == 0]
+
+    def grant(self):
+        return heapq.heappop(self.ready) if self.ready else None
+
+    def commit(self, index):
+        for j in self.successors[index]:
+            self.indegree[j] -= 1
+            if not self.indegree[j]:
+                heapq.heappush(self.ready, j)
+
+
+def _dags_for(block, rng):
+    """Built, brute-force and shared DAGs of the block, two with extra edges."""
+    built = [build_dag(block, variant=variant) for variant in ("matrix", "linked-list")]
+    shared = [dag_from_shared(attach_dag(block, built[0])) for _ in range(2)]
+    extended = [build_dag(block, variant=rng.choice(("matrix", "linked-list"))), shared[1]]
+    n = block.txn_count
+    for dag in extended:
+        for _ in range(rng.randrange(0, 2 * n + 1) if n > 1 else 0):
+            i = rng.randrange(0, n - 1)
+            dag.add_edge(i, rng.randrange(i + 1, n))
+    return [*built, brute_force_dag(block), shared[0], *extended]
+
+
+def test_ready_queue_grants_match_indegree_model_under_random_interleavings():
+    rng = random.Random(19)
+    steps = 0
+    for trial in range(40):
+        block = (
+            random_structural_block(rng, max_n=48)
+            if trial % 2
+            else random_family_block(rng, n=rng.randrange(2, 120))
+        )
+        for dag in _dags_for(block, rng):
+            queue, model = ReadyQueue(dag), _IndegreeQueue(dag)
+            running: list[int] = []
+            committed = 0
+            while committed < dag.txn_count:
+                if running and rng.random() < 0.5:
+                    index = running.pop(rng.randrange(len(running)))
+                    queue.commit(index)
+                    model.commit(index)
+                    committed += 1
+                else:
+                    granted = queue.grant()
+                    assert granted == model.grant()
+                    if granted is None:
+                        assert running, "nothing ready and nothing running"
+                    else:
+                        running.append(granted)
+                steps += 1
+            assert queue.grant() is None and model.grant() is None
+    assert steps > 5000
+
+
+def _waves(queue):
+    """Grant until nothing is ready, commit that wave, repeat."""
+    waves = []
+    while True:
+        wave = []
+        while (index := queue.grant()) is not None:
+            wave.append(index)
+        if not wave:
+            return waves
+        waves.append(wave)
+        for index in reversed(wave):
+            queue.commit(index)
+
+
+def _levels(n, edges):
+    level = [0] * n
+    for i, j in sorted(edges, key=lambda e: e[1]):
+        level[j] = max(level[j], level[i] + 1)
+    waves = [[] for _ in range(max(level, default=-1) + 1)]
+    for index, depth in enumerate(level):
+        waves[depth].append(index)
+    return waves
+
+
+def test_ready_queue_grants_match_both_variants():
     rng = random.Random(17)
     for _ in range(20):
         block = random_family_block(rng)
+        expected = _levels(block.txn_count, brute_force_dag(block).edges())
         for variant in ("matrix", "linked-list"):
-            dag = build_dag(block, variant=variant)
-            queue = ReadyQueue(dag)
-            assert queue.successors == [dag.successors(i) for i in range(dag.txn_count)]
+            assert _waves(ReadyQueue(build_dag(block, variant=variant))) == expected
 
 
 def test_grant_returns_none_until_commit():
@@ -77,7 +170,7 @@ def test_grant_returns_none_after_every_commit():
     assert queue.grant() is None
 
 
-def test_commit_decrements_each_successor_once():
+def test_commit_releases_each_successor_once():
     block = structural_block(
         [
             (set(), {b"A"}),
@@ -89,26 +182,32 @@ def test_commit_decrements_each_successor_once():
         ]
     )
     dag = build_dag(block)
+    before = (dag.indegree_snapshot(), dag.predecessor_lists())
     queue = ReadyQueue(dag)
-    before = list(queue.indegree)
     assert queue.grant() == 0
     queue.commit(0)
-    after = queue.indegree
-    assert after[4] == before[4] - 1
-    assert after[5] == before[5] - 1
-    assert after[3] == before[3]
-    # 4 had no other predecessor and is queued behind the initial ready set
+    # 4 had no other predecessor and is queued behind the initial ready set;
+    # 5 still waits for 2, and 3 for 1
     assert [queue.grant() for _ in range(4)] == [1, 2, 4, None]
-    assert dag.indegree_snapshot() == before
+    queue.commit(2)
+    assert [queue.grant() for _ in range(2)] == [5, None]
+    queue.commit(1)
+    assert [queue.grant() for _ in range(2)] == [3, None]
+    for index in (3, 4, 5):
+        queue.commit(index)
+    assert queue.grant() is None
+    assert (dag.indegree_snapshot(), dag.predecessor_lists()) == before
 
 
 def test_commit_without_successors_touches_nothing_else():
-    block = structural_block([(set(), {b"A"}), (set(), {b"B"})])
+    block = structural_block([(set(), {b"A"}), (set(), {b"B"}), ({b"A"}, set())])
     queue = ReadyQueue(build_dag(block))
-    assert queue.grant() == 0
+    assert [queue.grant() for _ in range(3)] == [0, 1, None]
+    # nothing waits on 1, so its commit releases nothing
+    queue.commit(1)
+    assert queue.grant() is None
     queue.commit(0)
-    assert queue.indegree == [0, 0]
-    assert queue.grant() == 1
+    assert [queue.grant() for _ in range(2)] == [2, None]
 
 
 def test_chain_schedules_in_order_for_any_worker_count():
