@@ -23,7 +23,7 @@ from .dag import build_dag, dag_from_shared
 from .model import Block, StateStore, state_digest
 from .scheduler import execute_block_parallel, execute_block_serial
 from .tree import build_predecessor_tree, execute_block_tree
-from .validator import Verdict, build_access_index, validate_dag
+from .validator import Verdict, validate_dag
 from .workload import WorkloadSpec, conflict_metrics, generate_blocks
 
 STRATEGIES = ("serial", "tree", "adj-dag", "ll-dag", "smart-validate")
@@ -54,6 +54,8 @@ class ExperimentPlan:
             raise ValueError(f"unknown axis {self.axis!r}, expected one of {AXES}")
         if not self.values:
             raise ValueError("plan needs at least one axis value")
+        if not self.strategies:
+            raise ValueError("plan needs at least one strategy")
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
@@ -120,14 +122,13 @@ def _run_rep(strategy, blocks, shared_blocks, references, workers, sim_work_us):
         elif strategy == "smart-validate":
             shared = shared_blocks[seq]
             t0 = time.perf_counter()
-            verdict = validate_dag(shared, build_access_index(shared), workers)
+            verdict = validate_dag(shared)
             run_dag = dag_from_shared(shared)
             build_wall += time.perf_counter() - t0
             verdicts.append(verdict)
             report = execute_block_parallel(
                 shared, run_dag, store, workers, sim_work_us=sim_work_us
             )
-            report.validator_verdict = verdict.value
             exec_wall += report.wall_time
         else:
             raise ValueError(f"unknown strategy {strategy!r}")

@@ -11,9 +11,10 @@ import argparse
 import os
 import sys
 
-from .bench import AXES, STRATEGIES, ExperimentPlan, OracleDivergenceError, rows_to_csv, run_experiment
+from .bench import STRATEGIES, ExperimentPlan, OracleDivergenceError, rows_to_csv, run_experiment
 from .codec import BlockCodecError, parse_block
-from .validator import Verdict, build_access_index, validate_dag
+from .validator import Verdict, validate_dag
+from .workload import FAMILY_CHOICES
 
 _EXPERIMENT_AXES = {1: "num_blocks", 2: "txns_per_block", 3: "dependency_pct", 4: "workers"}
 _AXIS_FLAGS = {"num_blocks": "--blocks", "txns_per_block": "--txns", "dependency_pct": "--dep-pct", "workers": "--workers"}
@@ -48,8 +49,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--experiment", type=int, choices=sorted(_EXPERIMENT_AXES))
     parser.add_argument("--strategies", default=",".join(STRATEGIES),
                         help="comma-separated subset of: " + ", ".join(STRATEGIES))
-    parser.add_argument("--family", default="mixed",
-                        choices=["wallet", "intkey", "voting", "insurance", "mixed"])
+    parser.add_argument("--family", default="mixed", choices=FAMILY_CHOICES)
     parser.add_argument("--blocks", type=_int_list, default=[5], metavar="N[,N...]")
     parser.add_argument("--txns", type=_int_list, default=[200], metavar="N[,N...]")
     parser.add_argument("--dep-pct", type=_int_list, default=[20], metavar="P[,P...]")
@@ -71,12 +71,12 @@ def _scalar(values: list[int], flag: str) -> int:
     return values[0]
 
 
-def _verify_only(path: str, workers: int) -> int:
+def _verify_only(path: str) -> int:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
         block = parse_block(data)
-        verdict = validate_dag(block, build_access_index(block), workers)
+        verdict = validate_dag(block)
     except (OSError, BlockCodecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -89,7 +89,9 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.verify_only is not None:
-            return _verify_only(args.verify_only, _scalar(args.workers, "--workers"))
+            if _scalar(args.workers, "--workers") < 1:
+                raise _UsageError("workers must be >= 1")
+            return _verify_only(args.verify_only)
         if args.experiment is None:
             raise _UsageError("--experiment is required (or use --verify-only)")
         axis = _EXPERIMENT_AXES[args.experiment]
@@ -110,17 +112,10 @@ def cli_main(argv: list[str] | None = None) -> int:
             repetitions=args.reps,
             rng_seed=args.seed,
             sim_work_us=args.sim_work_us,
-            txns_per_block=scalars.get("txns_per_block", args.txns[0]),
-            num_blocks=scalars.get("num_blocks", args.blocks[0]),
-            dependency_pct=scalars.get("dependency_pct", args.dep_pct[0]),
-            workers=scalars.get("workers", args.workers[0]),
+            **scalars,
         )
         plan.validate()
-    except _UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 64

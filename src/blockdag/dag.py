@@ -10,10 +10,11 @@ Threads would not help, since they cannot overlap Python work under the GIL.
 The same pass feeds the validator, so building and validating agree on the
 edge set by construction.
 
-Every DAG keeps each transaction's predecessors as an ascending tuple,
-which is what the wire codec embeds and what the executor reads, so neither
-has to walk the edge relation. A plain ``DependencyDAG`` holds nothing else
-and answers edge queries from those tuples; ``dag_from_shared`` returns one,
+Every DAG is built once from each transaction's predecessor set and never
+changed. It keeps those predecessors as an ascending tuple, which is what
+the wire codec embeds and what the executor reads, so neither has to walk
+the edge relation. A plain ``DependencyDAG`` holds nothing else and
+answers edge queries from those tuples; ``dag_from_shared`` returns one,
 since the validate path only executes the DAG it has just checked. Two
 representations add storage on top, and ``build_dag`` fills the one it is
 asked for: the adjacency-matrix variant backs the edge relation with a flat
@@ -27,8 +28,6 @@ from __future__ import annotations
 import bisect
 
 from .model import Block, Transaction
-
-VARIANTS = ("matrix", "linked-list")
 
 
 def conflicts(a: Transaction, b: Transaction) -> bool:
@@ -74,53 +73,23 @@ def predecessor_sets(block: Block) -> list[set[int]]:
 class DependencyDAG:
     """A DAG kept as predecessor tuples, and the base of both representations.
 
-    ``indegree[j]`` is the number of edges into j, and ``_preds[j]`` the
-    ascending tuple of their sources; both are kept in step with the edge
-    relation. This class answers every edge query from the tuples, and a
-    subclass that adds storage overrides ``_insert``, ``_store``,
-    ``has_edge`` and ``successors``. Executors never change the DAG, so one
-    DAG can be executed any number of times.
+    ``preds[j]`` holds the distinct indices below j that j waits for, in any
+    order. The DAG is built once from them and never changed: ``_preds[j]``
+    is their ascending tuple, and indegrees and the edge count come from the
+    tuples. This class answers every edge query from the tuples, and a
+    subclass that adds storage overrides ``_store``, ``has_edge`` and
+    ``successors``. Executors only read the DAG, so one DAG can be executed
+    any number of times.
     """
 
-    def __init__(self, txn_count: int) -> None:
-        self.txn_count = txn_count
-        self.indegree = [0] * txn_count
-        self.edge_count = 0
-        self._preds: list[tuple[int, ...]] = [()] * txn_count
-
-    def add_edge(self, i: int, j: int) -> bool:
-        """Insert edge (i, j) if absent; True when it was new.
-
-        Keeping j's predecessor tuple sorted copies it, so one call costs
-        O(indegree of j); bulk loads go through ``_fill`` instead.
-        """
-        if not 0 <= i < j < self.txn_count:
-            raise ValueError(f"edge ({i}, {j}) out of range for n={self.txn_count}")
-        if self._insert(i, j):
-            self.indegree[j] += 1
-            self.edge_count += 1
-            preds = self._preds[j]
-            at = bisect.bisect(preds, i)
-            self._preds[j] = preds[:at] + (i,) + preds[at:]
-            return True
-        return False
-
-    def _fill(self, preds: list) -> None:
-        """Load every transaction's predecessors into this empty DAG.
-
-        ``preds[j]`` must hold distinct indices below j, in any order.
-        """
-        self.indegree = [len(p) for p in preds]
-        self.edge_count = sum(self.indegree)
-        self._preds = [tuple(sorted(p)) if p else () for p in preds]
+    def __init__(self, preds: list) -> None:
+        self.txn_count = len(preds)
+        self._preds: list[tuple[int, ...]] = [tuple(sorted(p)) if p else () for p in preds]
+        self.edge_count = sum(map(len, self._preds))
         self._store(self._preds)
 
-    def _insert(self, i: int, j: int) -> bool:
-        """Record edge (i, j) in the storage; False when it was there."""
-        return not self.has_edge(i, j)
-
     def _store(self, preds: list[tuple[int, ...]]) -> None:
-        """Load the storage from filled predecessor tuples; none here."""
+        """Allocate and fill the storage from the predecessor tuples; none here."""
 
     def has_edge(self, i: int, j: int) -> bool:
         preds = self._preds[j]
@@ -143,28 +112,15 @@ class DependencyDAG:
         return list(self._preds)
 
     def indegree_snapshot(self) -> list[int]:
-        return list(self.indegree)
+        return list(map(len, self._preds))
 
 
 class MatrixDAG(DependencyDAG):
     """Adjacency-matrix representation: n*n byte grid, direct access."""
 
-    variant = "matrix"
-
-    def __init__(self, txn_count: int) -> None:
-        super().__init__(txn_count)
-        self._cells = bytearray(txn_count * txn_count)
-
-    def _insert(self, i: int, j: int) -> bool:
-        k = i * self.txn_count + j
-        if self._cells[k]:
-            return False
-        self._cells[k] = 1
-        return True
-
     def _store(self, preds: list[tuple[int, ...]]) -> None:
         n = self.txn_count
-        cells = self._cells
+        self._cells = cells = bytearray(n * n)
         for j, column in enumerate(preds):
             for i in column:
                 cells[i * n + j] = 1
@@ -188,22 +144,10 @@ class MatrixDAG(DependencyDAG):
 
 
 class LinkedListDAG(DependencyDAG):
-    """Per-node successor lists with insert-if-absent."""
-
-    variant = "linked-list"
-
-    def __init__(self, txn_count: int) -> None:
-        super().__init__(txn_count)
-        self._succ: list[list[int]] = [[] for _ in range(txn_count)]
-
-    def _insert(self, i: int, j: int) -> bool:
-        if j in self._succ[i]:
-            return False
-        self._succ[i].append(j)
-        return True
+    """Per-node successor lists, ascending by construction."""
 
     def _store(self, preds: list[tuple[int, ...]]) -> None:
-        succ = self._succ
+        self._succ = succ = [[] for _ in preds]
         for j, column in enumerate(preds):
             for i in column:
                 succ[i].append(j)
@@ -212,15 +156,10 @@ class LinkedListDAG(DependencyDAG):
         return j in self._succ[i]
 
     def successors(self, i: int) -> list[int]:
-        return sorted(self._succ[i])
+        return list(self._succ[i])
 
 
-def _new_dag(txn_count: int, variant: str) -> DependencyDAG:
-    if variant == "matrix":
-        return MatrixDAG(txn_count)
-    if variant == "linked-list":
-        return LinkedListDAG(txn_count)
-    raise ValueError(f"unknown DAG variant: {variant!r} (expected one of {VARIANTS})")
+_CLASSES = {"matrix": MatrixDAG, "linked-list": LinkedListDAG}
 
 
 def build_dag(block: Block, workers: int = 1, variant: str = "matrix") -> DependencyDAG:
@@ -233,9 +172,10 @@ def build_dag(block: Block, workers: int = 1, variant: str = "matrix") -> Depend
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    dag = _new_dag(block.txn_count, variant)
-    dag._fill(predecessor_sets(block))
-    return dag
+    cls = _CLASSES.get(variant)
+    if cls is None:
+        raise ValueError(f"unknown DAG variant: {variant!r} (expected one of {tuple(_CLASSES)})")
+    return cls(predecessor_sets(block))
 
 
 def brute_force_dag(block: Block) -> DependencyDAG:
@@ -243,16 +183,12 @@ def brute_force_dag(block: Block) -> DependencyDAG:
 
     Deliberately kept independent of build_dag's per-address pass: it calls
     conflicts() on the declared sets pair by pair, and exists so the fast
-    builder has something to be checked against. Each transaction's
-    predecessors are collected in ascending order and loaded once, since
-    inserting edge by edge would copy a predecessor tuple per edge.
+    builder has something to be checked against.
     """
     txns = block.transactions
-    dag = MatrixDAG(block.txn_count)
-    dag._fill(
+    return MatrixDAG(
         [[i for i in range(j) if conflicts(txns[i], txn)] for j, txn in enumerate(txns)]
     )
-    return dag
 
 
 def dag_from_shared(block: Block) -> DependencyDAG:
@@ -264,8 +200,7 @@ def dag_from_shared(block: Block) -> DependencyDAG:
     """
     if not block.has_shared_dag:
         raise ValueError("block does not carry a shared DAG")
-    dag = DependencyDAG(block.txn_count)
-    dag._fill([set(txn.declared_dependencies) for txn in block.transactions])
+    dag = DependencyDAG([set(txn.declared_dependencies) for txn in block.transactions])
     # each tuple is ascending, so its ends are its minimum and maximum
     for j, preds in enumerate(dag._preds):
         if preds and (preds[0] < 0 or preds[-1] >= j):

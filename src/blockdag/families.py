@@ -132,17 +132,9 @@ def declared_sets(op: FamilyOp) -> tuple[frozenset[Address], frozenset[Address]]
     raise ValueError(f"unknown family: {op.family!r}")
 
 
-def make_transaction(
-    index: int, op: FamilyOp, dependencies: tuple[int, ...] | None = None
-) -> Transaction:
+def make_transaction(index: int, op: FamilyOp) -> Transaction:
     read_set, write_set = declared_sets(op)
-    return Transaction(
-        index=index,
-        read_set=read_set,
-        write_set=write_set,
-        payload=op,
-        declared_dependencies=dependencies,
-    )
+    return Transaction(index=index, read_set=read_set, write_set=write_set, payload=op)
 
 
 def block_from_ops(ops) -> Block:

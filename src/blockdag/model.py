@@ -144,7 +144,6 @@ class ExecutionReport:
     wall_time: float = 0.0
     txn_successes: int = 0
     txn_failures: int = 0
-    validator_verdict: str | None = None
 
     @property
     def txn_count(self) -> int:

@@ -14,10 +14,10 @@ varies the voter/party pool sizes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import families
-from .dag import build_dag
+from .dag import predecessor_sets
 from .model import Block
 
 FAMILY_CHOICES = families.FAMILIES + ("mixed",)
@@ -197,10 +197,6 @@ def generate_blocks(spec: WorkloadSpec) -> list[Block]:
     return [generate_block(spec, sequence) for sequence in range(spec.num_blocks)]
 
 
-def with_overrides(spec: WorkloadSpec, **changes) -> WorkloadSpec:
-    return replace(spec, **changes)
-
-
 class _UnionFind:
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
@@ -219,14 +215,14 @@ class _UnionFind:
 
 
 def conflict_metrics(block: Block) -> ConflictMetrics:
-    """Compute cp1/cp2/cp3 from the block's dependency DAG."""
+    """Compute cp1/cp2/cp3 from the block's predecessor sets."""
     n = block.txn_count
-    dag = build_dag(block)
     if n == 0:
         return ConflictMetrics(cp1=0.0, cp2=0.0, cp3=0)
+    pred_sets = predecessor_sets(block)
     touched = [False] * n
     uf = _UnionFind(n)
-    for j, preds in enumerate(dag.predecessor_lists()):
+    for j, preds in enumerate(pred_sets):
         if preds:
             touched[j] = True
         for i in preds:
@@ -234,7 +230,7 @@ def conflict_metrics(block: Block) -> ConflictMetrics:
             uf.union(i, j)
     possible = n * (n - 1) // 2
     cp1 = sum(touched) / n
-    cp2 = dag.edge_count / possible if possible else 0.0
+    cp2 = sum(map(len, pred_sets)) / possible if possible else 0.0
     cp3 = len({uf.find(k) for k in range(n)})
     return ConflictMetrics(cp1=cp1, cp2=cp2, cp3=cp3)
 

@@ -66,6 +66,22 @@ def test_smart_validate_rows_report_honest():
     assert rows[0]["verdict"] == "honest"
 
 
+def test_smart_validate_and_verify_only_build_no_access_index(monkeypatch, tmp_path, capsys):
+    import blockdag.validator as validator_mod
+
+    def no_index():
+        raise AssertionError("an access index was built")
+
+    monkeypatch.setattr(validator_mod, "AddressAccessIndex", no_index)
+    rows = run_experiment(_small_plan(strategies=("smart-validate",), values=(12,)))
+    assert rows[0]["verdict"] == "honest"
+    block = generate_block(WorkloadSpec(family="mixed", txns_per_block=20, dependency_pct=50, rng_seed=3))
+    path = tmp_path / "honest.blk"
+    path.write_bytes(serialize_block(attach_dag(block, build_dag(block))))
+    assert cli_main(["--verify-only", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "honest"
+
+
 def test_all_strategies_run_one_value():
     rows = run_experiment(
         _small_plan(
@@ -113,6 +129,8 @@ def test_plan_validation():
         _small_plan(values=()).validate()
     with pytest.raises(ValueError):
         _small_plan(strategies=("serial", "quantum")).validate()
+    with pytest.raises(ValueError, match="at least one strategy"):
+        _small_plan(strategies=()).validate()
     with pytest.raises(ValueError):
         _small_plan(repetitions=0).validate()
     with pytest.raises(ValueError):
@@ -199,8 +217,17 @@ def test_cli_rejects_list_for_non_axis_flag(capsys):
         ["--experiment", "4", "--workers", "2,0"],
         ["--experiment", "4", "--workers", "0,2"],
         ["--experiment", "1", "--sim-work-us", "-5", "--strategies", "serial"],
+        ["--experiment", "3", "--dep-pct", ""],
+        ["--experiment", "1", "--blocks", ""],
+        ["--experiment", "1", "--strategies", ""],
+        ["--experiment", "1", "--strategies", ","],
+        ["--verify-only", "missing.blk", "--workers", "0"],
     ],
-    ids=["txns-axis-zero", "txns-scalar-zero", "later-worker-zero", "first-worker-zero", "negative-sim"],
+    ids=[
+        "txns-axis-zero", "txns-scalar-zero", "later-worker-zero", "first-worker-zero",
+        "negative-sim", "empty-dep-pct-axis", "empty-blocks-axis", "empty-strategies",
+        "comma-only-strategies", "verify-only-worker-zero",
+    ],
 )
 def test_cli_rejects_out_of_range_values_up_front(argv, capsys):
     assert cli_main(argv) == 64

@@ -177,29 +177,11 @@ def test_kept_predecessor_tuples_match_the_edge_walk():
         dags = [build_dag(block, variant=variant) for variant in ("matrix", "linked-list")]
         dags.append(brute_force_dag(block))
         dags.append(dag_from_shared(attach_dag(block, dags[0])))
-        edges = sorted(dags[0].edge_set())
-        rng.shuffle(edges)
-        for empty in (MatrixDAG(block.txn_count), DependencyDAG(block.txn_count)):
-            for i, j in edges:  # built edge by edge with add_edge
-                empty.add_edge(i, j)
-            dags.append(empty)
         for dag in dags:
             preds = dag.predecessor_lists()
             assert preds == _edge_walk_predecessors(dag)
             assert all(type(p) is tuple for p in preds)
             assert [len(p) for p in preds] == dag.indegree_snapshot()
-
-
-def test_add_edge_keeps_predecessors_ascending_in_any_order():
-    block = structural_block([(set(), set())] * 5)
-    dags = [build_dag(block, variant=variant) for variant in ("matrix", "linked-list")]
-    dags.append(dag_from_shared(attach_dag(block, dags[0])))
-    for dag in dags:
-        for i, j in [(3, 4), (0, 4), (2, 4), (0, 4), (1, 4), (0, 2)]:
-            dag.add_edge(i, j)
-        assert dag.predecessor_lists() == [(), (), (0,), (), (0, 1, 2, 3)]
-        assert dag.predecessor_lists() == _edge_walk_predecessors(dag)
-        assert dag.indegree_snapshot() == [0, 0, 1, 0, 4]
 
 
 def test_successor_lists_are_sorted_and_deduplicated():
@@ -214,17 +196,6 @@ def test_successor_lists_are_sorted_and_deduplicated():
         dag = build_dag(block, workers=2, variant=variant)
         assert dag.successors(0) == [1, 2]
         assert dag.indegree_snapshot() == [0, 1, 1]
-
-
-def test_add_edge_rejects_bad_pairs():
-    dag = MatrixDAG(3)
-    with pytest.raises(ValueError):
-        dag.add_edge(2, 1)
-    with pytest.raises(ValueError):
-        dag.add_edge(1, 3)
-    assert dag.add_edge(0, 1)
-    assert not dag.add_edge(0, 1)  # idempotent: one edge, one indegree
-    assert dag.indegree_snapshot() == [0, 1, 0]
 
 
 def test_build_dag_input_validation():
@@ -274,7 +245,7 @@ def test_tuple_only_dag_answers_edge_queries_like_the_matrix():
 
 def test_dag_from_shared_deduplicates_and_sorts_declared_lists():
     block = attach_dag(
-        structural_block([(set(), set())] * 4), DependencyDAG(4)
+        structural_block([(set(), set())] * 4), DependencyDAG([()] * 4)
     )
     declared = [(), (0, 0), (1, 0, 1), (2, 0, 2, 1, 0)]
     shared = Block(

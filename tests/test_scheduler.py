@@ -8,7 +8,15 @@ import pytest
 
 from blockdag import scheduler
 from blockdag.codec import attach_dag
-from blockdag.dag import brute_force_dag, build_dag, dag_from_shared
+from blockdag.dag import (
+    DependencyDAG,
+    LinkedListDAG,
+    MatrixDAG,
+    brute_force_dag,
+    build_dag,
+    dag_from_shared,
+    predecessor_sets,
+)
 from blockdag.families import (
     apply_transaction,
     block_from_ops,
@@ -78,14 +86,16 @@ class _IndegreeQueue:
 def _dags_for(block, rng):
     """Built, brute-force and shared DAGs of the block, two with extra edges."""
     built = [build_dag(block, variant=variant) for variant in ("matrix", "linked-list")]
-    shared = [dag_from_shared(attach_dag(block, built[0])) for _ in range(2)]
-    extended = [build_dag(block, variant=rng.choice(("matrix", "linked-list"))), shared[1]]
+    shared = dag_from_shared(attach_dag(block, built[0]))
     n = block.txn_count
-    for dag in extended:
+    extended = []
+    for cls in (rng.choice((MatrixDAG, LinkedListDAG)), DependencyDAG):
+        preds = predecessor_sets(block)
         for _ in range(rng.randrange(0, 2 * n + 1) if n > 1 else 0):
             i = rng.randrange(0, n - 1)
-            dag.add_edge(i, rng.randrange(i + 1, n))
-    return [*built, brute_force_dag(block), shared[0], *extended]
+            preds[rng.randrange(i + 1, n)].add(i)
+        extended.append(cls(preds))
+    return [*built, brute_force_dag(block), shared, *extended]
 
 
 def test_ready_queue_grants_match_indegree_model_under_random_interleavings():

@@ -4,7 +4,7 @@ import statistics
 import pytest
 
 from blockdag.codec import serialize_block
-from blockdag.dag import brute_force_dag
+from blockdag.dag import LinkedListDAG, MatrixDAG, brute_force_dag
 from blockdag.workload import (
     ConflictMetrics,
     WorkloadSpec,
@@ -135,6 +135,21 @@ def test_metrics_equal_brute_force_oracle(family):
                 WorkloadSpec(family=family, txns_per_block=40 + 7 * seed, dependency_pct=pct, rng_seed=seed)
             )
             assert conflict_metrics(block) == _oracle_metrics(block), (pct, seed)
+
+
+def test_conflict_metrics_fills_no_dag_storage(monkeypatch):
+    blocks = [
+        generate_block(WorkloadSpec(family=family, txns_per_block=60, dependency_pct=20, rng_seed=4))
+        for family in ALL
+    ]
+    expected = [_oracle_metrics(block) for block in blocks]
+
+    def no_store(self, preds):
+        raise AssertionError(f"{type(self).__name__} storage filled by conflict_metrics")
+
+    monkeypatch.setattr(MatrixDAG, "_store", no_store)
+    monkeypatch.setattr(LinkedListDAG, "_store", no_store)
+    assert [conflict_metrics(block) for block in blocks] == expected
 
 
 def test_component_count_bounded_by_matched_pairs():
