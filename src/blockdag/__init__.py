@@ -48,7 +48,6 @@ from .codec import (
     MalformedBlockError,
     TruncatedBlockError,
     attach_dag,
-    max_block_txns,
     parse_block,
     serialize_block,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "execute_block_tree",
     "generate_block",
     "generate_blocks",
-    "max_block_txns",
     "parse_block",
     "serialize_block",
     "state_digest",

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .codec import attach_dag
-from .dag import build_dag, dag_from_shared
+from .dag import DependencyDAG, build_dag, dag_from_shared, predecessor_sets
 from .model import Block, StateStore, state_digest
 from .scheduler import execute_block_parallel, execute_block_serial
 from .tree import build_predecessor_tree, execute_block_tree
@@ -155,7 +155,7 @@ def run_experiment(plan: ExperimentPlan) -> list[dict]:
         shared_blocks = None
         if "smart-validate" in plan.strategies:
             shared_blocks = [
-                attach_dag(block, build_dag(block, workers=workers)) for block in blocks
+                attach_dag(block, DependencyDAG(predecessor_sets(block))) for block in blocks
             ]
         total_txns = spec.txns_per_block * spec.num_blocks
         for strategy in plan.strategies:

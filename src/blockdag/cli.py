@@ -1,8 +1,8 @@
 """Command-line entry point for experiments and block verification.
 
-Exit codes: 0 success (and honest verdicts), 1 for oracle divergence or
-unreadable block files, 2 when --verify-only finds a malicious DAG, 64 for
-usage errors.
+Exit codes: 0 success (and honest verdicts), 1 for oracle divergence,
+unreadable block files or an unwritable --out path, 2 when --verify-only
+finds a malicious DAG, 64 for usage errors.
 """
 
 from __future__ import annotations
@@ -126,8 +126,12 @@ def cli_main(argv: list[str] | None = None) -> int:
         return 1
     csv_text = rows_to_csv(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(csv_text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(csv_text)
     return 0

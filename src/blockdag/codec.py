@@ -1,9 +1,10 @@
 """Binary wire format for blocks, with or without an embedded shared DAG.
 
 The shared DAG travels inside each transaction's dependency list (its
-incoming edges), with the indegree array in a block trailer; outgoing
-adjacency is rebuilt on the consuming side. All integers are little-endian
-and fixed-width, variable fields are length-prefixed, and the whole message
+incoming edges), with the indegree array in a block trailer; the consuming
+side keeps those lists as the DAG's predecessor tuples, which its executor
+reads, so no successor lists are rebuilt. All integers are little-endian and
+fixed-width, variable fields are length-prefixed, and the whole message
 ends in a CRC-32 so a corrupted block is always a parse error, never a
 silently different block. Full byte layout: docs/wire-format.md.
 
@@ -19,7 +20,6 @@ CRC-valid body that lies raises a ``BlockCodecError`` subclass, never
 from __future__ import annotations
 
 import functools
-import os
 import struct
 import zlib
 
@@ -29,7 +29,7 @@ from .families import FamilyOp
 
 WIRE_VERSION = 1
 _FLAG_SHARED_DAG = 0x01
-DEFAULT_MAX_TXNS = 4096
+MAX_BLOCK_TXNS = 4096
 _MIN_SIZE = 14  # version + flags + total_length + txn_count + checksum
 
 _FAMILY_TAGS = {"wallet": 0, "intkey": 1, "voting": 2, "insurance": 3}
@@ -75,17 +75,6 @@ class MalformedBlockError(BlockCodecError):
 
 class BlockTooLargeError(BlockCodecError):
     pass
-
-
-def max_block_txns() -> int:
-    """Block size cap; BLOCKDAG_MAX_TXNS overrides the default of 4096."""
-    raw = os.environ.get("BLOCKDAG_MAX_TXNS")
-    if raw is None:
-        return DEFAULT_MAX_TXNS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"BLOCKDAG_MAX_TXNS is not an integer: {raw!r}") from None
 
 
 @functools.lru_cache(maxsize=1024)
@@ -155,9 +144,8 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     the block already has); otherwise the block's own fields are written
     as-is, shared section included only if present.
     """
-    cap = max_block_txns()
-    if block.txn_count > cap:
-        raise BlockTooLargeError(f"block has {block.txn_count} txns, cap is {cap}")
+    if block.txn_count > MAX_BLOCK_TXNS:
+        raise BlockTooLargeError(f"block has {block.txn_count} txns, cap is {MAX_BLOCK_TXNS}")
     if dag is not None:
         block = attach_dag(block, dag)
     has_dag = block.has_shared_dag
@@ -221,9 +209,8 @@ def parse_block(data: bytes) -> Block:
     if flags & ~_FLAG_SHARED_DAG:
         raise MalformedBlockError(f"unknown flag bits 0x{flags:02x}")
     has_dag = bool(flags & _FLAG_SHARED_DAG)
-    cap = max_block_txns()
-    if txn_count > cap:
-        raise BlockTooLargeError(f"block declares {txn_count} txns, cap is {cap}")
+    if txn_count > MAX_BLOCK_TXNS:
+        raise BlockTooLargeError(f"block declares {txn_count} txns, cap is {MAX_BLOCK_TXNS}")
     off = _HEADER.size
     transactions = []
     for index in range(txn_count):

@@ -13,12 +13,14 @@ edge set by construction.
 Every DAG is built once from each transaction's predecessor set and never
 changed. It keeps those predecessors as an ascending tuple, which is what
 the wire codec embeds and what the executor reads, so neither has to walk
-the edge relation. A plain ``DependencyDAG`` holds nothing else and
-answers edge queries from those tuples; ``dag_from_shared`` returns one,
-since the validate path only executes the DAG it has just checked. Two
-representations add storage on top, and ``build_dag`` fills the one it is
-asked for: the adjacency-matrix variant backs the edge relation with a flat
-byte grid (direct access), and the linked-list variant keeps a per-node
+the edge relation. The constructor checks that every predecessor is below
+its transaction, and ``edges()`` walks the tuples for every kind. A plain
+``DependencyDAG`` holds nothing else and answers edge queries from those
+tuples; ``dag_from_shared`` returns one, since the validate path only
+executes the DAG it has just checked. Two representations add storage on
+top, and only ``build_dag`` and the brute-force oracle fill it: the
+adjacency-matrix variant backs ``has_edge``/``successors`` with a flat byte
+grid (direct access), and the linked-list variant keeps a per-node
 successor list. Every kind must hold identical edge sets and indegrees for
 any block.
 """
@@ -74,9 +76,11 @@ class DependencyDAG:
     """A DAG kept as predecessor tuples, and the base of both representations.
 
     ``preds[j]`` holds the distinct indices below j that j waits for, in any
-    order. The DAG is built once from them and never changed: ``_preds[j]``
-    is their ascending tuple, and indegrees and the edge count come from the
-    tuples. This class answers every edge query from the tuples, and a
+    order; one that is negative or not below j raises ``ValueError``, so no
+    DAG can make an executor wait for a transaction that never commits. The
+    DAG is built once from them and never changed: ``_preds[j]`` is their
+    ascending tuple, and indegrees, the edge count and ``edges()`` come from
+    the tuples. This class answers every edge query from the tuples, and a
     subclass that adds storage overrides ``_store``, ``has_edge`` and
     ``successors``. Executors only read the DAG, so one DAG can be executed
     any number of times.
@@ -85,6 +89,11 @@ class DependencyDAG:
     def __init__(self, preds: list) -> None:
         self.txn_count = len(preds)
         self._preds: list[tuple[int, ...]] = [tuple(sorted(p)) if p else () for p in preds]
+        # each tuple is ascending, so its ends are its minimum and maximum
+        for j, column in enumerate(self._preds):
+            if column and (column[0] < 0 or column[-1] >= j):
+                bad = next(i for i in preds[j] if not 0 <= i < j)
+                raise ValueError(f"transaction {j} declares invalid dependency {bad}")
         self.edge_count = sum(map(len, self._preds))
         self._store(self._preds)
 
@@ -100,8 +109,9 @@ class DependencyDAG:
         return [j for j in range(i + 1, self.txn_count) if self.has_edge(i, j)]
 
     def edges(self):
-        for i in range(self.txn_count):
-            for j in self.successors(i):
+        """Every edge (i, j) once, grouped by j; a walk of the kept tuples."""
+        for j, column in enumerate(self._preds):
+            for i in column:
                 yield (i, j)
 
     def edge_set(self) -> set[tuple[int, int]]:
@@ -194,17 +204,11 @@ def brute_force_dag(block: Block) -> DependencyDAG:
 def dag_from_shared(block: Block) -> DependencyDAG:
     """The DAG embedded in a shared block, kept as predecessor tuples only.
 
-    Duplicate dependencies count once, in indegree too. No storage is
-    filled: the validate path only executes this DAG, and the executor
-    reads the tuples.
+    Duplicate dependencies count once, in indegree too, and a dependency
+    that is negative or not below its transaction raises ``ValueError``. No
+    storage is filled: the validate path only executes this DAG, and the
+    executor reads the tuples.
     """
     if not block.has_shared_dag:
         raise ValueError("block does not carry a shared DAG")
-    dag = DependencyDAG([set(txn.declared_dependencies) for txn in block.transactions])
-    # each tuple is ascending, so its ends are its minimum and maximum
-    for j, preds in enumerate(dag._preds):
-        if preds and (preds[0] < 0 or preds[-1] >= j):
-            deps = block.transactions[j].declared_dependencies
-            bad = next(dep for dep in deps if not 0 <= dep < j)
-            raise ValueError(f"transaction {j} declares invalid dependency {bad}")
-    return dag
+    return DependencyDAG([set(txn.declared_dependencies) for txn in block.transactions])

@@ -12,7 +12,7 @@ from blockdag.bench import (
 )
 from blockdag.cli import cli_main
 from blockdag.codec import attach_dag, serialize_block
-from blockdag.dag import build_dag
+from blockdag.dag import LinkedListDAG, MatrixDAG, build_dag
 from blockdag.workload import WorkloadSpec, generate_block
 
 from _helpers import add_spurious_edge
@@ -58,7 +58,13 @@ def test_rows_carry_metrics_and_timings():
     assert all(float(r["ds_build_ms"]) == 0.0 for r in serial_rows)
 
 
-def test_smart_validate_rows_report_honest():
+def test_smart_validate_rows_report_honest(monkeypatch):
+    # the set-up attaches the predecessor tuples; no DAG storage is filled
+    def no_store(self, preds):
+        raise AssertionError(f"{type(self).__name__} storage filled")
+
+    monkeypatch.setattr(MatrixDAG, "_store", no_store)
+    monkeypatch.setattr(LinkedListDAG, "_store", no_store)
     rows = run_experiment(
         _small_plan(strategies=("smart-validate",), values=(12,))
     )
@@ -248,6 +254,19 @@ def test_cli_out_file(tmp_path, capsys):
     assert text.startswith(CSV_HEADER)
     assert len(text.strip().splitlines()) == 3
     assert capsys.readouterr().out == ""
+
+
+def test_cli_unwritable_out_is_one_error_line(tmp_path, capsys):
+    rc = cli_main(
+        ["--experiment", "3", "--family", "intkey", "--strategies", "serial",
+         "--dep-pct", "0", "--txns", "10", "--blocks", "1", "--reps", "1",
+         "--out", str(tmp_path)]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_verify_only_honest(tmp_path, capsys):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from blockdag import codec
 from blockdag.codec import (
     BlockCodecError,
     BlockTooLargeError,
@@ -13,7 +14,6 @@ from blockdag.codec import (
     MalformedBlockError,
     TruncatedBlockError,
     attach_dag,
-    max_block_txns,
     parse_block,
     serialize_block,
 )
@@ -192,23 +192,17 @@ def test_unsupported_version_rejected():
 
 
 def test_block_cap_enforced(monkeypatch):
-    monkeypatch.setenv("BLOCKDAG_MAX_TXNS", "4")
-    assert max_block_txns() == 4
     block = block_from_ops([intkey_set(f"k{i}", i) for i in range(5)])
+    data = serialize_block(block)
+    monkeypatch.setattr(codec, "MAX_BLOCK_TXNS", 4)
     with pytest.raises(BlockTooLargeError):
         serialize_block(block)
-    monkeypatch.delenv("BLOCKDAG_MAX_TXNS")
-    data = serialize_block(block)
-    monkeypatch.setenv("BLOCKDAG_MAX_TXNS", "4")
     with pytest.raises(BlockTooLargeError):
         parse_block(data)
-    monkeypatch.setenv("BLOCKDAG_MAX_TXNS", "many")
-    with pytest.raises(ValueError):
-        max_block_txns()
 
 
 def test_default_cap():
-    assert max_block_txns() == 4096
+    assert codec.MAX_BLOCK_TXNS == 4096
 
 
 def test_attach_dag_requires_matching_sizes():

@@ -163,11 +163,13 @@ def test_indegree_sums_to_edge_count():
         assert [len(p) for p in preds] == dag.indegree_snapshot()
 
 
-def _edge_walk_predecessors(dag):
+def _successor_walk_predecessors(dag):
+    """Predecessors read back from the storage's own successors() query."""
     preds = [[] for _ in range(dag.txn_count)]
-    for i, j in dag.edges():
-        preds[j].append(i)
-    return [tuple(sorted(p)) for p in preds]
+    for i in range(dag.txn_count):
+        for j in dag.successors(i):
+            preds[j].append(i)
+    return [tuple(p) for p in preds]
 
 
 def test_kept_predecessor_tuples_match_the_edge_walk():
@@ -179,9 +181,37 @@ def test_kept_predecessor_tuples_match_the_edge_walk():
         dags.append(dag_from_shared(attach_dag(block, dags[0])))
         for dag in dags:
             preds = dag.predecessor_lists()
-            assert preds == _edge_walk_predecessors(dag)
+            assert preds == _successor_walk_predecessors(dag)
             assert all(type(p) is tuple for p in preds)
             assert [len(p) for p in preds] == dag.indegree_snapshot()
+
+
+@pytest.mark.parametrize("cls", [DependencyDAG, MatrixDAG, LinkedListDAG])
+@pytest.mark.parametrize("preds", [[(), (1,)], [(1,)], [(), (-1,)]])
+def test_constructor_rejects_a_predecessor_not_below_its_transaction(cls, preds):
+    with pytest.raises(ValueError, match="declares invalid dependency"):
+        cls(preds)
+
+
+def test_edges_walk_the_tuples_without_edge_queries(monkeypatch):
+    def no_query(self, *args):
+        raise AssertionError("edges() made an edge query")
+
+    monkeypatch.setattr(DependencyDAG, "has_edge", no_query)
+    monkeypatch.setattr(DependencyDAG, "successors", no_query)
+    rng = random.Random(67)
+    for trial in range(20):
+        block = (
+            random_structural_block(rng, max_n=40)
+            if trial % 2
+            else random_family_block(rng)
+        )
+        oracle = brute_force_dag(block)
+        shared = dag_from_shared(attach_dag(block, oracle))
+        assert type(shared) is DependencyDAG
+        edges = list(shared.edges())
+        assert len(edges) == shared.edge_count
+        assert set(edges) == oracle.edge_set()
 
 
 def test_successor_lists_are_sorted_and_deduplicated():
