@@ -103,13 +103,11 @@ def _run_rep(strategy, blocks, shared_blocks, references, workers, sim_work_us):
         store = StateStore()
         if strategy == "serial":
             report = execute_block_serial(block, store, sim_work_us=sim_work_us)
-            exec_wall += report.wall_time
         elif strategy == "tree":
             t0 = time.perf_counter()
             tree = build_predecessor_tree(block)
             build_wall += time.perf_counter() - t0
             report = execute_block_tree(block, tree, store, workers, sim_work_us=sim_work_us)
-            exec_wall += report.wall_time
         elif strategy in ("adj-dag", "ll-dag"):
             variant = "matrix" if strategy == "adj-dag" else "linked-list"
             t0 = time.perf_counter()
@@ -118,7 +116,6 @@ def _run_rep(strategy, blocks, shared_blocks, references, workers, sim_work_us):
             report = execute_block_parallel(
                 block, dag, store, workers, sim_work_us=sim_work_us
             )
-            exec_wall += report.wall_time
         elif strategy == "smart-validate":
             shared = shared_blocks[seq]
             t0 = time.perf_counter()
@@ -129,10 +126,10 @@ def _run_rep(strategy, blocks, shared_blocks, references, workers, sim_work_us):
             report = execute_block_parallel(
                 shared, run_dag, store, workers, sim_work_us=sim_work_us
             )
-            exec_wall += report.wall_time
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        _check_digest(strategy, seq, report.final_digest, references[seq])
+        exec_wall += report.wall_time
+        _check_digest(strategy, seq, state_digest(store), references[seq])
     return exec_wall, build_wall, verdicts
 
 

@@ -119,6 +119,14 @@ def cli_main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return 64
+    if args.out:
+        # Fail before the run on what shows without creating the file; the
+        # handler below catches the rest (permissions, a full disk).
+        parent = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out) or not os.path.isdir(parent):
+            what = "is a directory" if os.path.isdir(args.out) else f"has no directory {parent}"
+            print(f"error: --out {args.out} {what}", file=sys.stderr)
+            return 1
     try:
         rows = run_experiment(plan)
     except OracleDivergenceError as exc:

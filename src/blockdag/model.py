@@ -137,14 +137,13 @@ def state_digest(store: StateStore) -> bytes:
 
 @dataclass
 class ExecutionReport:
-    """Outcome of one block run: commit order, end-state digest, timings."""
+    """Outcome of one block run: commit order, outcome counts, wall time.
+
+    It holds no state digest: a caller that compares end states digests the
+    store it passed to the executor (``state_digest``).
+    """
 
     schedule: list[int] = field(default_factory=list)
-    final_digest: bytes = b""
     wall_time: float = 0.0
     txn_successes: int = 0
     txn_failures: int = 0
-
-    @property
-    def txn_count(self) -> int:
-        return self.txn_successes + self.txn_failures

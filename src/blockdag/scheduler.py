@@ -27,7 +27,7 @@ import time
 
 from . import families
 from .dag import DependencyDAG
-from .model import Block, ExecutionReport, StateStore, state_digest
+from .model import Block, ExecutionReport, StateStore
 
 
 class ParallelExecutionError(RuntimeError):
@@ -38,10 +38,9 @@ class ParallelExecutionError(RuntimeError):
         self.report = report
 
 
-def _report_from_log(log: list, store: StateStore, wall: float) -> ExecutionReport:
+def _report_from_log(log: list, wall: float) -> ExecutionReport:
     return ExecutionReport(
         schedule=[i for i, _ in log],
-        final_digest=state_digest(store),
         wall_time=wall,
         txn_successes=sum(1 for _, ok in log if ok),
         txn_failures=sum(1 for _, ok in log if not ok),
@@ -67,6 +66,8 @@ def run_scheduled(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if sim_work_us < 0:
+        raise ValueError("sim_work_us must be >= 0")
     processor = processor or families.apply_transaction
     sim_work_s = sim_work_us / 1e6
     txns = block.transactions
@@ -116,7 +117,7 @@ def run_scheduled(
     for t in threads:
         t.join()
     wall = time.perf_counter() - started
-    report = _report_from_log(log, store, wall)
+    report = _report_from_log(log, wall)
     if errors:
         raise ParallelExecutionError(
             f"worker failed after {len(log)} of {n} commits: {errors[0]!r}",
@@ -218,6 +219,8 @@ def execute_block_serial(
     sim_work_us: int = 0,
 ) -> ExecutionReport:
     """Execute transactions in index order; the reference history."""
+    if sim_work_us < 0:
+        raise ValueError("sim_work_us must be >= 0")
     processor = processor or families.apply_transaction
     sim_work_s = sim_work_us / 1e6
     log: list[tuple[int, bool]] = []
@@ -228,4 +231,4 @@ def execute_block_serial(
             time.sleep(sim_work_s)
         log.append((txn.index, ok))
     wall = time.perf_counter() - started
-    return _report_from_log(log, store, wall)
+    return _report_from_log(log, wall)

@@ -14,7 +14,7 @@ import pytest
 
 from blockdag.codec import attach_dag, parse_block, serialize_block, BlockCodecError
 from blockdag.dag import brute_force_dag, build_dag
-from blockdag.model import StateStore
+from blockdag.model import StateStore, state_digest
 from blockdag.scheduler import execute_block_parallel, execute_block_serial
 from blockdag.tree import build_predecessor_tree, execute_block_tree, tree_predecessors
 from blockdag.validator import Verdict, validate_dag
@@ -77,7 +77,8 @@ def test_serializability_and_topological_validity():
             family=family, txns_per_block=n, dependency_pct=pct, rng_seed=10_000 + i
         )
         block = generate_block(spec)
-        serial = execute_block_serial(block, StateStore())
+        serial_store = StateStore()
+        execute_block_serial(block, serial_store)
         strategy = PARALLEL_STRATEGIES[i % 3]
         store = StateStore()
         if strategy == "tree":
@@ -94,7 +95,7 @@ def test_serializability_and_topological_validity():
             report = execute_block_parallel(block, dag, store, workers=workers)
             edges = dag.edges()
         context = f"case {i}: {strategy} {family} n={n} pct={pct} w={workers}"
-        assert report.final_digest == serial.final_digest, context
+        assert state_digest(store) == state_digest(serial_store), context
         assert sorted(report.schedule) == list(range(n)), context
         assert report.txn_successes + report.txn_failures == n, context
         position = {idx: pos for pos, idx in enumerate(report.schedule)}

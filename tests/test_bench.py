@@ -10,6 +10,7 @@ from blockdag.bench import (
     rows_to_csv,
     run_experiment,
 )
+from blockdag import cli
 from blockdag.cli import cli_main
 from blockdag.codec import attach_dag, serialize_block
 from blockdag.dag import LinkedListDAG, MatrixDAG, build_dag
@@ -256,17 +257,23 @@ def test_cli_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_cli_unwritable_out_is_one_error_line(tmp_path, capsys):
-    rc = cli_main(
-        ["--experiment", "3", "--family", "intkey", "--strategies", "serial",
-         "--dep-pct", "0", "--txns", "10", "--blocks", "1", "--reps", "1",
-         "--out", str(tmp_path)]
-    )
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert len(captured.err.splitlines()) == 1
+def test_cli_unwritable_out_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def no_run(plan):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_run)
+    for out in (tmp_path, tmp_path / "missing" / "rows.csv"):
+        rc = cli_main(
+            ["--experiment", "3", "--family", "intkey", "--strategies", "serial",
+             "--dep-pct", "0", "--txns", "10", "--blocks", "1", "--reps", "1",
+             "--out", str(out)]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_verify_only_honest(tmp_path, capsys):

@@ -15,7 +15,7 @@ from blockdag.dag import (
     dag_from_shared,
 )
 from blockdag.families import apply_transaction, block_from_ops, wallet_deposit
-from blockdag.model import Block, StateStore
+from blockdag.model import Block, StateStore, state_digest
 from blockdag.scheduler import execute_block_parallel, execute_block_serial
 from blockdag.validator import Verdict, validate_dag
 
@@ -339,7 +339,9 @@ def test_validate_path_fills_no_dag_storage(monkeypatch):
     for block, wire in zip(blocks, wires):
         shared = parse_block(wire)
         assert validate_dag(shared) is Verdict.HONEST
-        report = execute_block_parallel(shared, dag_from_shared(shared), StateStore(), 2)
-        assert report.final_digest == execute_block_serial(block, StateStore()).final_digest
+        store, serial_store = StateStore(), StateStore()
+        execute_block_parallel(shared, dag_from_shared(shared), store, 2)
+        execute_block_serial(block, serial_store)
+        assert state_digest(store) == state_digest(serial_store)
     with pytest.raises(AssertionError, match="storage filled"):
         build_dag(blocks[0])

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import random
 import sys
@@ -236,13 +237,13 @@ def test_independent_txns_any_order_same_digest():
         [wallet_deposit(f"acct{i}", 10 * (i + 1)) for i in range(16)]
     )
     serial_store = StateStore()
-    serial = execute_block_serial(block, serial_store)
+    execute_block_serial(block, serial_store)
     for _ in range(3):
         dag = build_dag(block, workers=2)
         store = StateStore()
         report = execute_block_parallel(block, dag, store, workers=4)
         assert_exactly_once(report.schedule, block.txn_count)
-        assert report.final_digest == serial.final_digest
+        assert state_digest(store) == state_digest(serial_store)
 
 
 def test_serial_wallet_arithmetic():
@@ -260,10 +261,10 @@ def test_empty_block_leaves_store_untouched():
     block = structural_block([])
     store = StateStore({b"k": 1})
     before = state_digest(store)
-    serial = execute_block_serial(block, store)
-    assert serial.final_digest == before
+    execute_block_serial(block, store)
+    assert state_digest(store) == before
     parallel = execute_block_parallel(block, build_dag(block), store, workers=3)
-    assert parallel.final_digest == before
+    assert state_digest(store) == before
     assert parallel.schedule == []
 
 
@@ -272,13 +273,13 @@ def test_parallel_matches_serial_across_random_blocks():
     for _ in range(30):
         block = random_family_block(rng)
         serial_store = StateStore()
-        serial = execute_block_serial(block, serial_store)
+        execute_block_serial(block, serial_store)
         workers = rng.choice((1, 2, 4, 8))
         variant = rng.choice(("matrix", "linked-list"))
         dag = build_dag(block, workers=2, variant=variant)
         store = StateStore()
         report = execute_block_parallel(block, dag, store, workers=workers)
-        assert report.final_digest == serial.final_digest
+        assert state_digest(store) == state_digest(serial_store)
         assert_exactly_once(report.schedule, block.txn_count)
         assert report.txn_successes + report.txn_failures == block.txn_count
         fresh = build_dag(block, workers=1, variant=variant)
@@ -337,7 +338,8 @@ def test_same_block_twice_same_digest():
     digests = set()
     for _ in range(2):
         store = StateStore()
-        digests.add(execute_block_serial(block, store).final_digest)
+        execute_block_serial(block, store)
+        digests.add(state_digest(store))
     assert len(digests) == 1
 
 
@@ -384,21 +386,62 @@ def _run_tree(block, store, workers, **kwargs):
 EXECUTORS = pytest.mark.parametrize("execute", [_run_dag, _run_tree], ids=["dag", "tree"])
 
 
+def _run_serial(block, store, workers, **kwargs):
+    return execute_block_serial(block, store, **kwargs)
+
+
+ALL_EXECUTORS = pytest.mark.parametrize(
+    "execute", [_run_serial, _run_dag, _run_tree], ids=["serial", "dag", "tree"]
+)
+
+
+def _wallet_block(n):
+    return generate_block(WorkloadSpec(family="wallet", txns_per_block=n, rng_seed=3))
+
+
+@ALL_EXECUTORS
+def test_executors_do_not_hash_the_store(execute, monkeypatch):
+    block = _wallet_block(60)
+
+    def no_sha256(*args, **kwargs):
+        raise AssertionError("an executor hashed the store")
+
+    monkeypatch.setattr(hashlib, "sha256", no_sha256)
+    report = execute(block, StateStore(), 2)
+    assert sorted(report.schedule) == list(range(block.txn_count))
+
+
+@ALL_EXECUTORS
+def test_negative_sim_work_is_rejected_before_anything_runs(execute):
+    block = _wallet_block(20)
+    calls = []
+
+    def counting(txn, store):
+        calls.append(txn.index)
+        return apply_transaction(txn, store)
+
+    store = StateStore()
+    with pytest.raises(ValueError, match="sim_work_us must be >= 0"):
+        execute(block, store, 2, processor=counting, sim_work_us=-5)
+    assert calls == []
+    assert len(store) == 0
+
+
 def test_same_dag_executes_twice_with_same_digest():
     rng = random.Random(149)
     block = random_family_block(rng, n=120)
     dag = build_dag(block)
     indegree = dag.indegree_snapshot()
-    serial = execute_block_serial(block, StateStore())
+    serial_store = StateStore()
+    execute_block_serial(block, serial_store)
 
-    def twice():
-        return [
-            execute_block_parallel(block, dag, StateStore(), workers=3).final_digest
-            for _ in range(2)
-        ]
+    def run_once():
+        store = StateStore()
+        execute_block_parallel(block, dag, store, workers=3)
+        return state_digest(store)
 
-    result = _within(30, twice)
-    assert result["value"] == [serial.final_digest] * 2
+    result = _within(30, lambda: [run_once() for _ in range(2)])
+    assert result["value"] == [state_digest(serial_store)] * 2
     assert dag.indegree_snapshot() == indegree
 
 
@@ -425,7 +468,8 @@ def test_crash_while_workers_wait_is_typed_with_partial_report(execute):
 @EXECUTORS
 def test_idle_workers_do_not_poll(execute, monkeypatch):
     block = _voting_block(40)
-    serial = execute_block_serial(block, StateStore())
+    serial_store = StateStore()
+    execute_block_serial(block, serial_store)
 
     def no_sleep(seconds):
         raise AssertionError(f"idle worker slept {seconds} s")
@@ -437,8 +481,9 @@ def test_idle_workers_do_not_poll(execute, monkeypatch):
         return apply_transaction(txn, store)
 
     monkeypatch.setattr(scheduler.time, "sleep", no_sleep)
-    report = execute(block, StateStore(), 4, processor=slow_first, sim_work_us=0)
-    assert report.final_digest == serial.final_digest
+    store = StateStore()
+    report = execute(block, store, 4, processor=slow_first, sim_work_us=0)
+    assert state_digest(store) == state_digest(serial_store)
     assert report.schedule == list(range(block.txn_count))
 
 
@@ -450,10 +495,11 @@ def test_many_workers_with_short_switch_interval_keep_every_guarantee(execute):
     sys.setswitchinterval(1e-6)
     try:
         for block in blocks:
-            serial = execute_block_serial(block, StateStore())
-            result = _within(60, lambda: execute(block, StateStore(), 8))
+            serial_store, store = StateStore(), StateStore()
+            execute_block_serial(block, serial_store)
+            result = _within(60, lambda: execute(block, store, 8))
             report = result["value"]
-            assert report.final_digest == serial.final_digest
+            assert state_digest(store) == state_digest(serial_store)
             assert_exactly_once(report.schedule, block.txn_count)
             assert_topological(report.schedule, build_dag(block).edges())
     finally:

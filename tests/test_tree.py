@@ -3,7 +3,7 @@ import random
 import pytest
 
 from blockdag.dag import brute_force_dag
-from blockdag.model import StateStore
+from blockdag.model import StateStore, state_digest
 from blockdag.scheduler import execute_block_serial
 from blockdag.tree import (
     DONE,
@@ -119,12 +119,13 @@ def test_tree_execution_matches_serial_digest():
     rng = random.Random(29)
     for _ in range(20):
         block = random_family_block(rng)
-        serial = execute_block_serial(block, StateStore())
+        serial_store = StateStore()
+        execute_block_serial(block, serial_store)
         workers = rng.choice((1, 2, 4))
         tree = build_predecessor_tree(block)
         store = StateStore()
         report = execute_block_tree(block, tree, store, workers=workers)
-        assert report.final_digest == serial.final_digest
+        assert state_digest(store) == state_digest(serial_store)
         assert sorted(report.schedule) == list(range(block.txn_count))
 
 
