@@ -19,12 +19,12 @@ import time
 from dataclasses import dataclass
 
 from .codec import attach_dag
-from .dag import DependencyDAG, build_dag, dag_from_shared, predecessor_sets
+from .dag import DependencyDAG, address_pass, build_dag, dag_from_shared
 from .model import Block, StateStore, state_digest
 from .scheduler import execute_block_parallel, execute_block_serial
 from .tree import build_predecessor_tree, execute_block_tree
 from .validator import Verdict, validate_dag
-from .workload import WorkloadSpec, conflict_metrics, generate_blocks
+from .workload import ConflictMetrics, WorkloadSpec, _metrics_from_pass, generate_blocks
 
 STRATEGIES = ("serial", "tree", "adj-dag", "ll-dag", "smart-validate")
 AXES = ("num_blocks", "txns_per_block", "dependency_pct", "workers")
@@ -133,6 +133,21 @@ def _run_rep(strategy, blocks, shared_blocks, references, workers, sim_work_us):
     return exec_wall, build_wall, verdicts
 
 
+def _prepare_block(block: Block, share: bool) -> tuple[bytes, ConflictMetrics, Block | None]:
+    """A block's serial reference digest, its conflict metrics and, when
+    ``share`` is set, the block carrying its DAG for smart-validate.
+
+    One per-address pass feeds both the metrics and the shared DAG. Its
+    sets are locals, so none outlives the block it was made for.
+    """
+    store = StateStore()
+    execute_block_serial(block, store)
+    preds, writers, accessors = address_pass(block)
+    metrics = _metrics_from_pass(preds, writers, accessors)
+    shared = attach_dag(block, DependencyDAG(preds)) if share else None
+    return state_digest(store), metrics, shared
+
+
 def run_experiment(plan: ExperimentPlan) -> list[dict]:
     """Execute the plan and return one row dict per (axis value, strategy)."""
     plan.validate()
@@ -140,20 +155,13 @@ def run_experiment(plan: ExperimentPlan) -> list[dict]:
     for value in plan.values:
         spec, workers = _spec_for_value(plan, value)
         blocks = generate_blocks(spec)
-        references = []
-        for block in blocks:
-            store = StateStore()
-            execute_block_serial(block, store)
-            references.append(state_digest(store))
-        metrics = [conflict_metrics(block) for block in blocks]
+        share = "smart-validate" in plan.strategies
+        references, metrics, shared_blocks = zip(
+            *(_prepare_block(block, share) for block in blocks)
+        )
         cp1 = statistics.fmean(m.cp1 for m in metrics)
         cp2 = statistics.fmean(m.cp2 for m in metrics)
         cp3 = statistics.fmean(m.cp3 for m in metrics)
-        shared_blocks = None
-        if "smart-validate" in plan.strategies:
-            shared_blocks = [
-                attach_dag(block, DependencyDAG(predecessor_sets(block))) for block in blocks
-            ]
         total_txns = spec.txns_per_block * spec.num_blocks
         for strategy in plan.strategies:
             row = {

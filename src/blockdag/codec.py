@@ -15,6 +15,8 @@ each packed or unpacked in a single call, and their range checks are one
 before it is used, and strings that are not UTF-8 are malformed, so a
 CRC-valid body that lies raises a ``BlockCodecError`` subclass, never
 ``struct.error``, ``IndexError``, ``MemoryError`` or ``UnicodeDecodeError``.
+An address set must be written strictly ascending, as the serializer writes
+it, so every block that parses re-serializes to the bytes it came from.
 """
 
 from __future__ import annotations
@@ -255,7 +257,7 @@ def parse_block(data: bytes) -> Block:
             else:
                 raise MalformedBlockError(f"unknown argument tag {tag}")
         sets = []
-        for _ in range(2):
+        for kind in ("read", "write"):
             if off + 2 > end:
                 raise _truncated(2, off, end)
             count = _U16.unpack_from(data, off)[0]
@@ -263,6 +265,12 @@ def parse_block(data: bytes) -> Block:
             addresses = []
             for _ in range(count):
                 address, off = _read_blob16(data, off, end)
+                # the one encoding serialize_block writes: no other order,
+                # no repeats, so re-serializing gives back these bytes
+                if addresses and address <= addresses[-1]:
+                    raise MalformedBlockError(
+                        f"transaction {index} {kind} set is not strictly ascending"
+                    )
                 addresses.append(address)
             sets.append(frozenset(addresses))
         deps = None

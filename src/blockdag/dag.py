@@ -8,7 +8,8 @@ that read or wrote it: transaction j's predecessors are the prior writers of
 every address j touches plus the prior readers of every address j writes.
 Threads would not help, since they cannot overlap Python work under the GIL.
 The same pass feeds the validator, so building and validating agree on the
-edge set by construction.
+edge set by construction, and its per-address lists feed the conflict
+metrics (``workload.conflict_metrics``).
 
 Every DAG is built once from each transaction's predecessor set and never
 changed. It keeps those predecessors as an ascending tuple, which is what
@@ -42,14 +43,18 @@ def conflicts(a: Transaction, b: Transaction) -> bool:
     )
 
 
-def predecessor_sets(block: Block) -> list[set[int]]:
-    """Each transaction's predecessor set, from one pass over the block.
+def address_pass(
+    block: Block,
+) -> tuple[list[set[int]], dict[bytes, list[int]], dict[bytes, list[int]]]:
+    """The one per-address pass: predecessor sets, writers and accessors.
 
     The pass keeps, per address, the transactions so far that wrote it and
-    the ones that read or wrote it. A read waits for every prior writer and
-    a write for every prior reader or writer, which is exactly conflicts().
-    A transaction is registered only after its own set is taken, so it is
-    never its own predecessor.
+    the ones that read or wrote it, and returns both lists (ascending) next
+    to each transaction's predecessor set. A read waits for every prior
+    writer and a write for every prior reader or writer, which is exactly
+    conflicts(). A transaction is registered only after its own set is
+    taken, so it is never its own predecessor. The conflict metrics read
+    the per-address lists; the DAG builder and the validator only the sets.
     """
     writers: dict[bytes, list[int]] = {}
     accessors: dict[bytes, list[int]] = {}
@@ -69,7 +74,12 @@ def predecessor_sets(block: Block) -> list[set[int]]:
             accessors.setdefault(address, []).append(j)
         for address in txn.write_set:
             writers.setdefault(address, []).append(j)
-    return out
+    return out, writers, accessors
+
+
+def predecessor_sets(block: Block) -> list[set[int]]:
+    """Each transaction's predecessor set, from one pass over the block."""
+    return address_pass(block)[0]
 
 
 class DependencyDAG:

@@ -118,21 +118,33 @@ class StateStore:
         return StateStore(self._entries)
 
 
+# Canonical JSON keeps the digest independent of dict insertion order. One
+# encoder serves every value; its settings are what json.dumps would build.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_LENGTH = struct.Struct("<I")
+
+
 def _canonical_value(value) -> bytes:
-    # Canonical JSON keeps the digest independent of dict insertion order.
-    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+    # a plain int encodes as its repr in JSON too; bool, an int subclass,
+    # still goes through the encoder and stays true/false
+    if type(value) is int:
+        return repr(value).encode()
+    return _ENCODER.encode(value).encode()
 
 
 def state_digest(store: StateStore) -> bytes:
-    """SHA-256 over the sorted entry set; insertion order never matters."""
-    h = hashlib.sha256()
-    for address in sorted(store._entries):
-        encoded = _canonical_value(store._entries[address])
-        h.update(struct.pack("<I", len(address)))
-        h.update(address)
-        h.update(struct.pack("<I", len(encoded)))
-        h.update(encoded)
-    return h.digest()
+    """SHA-256 over the sorted entry set; insertion order never matters.
+
+    Each entry contributes its u32 address length, the address, the u32
+    length of the value's canonical JSON and that JSON, and the whole run
+    is hashed in one call.
+    """
+    entries = store._entries
+    parts = []
+    for address in sorted(entries):
+        encoded = _canonical_value(entries[address])
+        parts += (_LENGTH.pack(len(address)), address, _LENGTH.pack(len(encoded)), encoded)
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 @dataclass

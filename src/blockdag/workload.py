@@ -9,6 +9,11 @@ addresses. At 0 the non-voting families produce conflict-free blocks; at
 the exception on both ends — its coarse global registries make any two
 voting transactions conflict regardless — so for voting the knob only
 varies the voter/party pool sizes.
+
+The conflict metrics come from the DAG builder's one per-address pass
+(``dag.address_pass``) and fill no DAG: cp2 from the lengths of the
+predecessor sets, cp1 and cp3 from the per-address writer and accessor
+lists at O(accesses), never from a walk over the edges.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from . import families
-from .dag import predecessor_sets
+from .dag import address_pass
 from .model import Block
 
 FAMILY_CHOICES = families.FAMILIES + ("mixed",)
@@ -208,31 +213,49 @@ class _UnionFind:
             x = parent[x]
         return x
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the components of a and b; True when they were apart."""
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def _metrics_from_pass(
+    preds: list[set[int]], writers: dict[bytes, list[int]], accessors: dict[bytes, list[int]]
+) -> ConflictMetrics:
+    """cp1/cp2/cp3 from one ``address_pass`` result, at O(accesses).
+
+    On an address that has a writer, each writer conflicts with every other
+    accessor and each reader with some other writer, so an accessor list of
+    two or more is connected and every member has an edge; every edge lies
+    inside such a list. cp1 and cp3 therefore come from one merge per access
+    into its list's first member, and only cp2 reads the full sets.
+    """
+    n = len(preds)
+    if n == 0:
+        return ConflictMetrics(cp1=0.0, cp2=0.0, cp3=0)
+    touched: set[int] = set()
+    uf = _UnionFind(n)
+    components = n
+    for address in writers:
+        group = accessors[address]
+        if len(group) < 2:
+            continue
+        touched.update(group)
+        first = group[0]
+        for k in group[1:]:
+            if uf.union(first, k):
+                components -= 1
+    possible = n * (n - 1) // 2
+    cp2 = sum(map(len, preds)) / possible if possible else 0.0
+    return ConflictMetrics(cp1=len(touched) / n, cp2=cp2, cp3=components)
 
 
 def conflict_metrics(block: Block) -> ConflictMetrics:
-    """Compute cp1/cp2/cp3 from the block's predecessor sets."""
-    n = block.txn_count
-    if n == 0:
-        return ConflictMetrics(cp1=0.0, cp2=0.0, cp3=0)
-    pred_sets = predecessor_sets(block)
-    touched = [False] * n
-    uf = _UnionFind(n)
-    for j, preds in enumerate(pred_sets):
-        if preds:
-            touched[j] = True
-        for i in preds:
-            touched[i] = True
-            uf.union(i, j)
-    possible = n * (n - 1) // 2
-    cp1 = sum(touched) / n
-    cp2 = sum(map(len, pred_sets)) / possible if possible else 0.0
-    cp3 = len({uf.find(k) for k in range(n)})
-    return ConflictMetrics(cp1=cp1, cp2=cp2, cp3=cp3)
+    """Compute cp1/cp2/cp3 from the block's one per-address pass."""
+    return _metrics_from_pass(*address_pass(block))
 
 
 def load_workload_spec(path: str) -> WorkloadSpec:

@@ -4,6 +4,7 @@ import pytest
 
 from blockdag.bench import (
     CSV_HEADER,
+    STRATEGIES,
     ExperimentPlan,
     OracleDivergenceError,
     _check_digest,
@@ -120,6 +121,46 @@ def test_csv_reproducible_except_wall_time_columns():
     b = rows_to_csv(run_experiment(_small_plan()))
     assert strip_times(a) == strip_times(b)
     assert a.splitlines()[0] == CSV_HEADER
+
+
+# cp1, cp2, cp3 per (family, txns_per_block) of the plan below, captured
+# from run_experiment before the metrics were read off the per-address lists.
+_PINNED_METRICS = {
+    ("mixed", 24): ("0.2500", "0.0543", "19.00"),
+    ("mixed", 40): ("0.4000", "0.0615", "28.00"),
+    ("voting", 24): ("1.0000", "1.0000", "1.00"),
+    ("voting", 40): ("1.0000", "1.0000", "1.00"),
+    ("wallet", 24): ("0.2083", "0.0362", "20.00"),
+    ("wallet", 40): ("0.2000", "0.0248", "33.00"),
+}
+
+
+@pytest.mark.parametrize("family", ("mixed", "voting", "wallet"))
+def test_rows_pinned_except_wall_time_columns(family):
+    plan = ExperimentPlan(
+        axis="txns_per_block",
+        values=(24, 40),
+        family=family,
+        num_blocks=3,
+        dependency_pct=20,
+        repetitions=1,
+        workers=2,
+        rng_seed=7,
+    )
+    assert plan.strategies == STRATEGIES
+    kept = ("axis", "value", "strategy", "cp1", "cp2", "cp3", "verdict")
+    expected = [
+        (
+            "txns_per_block",
+            value,
+            strategy,
+            *_PINNED_METRICS[family, value],
+            "honest" if strategy == "smart-validate" else "-",
+        )
+        for value in plan.values
+        for strategy in STRATEGIES
+    ]
+    assert [tuple(row[c] for c in kept) for row in run_experiment(plan)] == expected
 
 
 def test_workers_axis_extension():

@@ -37,7 +37,7 @@ from blockdag.families import (
 from blockdag.model import Block
 from blockdag.workload import WorkloadSpec, generate_block
 
-from _helpers import random_family_block
+from _helpers import random_family_block, structural_block
 
 
 def _random_shared_block(rng):
@@ -292,6 +292,7 @@ def test_restamped_block_with_a_lying_count_is_a_codec_error(field):
 
 def test_restamped_mutations_parse_or_raise_codec_errors():
     rng = random.Random(13)
+    parsed_count = 0
     for trial in range(300):
         block = _random_shared_block(rng) if trial % 2 else random_family_block(rng)
         body = bytearray(serialize_block(block)[:-4])
@@ -301,7 +302,28 @@ def test_restamped_mutations_parse_or_raise_codec_errors():
                 body[pos] = rng.choice((0x00, 0x01, 0x7F, 0x80, 0xC3, 0xFF))
             else:
                 body[pos : pos + 4] = b"\xff\xff\xff\xff"
+        data = _restamp(body + b"\x00" * 4)
         try:
-            parse_block(_restamp(body + b"\x00" * 4))
+            parsed = parse_block(data)
         except BlockCodecError:
-            pass  # any other exception class fails the test
+            continue  # any other exception class fails the test
+        # a mutation that parses is a block in its one canonical encoding
+        assert serialize_block(parsed) == data, trial
+        parsed_count += 1
+    assert parsed_count > 0
+
+
+@pytest.mark.parametrize(
+    "lie",
+    [b"wallet/b\x08\x00wallet/a", b"wallet/a\x08\x00wallet/a"],
+    ids=["out-of-order", "repeat"],
+)
+def test_restamped_address_set_in_no_canonical_order_is_malformed(lie):
+    # a CRC-valid read set written as (b, a) or (a, a) would parse into a
+    # block that re-serializes to other bytes
+    block = structural_block([({b"wallet/a", b"wallet/b"}, set())])
+    data = serialize_block(block)
+    truth = b"wallet/a\x08\x00wallet/b"
+    assert data.count(truth) == 1
+    with pytest.raises(MalformedBlockError, match="not strictly ascending"):
+        parse_block(_restamp(data.replace(truth, lie)))

@@ -40,6 +40,48 @@ def test_digest_distinguishes_value_types():
     assert state_digest(StateStore({b"a": 1})) != state_digest(StateStore({b"a": "1"}))
 
 
+# Hex digests of one-entry stores {b"k": value}, frozen so a faster encoder
+# cannot change the bytes that nodes compare.
+_GOLDEN_DIGESTS = [
+    (0, "d6abc8300f37eee2c28db46ad4408421825a0aead9e6d449f131e404a29a49eb"),
+    (2**64 - 1, "bde4d4ee85ca45e5d9a82fc854d6935796257dd864b1ec6095b9972d481bc2c9"),
+    (2**70, "64625ae4c2b0f67293b486ff98bd8a67d2c42e1f007e424d55023b3d63645da1"),
+    (-5, "df7d2f1c59101d2a0c4c66be7de6a7921a60c4fd7b466bf2eb0e4d30921fbf67"),
+    (True, "28afa6369d27db1e8bcd40acf2b41a967d7f81b5f4a6bbb5340e675e880b004e"),
+    (False, "5a9acd4cb43d22bbef4a00f5c56e4af5d0ea06be37e90841ffdaa9fbfef6c1dc"),
+    (None, "4b6fd2024d499ec51501922c38606cdc3cbccd9321ba0dbe7be0e044e3dda5a1"),
+    ("ключ-é", "43f15e659ce4ac3723893013b73d1f0a93d22c1d5919ca10504c431147d8415d"),
+    (
+        {"b": [1, {"z": 2, "a": None}], "a": "x"},
+        "a149e09b78b07ac5fcc3fbfee11fbe9026849a46b9f518170c1c41714a75f018",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value, digest",
+    _GOLDEN_DIGESTS,
+    ids=["zero", "u64-max", "2-pow-70", "negative", "true", "false", "none", "non-ascii", "nested-dict"],
+)
+def test_digest_golden_bytes(value, digest):
+    assert state_digest(StateStore({b"k": value})).hex() == digest
+
+
+def test_digest_golden_bytes_empty_and_several_entries():
+    empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    assert state_digest(StateStore()).hex() == empty
+    store = StateStore({b"wallet/b": 7, b"wallet/a": {"y": 1, "x": [True, None]}, b"v": "s"})
+    assert (
+        state_digest(store).hex()
+        == "e4471f4018ed653907c2b3e2e81d9674f3e64aba8e8731f3cf1a479fba7180e8"
+    )
+
+
+def test_digest_rejects_bytes_values():
+    with pytest.raises(TypeError):
+        state_digest(StateStore({b"k": b"raw"}))
+
+
 def test_serial_execution_digest_is_reproducible():
     block = block_from_ops([wallet_deposit("a", 100), wallet_withdraw("a", 40)])
     store1, store2 = StateStore(), StateStore()

@@ -3,8 +3,10 @@ import statistics
 
 import pytest
 
+from blockdag import workload
 from blockdag.codec import serialize_block
 from blockdag.dag import LinkedListDAG, MatrixDAG, brute_force_dag
+from blockdag.model import Block
 from blockdag.workload import (
     ConflictMetrics,
     WorkloadSpec,
@@ -14,7 +16,7 @@ from blockdag.workload import (
     load_workload_spec,
 )
 
-from _helpers import structural_block
+from _helpers import random_family_block, random_structural_block, structural_block
 
 ALL = ("wallet", "intkey", "voting", "insurance", "mixed")
 KNOB_FAMILIES = ("wallet", "intkey", "insurance")  # voting conflicts regardless
@@ -123,7 +125,9 @@ def _oracle_metrics(block):
     touched = sum(1 for k in range(n) if neighbours[k])
     possible = n * (n - 1) // 2
     return ConflictMetrics(
-        cp1=touched / n, cp2=len(edges) / possible if possible else 0.0, cp3=components
+        cp1=touched / n if n else 0.0,
+        cp2=len(edges) / possible if possible else 0.0,
+        cp3=components,
     )
 
 
@@ -135,6 +139,33 @@ def test_metrics_equal_brute_force_oracle(family):
                 WorkloadSpec(family=family, txns_per_block=40 + 7 * seed, dependency_pct=pct, rng_seed=seed)
             )
             assert conflict_metrics(block) == _oracle_metrics(block), (pct, seed)
+    # random family mixes and access-set shapes (reads only, a read and a
+    # write of one address, wide writes), seeded per parameter, and the
+    # empty and one-transaction blocks
+    rng = random.Random(f"oracle-{family}")
+    blocks = [random_family_block(rng) for _ in range(6)]
+    blocks += [random_structural_block(rng, max_n=24) for _ in range(6)]
+    blocks += [random_family_block(rng, 1), Block(())]
+    for k, block in enumerate(blocks):
+        assert conflict_metrics(block) == _oracle_metrics(block), k
+
+
+def test_component_merges_are_bounded_by_accesses(monkeypatch):
+    # cp1 and cp3 come from the per-address accessor lists, one merge per
+    # access at most; merging per edge would make 19 900 on this block
+    block = generate_block(WorkloadSpec(family="voting", txns_per_block=200, dependency_pct=20, rng_seed=1))
+    accesses = sum(len(txn.read_set | txn.write_set) for txn in block.transactions)
+    assert accesses == 400
+    calls = []
+    merge = workload._UnionFind.union
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return merge(self, a, b)
+
+    monkeypatch.setattr(workload._UnionFind, "union", counted)
+    assert conflict_metrics(block) == ConflictMetrics(cp1=1.0, cp2=1.0, cp3=1)
+    assert 0 < len(calls) <= accesses
 
 
 def test_conflict_metrics_fills_no_dag_storage(monkeypatch):
