@@ -52,27 +52,31 @@ def address_pass(
     the ones that read or wrote it, and returns both lists (ascending) next
     to each transaction's predecessor set. A read waits for every prior
     writer and a write for every prior reader or writer, which is exactly
-    conflicts(). A transaction is registered only after its own set is
-    taken, so it is never its own predecessor. The conflict metrics read
-    the per-address lists; the DAG builder and the validator only the sets.
+    conflicts(). An address's accessors include its writers, so the writers
+    are read only for addresses the transaction reads but does not write.
+    A transaction is registered only after its own set is taken, so it is
+    never its own predecessor. The conflict metrics read the per-address
+    lists; the DAG builder and the validator only the sets.
     """
     writers: dict[bytes, list[int]] = {}
     accessors: dict[bytes, list[int]] = {}
     out: list[set[int]] = []
     for j, txn in enumerate(block.transactions):
         preds: set[int] = set()
+        write_set = txn.write_set
         for address in txn.read_set:
-            prior = writers.get(address)
-            if prior:
-                preds.update(prior)
-        for address in txn.write_set:
+            if address not in write_set:
+                prior = writers.get(address)
+                if prior:
+                    preds.update(prior)
+        for address in write_set:
             prior = accessors.get(address)
             if prior:
                 preds.update(prior)
         out.append(preds)
-        for address in txn.read_set | txn.write_set:
+        for address in txn.read_set | write_set:
             accessors.setdefault(address, []).append(j)
-        for address in txn.write_set:
+        for address in write_set:
             writers.setdefault(address, []).append(j)
     return out, writers, accessors
 

@@ -1,21 +1,29 @@
 """Block execution: one blocking worker loop plus the serial baseline.
 
-``run_scheduled`` runs a block on a pool of threads that share one
-condition variable. Under it a worker asks a *grant* step for a runnable
-transaction and waits on the condition while there is none; after running
-the processor it re-takes the condition, appends the result to the commit
-log and calls a *commit* step that releases what waited on the transaction.
-Appending before the lock is released is what makes the recorded schedule a
-topological order: nothing that depends on a transaction can be granted
-until that transaction is already in the log. A waiting worker is woken,
-never by a timer, when another worker's grant succeeds (there may be more
-work), when the last transaction commits, or when a worker crashes.
+``run_scheduled`` runs a block on the calling thread, which is worker 0, and
+on at most ``workers - 1`` helper threads that it starts only when there is
+work for them. All workers share one lock and condition variable. Under it
+a worker asks a *grant* step for a runnable transaction; after running the
+processor it re-takes the lock, appends the transaction to the schedule and
+calls a *commit* step that releases what waited on it. Appending before the
+lock is released is what makes the recorded schedule a topological order:
+nothing that depends on a transaction can be granted until that transaction
+is already in the schedule.
+
+Workers wake and start only for work that is there. After a successful
+grant, the grant step may say whether another grant would succeed now;
+only then, or when it cannot tell, is a waiting worker woken or, with none
+waiting, a helper started (outside the lock). A failed grant stays failed
+until the next commit, so after one no worker grants again before a
+commit; it waits on the condition instead, never on a timer, until woken
+for work, by the end of the run, or by a crash. A chain therefore runs on
+the calling thread alone, with no failed grant and no helper.
 
 The DAG executor's grant pops a heap of ready transactions and its commit
 re-checks only the transactions that waited on the committed one, each
-against its own predecessor tuple (``ReadyQueue``); the predecessor-tree
-baseline (``blockdag.tree``) plugs its per-address grant check into the
-same loop.
+against its own predecessor tuple (``ReadyQueue``); the heap says in O(1)
+whether work is left. The predecessor-tree baseline (``blockdag.tree``)
+plugs its per-address grant check into the same loop and cannot tell.
 """
 
 from __future__ import annotations
@@ -38,12 +46,12 @@ class ParallelExecutionError(RuntimeError):
         self.report = report
 
 
-def _report_from_log(log: list, wall: float) -> ExecutionReport:
+def _report(schedule: list[int], failures: int, wall: float) -> ExecutionReport:
     return ExecutionReport(
-        schedule=[i for i, _ in log],
+        schedule=schedule,
         wall_time=wall,
-        txn_successes=sum(1 for _, ok in log if ok),
-        txn_failures=sum(1 for _, ok in log if not ok),
+        txn_successes=len(schedule) - failures,
+        txn_failures=failures,
     )
 
 
@@ -55,14 +63,19 @@ def run_scheduled(
     commit,
     processor=None,
     sim_work_us: int = 0,
+    more=None,
 ) -> ExecutionReport:
-    """Execute every transaction of the block once on ``workers`` threads.
+    """Execute every transaction of the block once on up to ``workers`` threads.
 
     ``grant()`` returns the index of a transaction that may run now, marking
     it taken, or None when there is none; ``commit(i)`` records that i has
-    finished. Both are only ever called under the loop's one lock. Raises
-    ParallelExecutionError, carrying the partial report, when a processor or
-    either step raises.
+    finished; ``more()``, when given, says after a successful grant whether
+    another grant would succeed now, and without it the loop assumes one
+    might. All three are only ever called under the loop's one lock. Raises
+    ParallelExecutionError, carrying the partial report, when a processor,
+    a step or a helper's start raises. A ``KeyboardInterrupt`` or
+    ``SystemExit`` on the calling thread propagates unchanged once the
+    helpers have stopped.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -72,55 +85,90 @@ def run_scheduled(
     sim_work_s = sim_work_us / 1e6
     txns = block.transactions
     n = len(txns)
-    cond = threading.Condition(threading.Lock())
-    log: list[tuple[int, bool]] = []
+    lock = threading.Lock()
+    cond = threading.Condition(lock)
+    schedule: list[int] = []
+    failures = 0
     errors: list[BaseException] = []
+    helpers: list[threading.Thread] = []
+    spawned = 0  # helpers reserved under the lock; at most workers - 1
     waiting = 0
+    stale = False  # a grant failed and nothing has committed since
 
-    def worker() -> None:
-        nonlocal waiting
+    def work() -> None:
+        nonlocal failures, spawned, waiting, stale
         index = None
-        ok = False
-        try:
-            while True:
-                with cond:
-                    if index is not None:
-                        log.append((index, ok))
-                        commit(index)
-                    while True:
-                        if errors or len(log) == n:
-                            cond.notify_all()
-                            return
+        ok = True
+        while True:
+            spawn = 0
+            with lock:
+                if index is not None:
+                    schedule.append(index)
+                    if not ok:
+                        failures += 1
+                    commit(index)
+                    stale = False
+                while True:
+                    if errors or len(schedule) == n:
+                        cond.notify_all()
+                        return
+                    if not stale:
                         index = grant()
                         if index is not None:
                             break
-                        waiting += 1
-                        cond.wait()
-                        waiting -= 1
-                    # A failed grant would fail for a woken worker too, so
-                    # only a successful one wakes the next waiter; that one
-                    # passes the wake-up on if it finds work as well.
+                        stale = True
+                    waiting += 1
+                    cond.wait()
+                    waiting -= 1
+                # Hand on only work that is there: a woken waiter that also
+                # finds more passes the wake-up on in turn.
+                if more is None or more():
                     if waiting:
                         cond.notify()
-                ok = processor(txns[index], store)
-                if sim_work_s:
-                    time.sleep(sim_work_s)
+                    elif spawned < workers - 1:
+                        spawned += 1
+                        spawn = spawned
+            if spawn:
+                # Started outside the lock, and listed only once started:
+                # every listed helper was started by the calling thread or
+                # by a helper listed before it, so joining in list order
+                # joins them all.
+                thread = threading.Thread(target=helper, name=f"exec-{spawn}")
+                thread.start()
+                helpers.append(thread)
+            ok = processor(txns[index], store)
+            if sim_work_s:
+                time.sleep(sim_work_s)
+
+    def fail(exc: BaseException) -> None:
+        with lock:
+            errors.append(exc)
+            cond.notify_all()
+
+    def helper() -> None:
+        try:
+            work()
         except BaseException as exc:  # noqa: BLE001 - surfaced as run failure
-            with cond:
-                errors.append(exc)
-                cond.notify_all()
+            fail(exc)
+
+    def join_helpers() -> None:
+        for thread in helpers:
+            thread.join()
 
     started = time.perf_counter()
-    threads = [threading.Thread(target=worker, name=f"exec-{w}") for w in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    try:
+        work()
+        join_helpers()
+    except BaseException as exc:
+        fail(exc)
+        join_helpers()
+        if not isinstance(exc, Exception):
+            raise
     wall = time.perf_counter() - started
-    report = _report_from_log(log, wall)
+    report = _report(schedule, failures, wall)
     if errors:
         raise ParallelExecutionError(
-            f"worker failed after {len(log)} of {n} commits: {errors[0]!r}",
+            f"worker failed after {len(schedule)} of {n} commits: {errors[0]!r}",
             report,
         ) from errors[0]
     return report
@@ -165,6 +213,10 @@ class ReadyQueue:
         """The lowest-index ready transaction, or None when none is ready."""
         return heapq.heappop(self.ready) if self.ready else None
 
+    def more(self) -> bool:
+        """Whether a grant would succeed now."""
+        return bool(self.ready)
+
     def commit(self, index: int) -> None:
         """Mark a transaction finished and release what it was last to block."""
         done = self.done
@@ -208,7 +260,7 @@ def execute_block_parallel(
         raise ValueError("DAG does not match block")
     queue = ReadyQueue(dag)
     return run_scheduled(
-        block, store, workers, queue.grant, queue.commit, processor, sim_work_us
+        block, store, workers, queue.grant, queue.commit, processor, sim_work_us, queue.more
     )
 
 
@@ -223,12 +275,14 @@ def execute_block_serial(
         raise ValueError("sim_work_us must be >= 0")
     processor = processor or families.apply_transaction
     sim_work_s = sim_work_us / 1e6
-    log: list[tuple[int, bool]] = []
+    schedule: list[int] = []
+    failures = 0
     started = time.perf_counter()
     for txn in block.transactions:
-        ok = processor(txn, store)
+        if not processor(txn, store):
+            failures += 1
         if sim_work_s:
             time.sleep(sim_work_s)
-        log.append((txn.index, ok))
+        schedule.append(txn.index)
     wall = time.perf_counter() - started
-    return _report_from_log(log, wall)
+    return _report(schedule, failures, wall)

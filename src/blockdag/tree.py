@@ -8,7 +8,9 @@ pattern — that per-address bookkeeping, serialized behind one lock, is the
 cost this design pays relative to the DAG scheduler, and it is preserved
 here on purpose. Workers run on the same blocking loop as the DAG executor
 (``blockdag.scheduler.run_scheduled``), with this grant check and
-``TreeRun.mark_done`` as its grant and commit steps.
+``TreeRun.mark_done`` as its grant and commit steps. The check cannot tell
+whether another transaction is grantable without a second scan, so after
+each successful grant the loop wakes a waiter or starts a helper.
 """
 
 from __future__ import annotations

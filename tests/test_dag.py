@@ -9,6 +9,7 @@ from blockdag.dag import (
     DependencyDAG,
     LinkedListDAG,
     MatrixDAG,
+    address_pass,
     brute_force_dag,
     build_dag,
     conflicts,
@@ -18,6 +19,7 @@ from blockdag.families import apply_transaction, block_from_ops, wallet_deposit
 from blockdag.model import Block, StateStore, state_digest
 from blockdag.scheduler import execute_block_parallel, execute_block_serial
 from blockdag.validator import Verdict, validate_dag
+from blockdag.workload import WorkloadSpec, generate_block
 
 from _helpers import (
     is_acyclic,
@@ -124,6 +126,46 @@ def test_build_matches_brute_force_over_random_blocks():
                 dag = build_dag(block, workers=workers, variant=variant)
                 assert dag.edge_set() == expected.edge_set()
                 assert dag.indegree_snapshot() == expected.indegree_snapshot()
+
+
+def _pass_reading_every_writer(block):
+    """The address pass without the skip: a read takes every prior writer,
+    also of an address the transaction writes."""
+    writers, accessors, out = {}, {}, []
+    for j, txn in enumerate(block.transactions):
+        preds = set()
+        for address in txn.read_set:
+            preds.update(writers.get(address, ()))
+        for address in txn.write_set:
+            preds.update(accessors.get(address, ()))
+        out.append(preds)
+        for address in txn.read_set | txn.write_set:
+            accessors.setdefault(address, []).append(j)
+        for address in txn.write_set:
+            writers.setdefault(address, []).append(j)
+    return out, writers, accessors
+
+
+def test_address_pass_equals_the_pass_that_reads_every_writer():
+    rng = random.Random(29)
+    blocks = [
+        structural_block([]),
+        structural_block(
+            [({b"a"}, set()), ({b"a"}, {b"a"}), ({b"a"}, set()), (set(), {b"a"}), ({b"a", b"b"}, {b"b"})]
+        ),
+        *(random_family_block(rng) for _ in range(30)),
+        *(random_structural_block(rng, max_n=40) for _ in range(20)),
+        *(
+            generate_block(WorkloadSpec(family="insurance", txns_per_block=60, dependency_pct=pct, rng_seed=pct))
+            for pct in (20, 60, 100)
+        ),
+    ]
+    read_only = 0
+    for block in blocks:
+        assert address_pass(block) == _pass_reading_every_writer(block)
+        assert build_dag(block).edge_set() == brute_force_dag(block).edge_set()
+        read_only += sum(1 for t in block.transactions if t.read_set and not t.write_set)
+    assert read_only > 0
 
 
 def test_matrix_bytes_identical_across_worker_counts():

@@ -4,10 +4,12 @@ import random
 import sys
 import threading
 import time
+import types
 
 import pytest
 
 from blockdag import scheduler
+from blockdag import tree as tree_module
 from blockdag.codec import attach_dag
 from blockdag.dag import (
     DependencyDAG,
@@ -121,6 +123,7 @@ def test_ready_queue_grants_match_indegree_model_under_random_interleavings():
                 else:
                     granted = queue.grant()
                     assert granted == model.grant()
+                    assert queue.more() == bool(model.ready)
                     if granted is None:
                         assert running, "nothing ready and nothing running"
                     else:
@@ -445,46 +448,224 @@ def test_same_dag_executes_twice_with_same_digest():
     assert dag.indegree_snapshot() == indegree
 
 
-@EXECUTORS
-def test_crash_while_workers_wait_is_typed_with_partial_report(execute):
-    block = _voting_block(30)
-    assert build_dag(block).edge_count == 30 * 29 // 2
+def _prefix_then_chain(width, length):
+    """Deposits to ``width`` distinct accounts, then ``length`` deposits to one
+    account: helpers start for the independent prefix, and find nothing to
+    run once only the chain is left."""
+    return block_from_ops(
+        [wallet_deposit(f"p{i}", 1) for i in range(width)]
+        + [wallet_deposit("chain", i + 1) for i in range(length)]
+    )
 
-    def crash_on_three(txn, store):
-        if txn.index == 3:
-            # give the other three workers time to block on the empty queue
+
+class _LoopSpy:
+    """Replaces the scheduler's threading module: records every helper the
+    loop starts and every thread that waits on its condition, and can make
+    the ``fail_start_at``-th start raise as a thread limit would."""
+
+    def __init__(self, monkeypatch, fail_start_at=None):
+        self.attempts: list[threading.Thread] = []
+        self.started: list[threading.Thread] = []
+        self.waited: set[threading.Thread] = set()
+        spy = self
+
+        class Thread(threading.Thread):
+            def start(self):
+                spy.attempts.append(self)
+                if len(spy.attempts) == fail_start_at:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+                spy.started.append(self)
+
+        class Condition(threading.Condition):
+            def wait(self, timeout=None):
+                spy.waited.add(threading.current_thread())
+                return super().wait(timeout)
+
+        fake = types.ModuleType("threading")
+        fake.__dict__.update(vars(threading))
+        fake.Thread, fake.Condition = Thread, Condition
+        monkeypatch.setattr(scheduler, "threading", fake)
+
+    def helpers_stopped(self):
+        return not any(t.is_alive() for t in self.started)
+
+
+def _count_failed_grants(monkeypatch):
+    """Wrap both executors' grant steps; returns the list of failed grants."""
+    failed = []
+    ready_grant, tree_grant = ReadyQueue.grant, tree_module.tree_next_txn
+
+    def counted(grant):
+        def wrapper(*args):
+            index = grant(*args)
+            if index is None:
+                failed.append(index)
+            return index
+
+        return wrapper
+
+    monkeypatch.setattr(ReadyQueue, "grant", counted(ready_grant))
+    monkeypatch.setattr(tree_module, "tree_next_txn", counted(tree_grant))
+    return failed
+
+
+@EXECUTORS
+def test_crash_while_workers_wait_is_typed_with_partial_report(execute, monkeypatch):
+    spy = _LoopSpy(monkeypatch)
+    block = _prefix_then_chain(3, 10)
+
+    def crash_in_chain(txn, store):
+        if txn.index == 5:
+            # give the helpers time to block on the empty queue
             time.sleep(0.05)
             raise RuntimeError("processor blew up")
         return True
 
-    result = _within(10, lambda: execute(block, StateStore(), 4, processor=crash_on_three))
+    result = _within(10, lambda: execute(block, StateStore(), 4, processor=crash_in_chain))
     error = result["error"]
     assert isinstance(error, ParallelExecutionError)
     assert "processor blew up" in str(error)
     assert isinstance(error.__cause__, RuntimeError)
-    assert error.report.schedule == [0, 1, 2]
+    assert sorted(error.report.schedule) == [0, 1, 2, 3, 4]
+    assert [i for i in error.report.schedule if i >= 3] == [3, 4]
+    assert spy.waited & set(spy.started), "no helper waited"
+    assert spy.helpers_stopped()
 
 
 @EXECUTORS
 def test_idle_workers_do_not_poll(execute, monkeypatch):
-    block = _voting_block(40)
+    spy = _LoopSpy(monkeypatch)
+    block = _prefix_then_chain(3, 40)
     serial_store = StateStore()
     execute_block_serial(block, serial_store)
 
     def no_sleep(seconds):
         raise AssertionError(f"idle worker slept {seconds} s")
 
-    def slow_first(txn, store):
-        if txn.index == 0:
-            # the other workers start meanwhile and find nothing runnable
+    def slow_chain_head(txn, store):
+        if txn.index == 3:
+            # the helpers run out of work meanwhile and find nothing runnable
             threading.Event().wait(0.05)
         return apply_transaction(txn, store)
 
     monkeypatch.setattr(scheduler.time, "sleep", no_sleep)
     store = StateStore()
-    report = execute(block, store, 4, processor=slow_first, sim_work_us=0)
+    report = execute(block, store, 4, processor=slow_chain_head, sim_work_us=0)
     assert state_digest(store) == state_digest(serial_store)
+    assert [i for i in report.schedule if i >= 3] == list(range(3, block.txn_count))
+    assert spy.waited & set(spy.started), "no helper waited"
+
+
+def test_dag_executor_runs_a_chain_alone_without_failed_grants(monkeypatch):
+    spy = _LoopSpy(monkeypatch)
+    failed = _count_failed_grants(monkeypatch)
+    block = _voting_block(40)
+    serial_store, store = StateStore(), StateStore()
+    execute_block_serial(block, serial_store)
+    report = _run_dag(block, store, 4, sim_work_us=50)
     assert report.schedule == list(range(block.txn_count))
+    assert state_digest(store) == state_digest(serial_store)
+    assert failed == []
+    assert spy.attempts == []
+
+
+@ALL_EXECUTORS
+def test_one_worker_starts_no_thread(execute, monkeypatch):
+    spy = _LoopSpy(monkeypatch)
+    block = _wallet_block(60)
+    for sim in (0, 20):
+        report = execute(block, StateStore(), 1, sim_work_us=sim)
+        assert_exactly_once(report.schedule, block.txn_count)
+    assert spy.attempts == []
+
+
+@EXECUTORS
+def test_wide_block_starts_every_helper_and_overlaps_processors(execute, monkeypatch):
+    spy = _LoopSpy(monkeypatch)
+    block = _wallet_block(120)
+    guard = threading.Lock()
+    active = peak = 0
+
+    def overlapping(txn, store):
+        nonlocal active, peak
+        with guard:
+            active += 1
+            peak = max(peak, active)
+        time.sleep(0.001)
+        with guard:
+            active -= 1
+        return apply_transaction(txn, store)
+
+    serial_store, store = StateStore(), StateStore()
+    execute_block_serial(block, serial_store)
+    report = execute(block, store, 4, processor=overlapping, sim_work_us=50)
+    assert state_digest(store) == state_digest(serial_store)
+    assert_exactly_once(report.schedule, block.txn_count)
+    assert len(spy.started) == 3
+    assert peak >= 2
+    assert spy.helpers_stopped()
+
+
+@EXECUTORS
+@pytest.mark.parametrize("make", ["voting", "wallet", "prefix-chain"])
+def test_failed_grants_do_not_exceed_commits(execute, make, monkeypatch):
+    failed = _count_failed_grants(monkeypatch)
+    block = {
+        "voting": lambda: _voting_block(60),
+        "wallet": lambda: generate_block(
+            WorkloadSpec(family="wallet", txns_per_block=200, dependency_pct=20, rng_seed=4)
+        ),
+        "prefix-chain": lambda: _prefix_then_chain(8, 40),
+    }[make]()
+    report = execute(block, StateStore(), 4, sim_work_us=50)
+    assert_exactly_once(report.schedule, block.txn_count)
+    assert len(failed) <= block.txn_count
+
+
+@EXECUTORS
+@pytest.mark.parametrize("kind", [KeyboardInterrupt, SystemExit])
+def test_interrupt_on_the_calling_thread_propagates_unchanged(execute, kind, monkeypatch):
+    spy = _LoopSpy(monkeypatch)
+    block = _wallet_block(120)
+    interrupt = kind()
+    caller = []
+
+    def interrupted(txn, store):
+        if threading.current_thread() is caller[0] and len(spy.started) == 3:
+            raise interrupt
+        time.sleep(0.001)
+        return apply_transaction(txn, store)
+
+    def run():
+        caller.append(threading.current_thread())
+        return execute(block, StateStore(), 4, processor=interrupted)
+
+    result = _within(10, run)
+    assert result.get("error") is interrupt
+    assert len(spy.started) == 3
+    assert spy.helpers_stopped()
+
+
+@EXECUTORS
+@pytest.mark.parametrize("fail_start_at", [1, 2])
+def test_helper_start_failure_is_typed_with_partial_report(execute, fail_start_at, monkeypatch):
+    spy = _LoopSpy(monkeypatch, fail_start_at=fail_start_at)
+    block = _wallet_block(60)
+
+    def slow(txn, store):
+        time.sleep(0.001)
+        return apply_transaction(txn, store)
+
+    result = _within(10, lambda: execute(block, StateStore(), 4, processor=slow))
+    error = result["error"]
+    assert isinstance(error, ParallelExecutionError)
+    assert isinstance(error.__cause__, RuntimeError)
+    assert "can't start new thread" in str(error.__cause__)
+    schedule = error.report.schedule
+    assert len(set(schedule)) == len(schedule) < block.txn_count
+    assert len(spy.started) == fail_start_at - 1
+    assert spy.helpers_stopped()
 
 
 @EXECUTORS
