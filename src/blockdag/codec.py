@@ -15,8 +15,16 @@ each packed or unpacked in a single call, and their range checks are one
 before it is used, and strings that are not UTF-8 are malformed, so a
 CRC-valid body that lies raises a ``BlockCodecError`` subclass, never
 ``struct.error``, ``IndexError``, ``MemoryError`` or ``UnicodeDecodeError``.
-An address set must be written strictly ascending, as the serializer writes
-it, so every block that parses re-serializes to the bytes it came from.
+
+Both directions read the one opcode table, ``families.OP_SCHEMAS``. The
+serializer checks each op's arguments against their kinds and each
+transaction's sets against the ones its op declares. The parser checks each
+record's argument count and tags, derives the read and write sets from the
+decoded arguments, and requires the wire's set section to be their
+canonical encoding (addresses strictly ascending) byte for byte: one
+compare, and a slow path that runs only to name what differs. So a block
+that parses carries the sets its ops declare, and re-serializes to the bytes
+it came from.
 """
 
 from __future__ import annotations
@@ -24,10 +32,11 @@ from __future__ import annotations
 import functools
 import struct
 import zlib
+from typing import Callable, NamedTuple
 
 from .dag import DependencyDAG
-from .model import Block, Transaction
-from .families import FamilyOp
+from .model import Address, Block, Transaction
+from .families import OP_SCHEMAS, PAIRS, STR, U64, U64_MAX, FamilyOp
 
 WIRE_VERSION = 1
 _FLAG_SHARED_DAG = 0x01
@@ -42,14 +51,12 @@ _OPCODE_TAGS = {
     "voting": {"create_party": 0, "add_voter": 1, "vote": 2},
     "insurance": {"create_record": 0, "update_record": 1, "read_record": 2},
 }
-_OPCODE_NAMES = {
-    family: {tag: name for name, tag in table.items()}
-    for family, table in _OPCODE_TAGS.items()
-}
 
 _ARG_INT = 0
 _ARG_STR = 1
 _ARG_PAIRS = 2
+_KIND_TAGS = {U64: _ARG_INT, STR: _ARG_STR, PAIRS: _ARG_PAIRS}
+_TAG_KINDS = {tag: kind for kind, tag in _KIND_TAGS.items()}
 
 _HEADER = struct.Struct("<BBII")  # version, flags, total length, txn count
 _U16 = struct.Struct("<H")
@@ -57,6 +64,36 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _INT_ARG = struct.Struct("<BQ")  # tag, value
 _PAIRS_HEAD = struct.Struct("<BH")  # tag, pair count
+_SET_OF_ONE = struct.Struct("<HH")  # count 1, address length
+
+
+class _WireOp(NamedTuple):
+    """One opcode as the wire sees it: the opcode table's entry plus tags."""
+
+    family: str
+    opcode: str
+    head: bytes  # family tag, opcode tag, argc
+    arg_tags: tuple[int, ...]
+    sets: Callable[[tuple], tuple[frozenset[Address], frozenset[Address]]]
+
+
+# every tagged opcode has exactly one entry in the opcode table
+_WIRE_OPS = {
+    (family, opcode): _WireOp(
+        family,
+        opcode,
+        bytes((_FAMILY_TAGS[family], tag, len(schema.args))),
+        tuple(_KIND_TAGS[kind] for kind in schema.args),
+        schema.sets,
+    )
+    for family, table in _OPCODE_TAGS.items()
+    for opcode, tag in table.items()
+    for schema in (OP_SCHEMAS[family, opcode],)
+}
+_OPS_BY_TAG = {
+    _FAMILY_TAGS[family]: {op.head[1]: op for op in _WIRE_OPS.values() if op.family == family}
+    for family in _OPCODE_TAGS
+}
 
 
 class BlockCodecError(Exception):
@@ -117,6 +154,46 @@ def _read_str16(data: bytes, off: int, end: int) -> tuple[str, int]:
         ) from exc
 
 
+def _set_section(read_set: frozenset[Address], write_set: frozenset[Address]) -> bytes:
+    """The canonical encoding of a read set followed by a write set."""
+    encoded = _encode_set(read_set)
+    return encoded + (encoded if write_set == read_set else _encode_set(write_set))
+
+
+def _encode_set(addresses: frozenset[Address]) -> bytes:
+    """A set's one encoding: u16 count, then each address ascending."""
+    if len(addresses) == 1:  # most ops touch one address
+        (address,) = addresses
+        if len(address) <= 0xFFFF:
+            return _SET_OF_ONE.pack(1, len(address)) + address
+    return _U16.pack(len(addresses)) + b"".join(map(_blob16, sorted(addresses)))
+
+
+def _set_mismatch(data: bytes, off: int, end: int, index: int, op: _WireOp, derived) -> Exception:
+    """Why the set section at ``off`` is not the encoding of the ``derived``
+    sets. An address list out of order, repeated or cut short is reported
+    as such; any other difference names the set that is not the op's."""
+    for kind, want in zip(("read", "write"), derived):
+        if off + 2 > end:
+            return _truncated(2, off, end)
+        count = _U16.unpack_from(data, off)[0]
+        off += 2
+        addresses = []
+        for _ in range(count):
+            address, off = _read_blob16(data, off, end)
+            if addresses and address <= addresses[-1]:
+                return MalformedBlockError(
+                    f"transaction {index} {kind} set is not strictly ascending"
+                )
+            addresses.append(address)
+        if frozenset(addresses) != want:
+            return MalformedBlockError(
+                f"transaction {index} {kind} set is not the one its "
+                f"{op.family}/{op.opcode} op declares"
+            )
+    return MalformedBlockError(f"transaction {index} sets are not the ones its op declares")
+
+
 def attach_dag(block: Block, dag: DependencyDAG) -> Block:
     """New block carrying the DAG: per-transaction predecessor lists plus
     the indegree trailer, both taken from the DAG's kept predecessor tuples."""
@@ -139,12 +216,38 @@ def attach_dag(block: Block, dag: DependencyDAG) -> Block:
     )
 
 
+def _pairs_field(pairs) -> bytes | None:
+    """A field-pairs argument's encoding, or None if it is not a tuple of
+    (str, str) tuples."""
+    if type(pairs) is not tuple:
+        return None
+    if len(pairs) > 0xFFFF:
+        raise ValueError("too many field pairs for a u16 count")
+    parts = [_PAIRS_HEAD.pack(_ARG_PAIRS, len(pairs))]
+    for pair in pairs:
+        if type(pair) is not tuple or len(pair) != 2:
+            return None
+        key, value = pair
+        if type(key) is not str or type(value) is not str:
+            return None
+        parts += (_blob16(key.encode()), _blob16(value.encode()))
+    return b"".join(parts)
+
+
+def _bad_args(op: _WireOp, args) -> ValueError:
+    kinds = ", ".join(_TAG_KINDS[tag] for tag in op.arg_tags)
+    return ValueError(f"{op.family}/{op.opcode} takes ({kinds}), got {args!r}")
+
+
 def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     """Deterministic bytes for a block; same input always yields same output.
 
     When a DAG is given it is embedded (replacing whatever shared-DAG fields
     the block already has); otherwise the block's own fields are written
-    as-is, shared section included only if present.
+    as-is, shared section included only if present. Every op must match its
+    entry in the opcode table (``families.OP_SCHEMAS``) and every
+    transaction must carry the sets its op declares, or ``ValueError`` is
+    raised.
     """
     if block.txn_count > MAX_BLOCK_TXNS:
         raise BlockTooLargeError(f"block has {block.txn_count} txns, cap is {MAX_BLOCK_TXNS}")
@@ -154,33 +257,36 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     flags = _FLAG_SHARED_DAG if has_dag else 0
     # total length is patched in once the body is known
     out = bytearray(_HEADER.pack(WIRE_VERSION, flags, 0, block.txn_count))
+    last_sets = (None, None, b"")  # ops with constant sets reuse one encoding
     for txn in block.transactions:
-        op: FamilyOp = txn.payload
-        try:
-            family_tag = _FAMILY_TAGS[op.family]
-            opcode_tag = _OPCODE_TAGS[op.family][op.opcode]
-        except KeyError:
-            raise ValueError(f"op {op.family}/{op.opcode} has no wire tag") from None
-        out += bytes((family_tag, opcode_tag, len(op.args)))
-        for arg in op.args:
-            if isinstance(arg, bool):
-                raise ValueError("boolean op arguments are not supported on the wire")
-            if isinstance(arg, int):
-                out += _INT_ARG.pack(_ARG_INT, arg)
-            elif isinstance(arg, str):
+        payload: FamilyOp = txn.payload
+        op = _WIRE_OPS.get((payload.family, payload.opcode))
+        if op is None:
+            raise ValueError(f"op {payload.family}/{payload.opcode} has no wire tag")
+        args = payload.args
+        if len(args) != len(op.arg_tags):
+            raise _bad_args(op, args)
+        out += op.head
+        for tag, arg in zip(op.arg_tags, args):
+            if tag == _ARG_STR and type(arg) is str:
                 out.append(_ARG_STR)
                 out += _blob16(arg.encode())
-            elif isinstance(arg, tuple):
-                out += _PAIRS_HEAD.pack(_ARG_PAIRS, len(arg))
-                for key, value in arg:
-                    out += _blob16(key.encode())
-                    out += _blob16(value.encode())
+            elif tag == _ARG_INT and type(arg) is int and 0 <= arg <= U64_MAX:
+                out += _INT_ARG.pack(_ARG_INT, arg)
             else:
-                raise ValueError(f"unsupported op argument type: {type(arg).__name__}")
-        for address_set in (txn.read_set, txn.write_set):
-            out += _U16.pack(len(address_set))
-            for address in sorted(address_set):
-                out += _blob16(address)
+                field = _pairs_field(arg) if tag == _ARG_PAIRS else None
+                if field is None:
+                    raise _bad_args(op, args)
+                out += field
+        read_set, write_set = op.sets(args)
+        if txn.read_set != read_set or txn.write_set != write_set:
+            raise ValueError(
+                f"transaction {txn.index} sets are not the ones its "
+                f"{op.family}/{op.opcode} op declares"
+            )
+        if read_set is not last_sets[0] or write_set is not last_sets[1]:
+            last_sets = (read_set, write_set, _set_section(read_set, write_set))
+        out += last_sets[2]
         if has_dag:
             deps = txn.declared_dependencies
             out += _u32_array(len(deps) + 1).pack(len(deps), *deps)
@@ -192,7 +298,13 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
 
 
 def parse_block(data: bytes) -> Block:
-    """Parse wire bytes back into a Block, or raise a descriptive error."""
+    """Parse wire bytes back into a Block, or raise a descriptive error.
+
+    Each record's arguments must have the count and kinds its opcode's
+    table entry gives. The read and write sets are derived from those
+    arguments, and the wire's set section must be their canonical encoding
+    byte for byte, so the block carries the sets its ops declare.
+    """
     if len(data) < _MIN_SIZE:
         raise TruncatedBlockError(f"{len(data)} bytes is below the minimum of {_MIN_SIZE}")
     declared_total = _U32.unpack_from(data, 2)[0]
@@ -215,35 +327,50 @@ def parse_block(data: bytes) -> Block:
         raise BlockTooLargeError(f"block declares {txn_count} txns, cap is {MAX_BLOCK_TXNS}")
     off = _HEADER.size
     transactions = []
+    last_sets = (None, None, b"")  # ops with constant sets reuse one encoding
     for index in range(txn_count):
         if off + 2 > end:
             raise _truncated(2, off, end)
-        family = _FAMILY_NAMES.get(data[off])
-        if family is None:
+        family_ops = _OPS_BY_TAG.get(data[off])
+        if family_ops is None:
             raise MalformedBlockError(f"unknown family tag {data[off]}")
-        opcode = _OPCODE_NAMES[family].get(data[off + 1])
-        if opcode is None:
-            raise MalformedBlockError(f"unknown {family} opcode tag {data[off + 1]}")
+        op = family_ops.get(data[off + 1])
+        if op is None:
+            raise MalformedBlockError(
+                f"unknown {_FAMILY_NAMES[data[off]]} opcode tag {data[off + 1]}"
+            )
         off += 2
         if off >= end:
             raise _truncated(1, off, end)
         argc = data[off]
         off += 1
+        if argc != len(op.arg_tags):
+            raise MalformedBlockError(
+                f"transaction {index} {op.family}/{op.opcode} has {argc} arguments, "
+                f"expected {len(op.arg_tags)}"
+            )
         args = []
-        for _ in range(argc):
+        for want in op.arg_tags:
             if off >= end:
                 raise _truncated(1, off, end)
             tag = data[off]
             off += 1
-            if tag == _ARG_INT:
+            if tag != want:
+                if tag not in _TAG_KINDS:
+                    raise MalformedBlockError(f"unknown argument tag {tag}")
+                raise MalformedBlockError(
+                    f"transaction {index} {op.family}/{op.opcode} argument {len(args)} "
+                    f"is {_TAG_KINDS[tag]}, expected {_TAG_KINDS[want]}"
+                )
+            if tag == _ARG_STR:
+                text, off = _read_str16(data, off, end)
+                args.append(text)
+            elif tag == _ARG_INT:
                 if off + 8 > end:
                     raise _truncated(8, off, end)
                 args.append(_U64.unpack_from(data, off)[0])
                 off += 8
-            elif tag == _ARG_STR:
-                text, off = _read_str16(data, off, end)
-                args.append(text)
-            elif tag == _ARG_PAIRS:
+            else:
                 if off + 2 > end:
                     raise _truncated(2, off, end)
                 count = _U16.unpack_from(data, off)[0]
@@ -254,25 +381,18 @@ def parse_block(data: bytes) -> Block:
                     value, off = _read_str16(data, off, end)
                     pairs.append((key, value))
                 args.append(tuple(pairs))
-            else:
-                raise MalformedBlockError(f"unknown argument tag {tag}")
-        sets = []
-        for kind in ("read", "write"):
-            if off + 2 > end:
-                raise _truncated(2, off, end)
-            count = _U16.unpack_from(data, off)[0]
-            off += 2
-            addresses = []
-            for _ in range(count):
-                address, off = _read_blob16(data, off, end)
-                # the one encoding serialize_block writes: no other order,
-                # no repeats, so re-serializing gives back these bytes
-                if addresses and address <= addresses[-1]:
-                    raise MalformedBlockError(
-                        f"transaction {index} {kind} set is not strictly ascending"
-                    )
-                addresses.append(address)
-            sets.append(frozenset(addresses))
+        args = tuple(args)
+        read_set, write_set = op.sets(args)
+        if read_set is not last_sets[0] or write_set is not last_sets[1]:
+            try:
+                section = _set_section(read_set, write_set)
+            except ValueError:  # an address too long for its u16 prefix: no encoding
+                section = None
+            last_sets = (read_set, write_set, section)
+        section = last_sets[2]
+        if section is None or not data.startswith(section, off, end):
+            raise _set_mismatch(data, off, end, index, op, (read_set, write_set))
+        off += len(section)
         deps = None
         if has_dag:
             if off + 4 > end:
@@ -292,9 +412,9 @@ def parse_block(data: bytes) -> Block:
         transactions.append(
             Transaction(
                 index=index,
-                read_set=sets[0],
-                write_set=sets[1],
-                payload=FamilyOp(family, opcode, tuple(args)),
+                read_set=read_set,
+                write_set=write_set,
+                payload=FamilyOp(op.family, op.opcode, args),
                 declared_dependencies=deps,
             )
         )

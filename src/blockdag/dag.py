@@ -17,9 +17,10 @@ the wire codec embeds and what the executor reads, so neither has to walk
 the edge relation. The constructor checks that every predecessor is below
 its transaction, and ``edges()`` walks the tuples for every kind. A plain
 ``DependencyDAG`` holds nothing else and answers edge queries from those
-tuples; ``dag_from_shared`` returns one, since the validate path only
-executes the DAG it has just checked. Two representations add storage on
-top, and only ``build_dag`` and the brute-force oracle fill it: the
+tuples; ``build_dag`` returns one unless a variant is named, and
+``dag_from_shared`` returns one, since the validate path only executes the
+DAG it has just checked. Two representations add storage on top, and only
+``build_dag`` with a named variant and the brute-force oracle fill it: the
 adjacency-matrix variant backs ``has_edge``/``successors`` with a flat byte
 grid (direct access), and the linked-list variant keeps a per-node
 successor list. Every kind must hold identical edge sets and indegrees for
@@ -186,17 +187,19 @@ class LinkedListDAG(DependencyDAG):
 _CLASSES = {"matrix": MatrixDAG, "linked-list": LinkedListDAG}
 
 
-def build_dag(block: Block, workers: int = 1, variant: str = "matrix") -> DependencyDAG:
-    """Construct the block's dependency DAG in the chosen representation.
+def build_dag(block: Block, workers: int = 1, variant: str | None = None) -> DependencyDAG:
+    """Construct the block's dependency DAG, by default as predecessor tuples alone.
 
-    ``workers`` must be >= 1 and is otherwise unused: the single pass of
-    predecessor_sets runs on the calling thread, because threads cannot
-    overlap pure-Python work under the GIL. The result is the same edge set
-    and indegrees for every variant.
+    ``variant`` names a representation that adds storage on top ("matrix"
+    or "linked-list"); the default fills none, since no executor, codec or
+    validator reads it. ``workers`` must be >= 1 and is otherwise unused:
+    the single pass of predecessor_sets runs on the calling thread, because
+    threads cannot overlap pure-Python work under the GIL. The result is
+    the same edge set and indegrees for every variant.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    cls = _CLASSES.get(variant)
+    cls = DependencyDAG if variant is None else _CLASSES.get(variant)
     if cls is None:
         raise ValueError(f"unknown DAG variant: {variant!r} (expected one of {tuple(_CLASSES)})")
     return cls(predecessor_sets(block))

@@ -9,12 +9,17 @@ The voting family deliberately declares coarse access sets: every op reads
 and writes the two global registry addresses, so any two voting
 transactions in a block conflict. That pathology is intentional and is
 exercised by the benchmark suite.
+
+One table, ``OP_SCHEMAS``, gives each opcode's argument kinds and the rule
+that derives its read and write sets from its arguments. ``declared_sets``
+reads it, and so does the wire codec in both directions, so a block read
+off the wire carries the sets its ops declare and no others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .model import ABSENT, Address, Block, StateStore, Transaction
 
@@ -52,7 +57,8 @@ def insurance_addr(record_id: str) -> Address:
 
 
 def _check_amount(amount: int) -> int:
-    if not isinstance(amount, int) or amount < 0 or amount > U64_MAX:
+    # the wire's u64 kind: an int, and never a bool
+    if type(amount) is not int or amount < 0 or amount > U64_MAX:
         raise ValueError(f"amount out of range: {amount!r}")
     return amount
 
@@ -109,27 +115,82 @@ def insurance_read(record_id: str) -> FamilyOp:
     return FamilyOp(INSURANCE, "read_record", (record_id,))
 
 
+# Argument kinds, one per wire argument: a UTF-8 string, an integer in u64
+# range (a bool is not one), or a tuple of (str, str) field pairs.
+STR = "str"
+U64 = "u64"
+PAIRS = "pairs"
+
+_REGISTRIES = frozenset({VOTING_VOTERS_ADDR, VOTING_PARTIES_ADDR})
+_NOTHING: frozenset[Address] = frozenset()
+
+
+def _account_sets(args: tuple) -> tuple[frozenset[Address], frozenset[Address]]:
+    addrs = frozenset((wallet_addr(args[0]),))
+    return addrs, addrs
+
+
+def _transfer_sets(args: tuple) -> tuple[frozenset[Address], frozenset[Address]]:
+    addrs = frozenset((wallet_addr(args[0]), wallet_addr(args[1])))
+    return addrs, addrs
+
+
+def _key_sets(args: tuple) -> tuple[frozenset[Address], frozenset[Address]]:
+    addrs = frozenset((intkey_addr(args[0]),))
+    return addrs, addrs
+
+
+def _registry_sets(args: tuple) -> tuple[frozenset[Address], frozenset[Address]]:
+    # Coarse by design: the whole voter and party registries.
+    return _REGISTRIES, _REGISTRIES
+
+
+def _record_sets(args: tuple) -> tuple[frozenset[Address], frozenset[Address]]:
+    addrs = frozenset((insurance_addr(args[0]),))
+    return addrs, addrs
+
+
+def _record_read_sets(args: tuple) -> tuple[frozenset[Address], frozenset[Address]]:
+    return frozenset((insurance_addr(args[0]),)), _NOTHING
+
+
+class OpSchema(NamedTuple):
+    """What one opcode takes and touches.
+
+    ``args`` gives the kind of each argument in order, and ``sets`` maps
+    arguments of those kinds to the op's read and write address sets.
+    """
+
+    args: tuple[str, ...]
+    sets: Callable[[tuple], tuple[frozenset[Address], frozenset[Address]]]
+
+
+# The one table of opcodes: the constructors above build these ops,
+# declared_sets reads it, and the wire codec checks and derives from it in
+# both directions.
+OP_SCHEMAS: dict[tuple[str, str], OpSchema] = {
+    (WALLET, "create"): OpSchema((STR,), _account_sets),
+    (WALLET, "deposit"): OpSchema((STR, U64), _account_sets),
+    (WALLET, "withdraw"): OpSchema((STR, U64), _account_sets),
+    (WALLET, "transfer"): OpSchema((STR, STR, U64), _transfer_sets),
+    (INTKEY, "set"): OpSchema((STR, U64), _key_sets),
+    (INTKEY, "inc"): OpSchema((STR, U64), _key_sets),
+    (INTKEY, "dec"): OpSchema((STR, U64), _key_sets),
+    (VOTING, "create_party"): OpSchema((STR,), _registry_sets),
+    (VOTING, "add_voter"): OpSchema((STR,), _registry_sets),
+    (VOTING, "vote"): OpSchema((STR, STR), _registry_sets),
+    (INSURANCE, "create_record"): OpSchema((STR, PAIRS), _record_sets),
+    (INSURANCE, "update_record"): OpSchema((STR, PAIRS), _record_sets),
+    (INSURANCE, "read_record"): OpSchema((STR,), _record_read_sets),
+}
+
+
 def declared_sets(op: FamilyOp) -> tuple[frozenset[Address], frozenset[Address]]:
     """Read and write address sets implied by an op, fixed at build time."""
-    if op.family == WALLET:
-        if op.opcode == "transfer":
-            addrs = frozenset({wallet_addr(op.args[0]), wallet_addr(op.args[1])})
-        else:
-            addrs = frozenset({wallet_addr(op.args[0])})
-        return addrs, addrs
-    if op.family == INTKEY:
-        addrs = frozenset({intkey_addr(op.args[0])})
-        return addrs, addrs
-    if op.family == VOTING:
-        # Coarse by design: the whole voter and party registries.
-        addrs = frozenset({VOTING_VOTERS_ADDR, VOTING_PARTIES_ADDR})
-        return addrs, addrs
-    if op.family == INSURANCE:
-        addr = frozenset({insurance_addr(op.args[0])})
-        if op.opcode == "read_record":
-            return addr, frozenset()
-        return addr, addr
-    raise ValueError(f"unknown family: {op.family!r}")
+    schema = OP_SCHEMAS.get((op.family, op.opcode))
+    if schema is None:
+        raise ValueError(f"unknown op: {op.family!r}/{op.opcode!r}")
+    return schema.sets(op.args)
 
 
 def make_transaction(index: int, op: FamilyOp) -> Transaction:

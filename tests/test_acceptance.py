@@ -243,7 +243,7 @@ def test_validation_cheaper_than_construction():
                 shared = attach_dag(block, build_dag(block, workers=2))
                 for _ in range(5):
                     t0 = time.perf_counter()
-                    build_dag(block, workers=2)
+                    build_dag(block, workers=2, variant="matrix")
                     build_times.append(time.perf_counter() - t0)
                     t0 = time.perf_counter()
                     verdict = validate_dag(shared, None, workers=2)

@@ -17,9 +17,16 @@ from blockdag.codec import (
     parse_block,
     serialize_block,
 )
-from blockdag.dag import build_dag
+from blockdag.dag import build_dag, dag_from_shared
 from blockdag.families import (
+    OP_SCHEMAS,
+    PAIRS,
+    STR,
+    U64,
+    U64_MAX,
+    FamilyOp,
     block_from_ops,
+    declared_sets,
     insurance_create,
     insurance_read,
     insurance_update,
@@ -34,10 +41,13 @@ from blockdag.families import (
     wallet_transfer,
     wallet_withdraw,
 )
-from blockdag.model import Block
+from blockdag.model import Block, StateStore, Transaction, state_digest
+from blockdag.scheduler import execute_block_parallel, execute_block_serial
+from blockdag.tree import build_predecessor_tree, execute_block_tree
+from blockdag.validator import Verdict, validate_dag
 from blockdag.workload import WorkloadSpec, generate_block
 
-from _helpers import random_family_block, structural_block
+from _helpers import random_family_block
 
 
 def _random_shared_block(rng):
@@ -321,9 +331,300 @@ def test_restamped_mutations_parse_or_raise_codec_errors():
 def test_restamped_address_set_in_no_canonical_order_is_malformed(lie):
     # a CRC-valid read set written as (b, a) or (a, a) would parse into a
     # block that re-serializes to other bytes
-    block = structural_block([({b"wallet/a", b"wallet/b"}, set())])
+    block = block_from_ops([wallet_transfer("a", "b", 1)])
     data = serialize_block(block)
     truth = b"wallet/a\x08\x00wallet/b"
-    assert data.count(truth) == 1
+    assert data.count(truth) == 2  # the read set, then the write set
     with pytest.raises(MalformedBlockError, match="not strictly ascending"):
-        parse_block(_restamp(data.replace(truth, lie)))
+        parse_block(_restamp(data.replace(truth, lie, 1)))
+
+
+# -- the opcode table on the wire ---------------------------------------------
+
+
+def _unchecked_wire(block: Block) -> bytes:
+    """v1 bytes for any block, written field by field from docs/wire-format.md
+    with none of serialize_block's checks: each argument is tagged by its
+    Python type and each set is written ascending as given, so the body may
+    lie about its ops."""
+    has_dag = block.has_shared_dag
+    out = bytearray(struct.pack("<BBII", 1, int(has_dag), 0, block.txn_count))
+    for txn in block.transactions:
+        op = txn.payload
+        family_tag = codec._FAMILY_TAGS[op.family]
+        out += bytes((family_tag, codec._OPCODE_TAGS[op.family][op.opcode], len(op.args)))
+        for arg in op.args:
+            if isinstance(arg, int):
+                out += struct.pack("<BQ", 0, arg)
+            elif isinstance(arg, str):
+                out += struct.pack("<BH", 1, len(arg.encode())) + arg.encode()
+            else:
+                out += struct.pack("<BH", 2, len(arg))
+                for pair in arg:
+                    for text in pair:
+                        out += struct.pack("<H", len(text.encode())) + text.encode()
+        for addresses in (txn.read_set, txn.write_set):
+            out += struct.pack("<H", len(addresses))
+            for address in sorted(addresses):
+                out += struct.pack("<H", len(address)) + address
+        if has_dag:
+            deps = txn.declared_dependencies
+            out += struct.pack(f"<I{len(deps)}I", len(deps), *deps)
+    if has_dag:
+        out += struct.pack(f"<{block.txn_count}I", *block.shared_indegree)
+    return _restamp(out + bytes(4))
+
+
+def _lying(block: Block, index: int, reads, writes) -> Block:
+    txns = list(block.transactions)
+    txns[index] = replace(txns[index], read_set=frozenset(reads), write_set=frozenset(writes))
+    return Block(tuple(txns))
+
+
+def test_every_tagged_opcode_has_one_schema_entry():
+    tagged = [(family, opcode) for family, table in codec._OPCODE_TAGS.items() for opcode in table]
+    assert len(tagged) == len(set(tagged)) == len(OP_SCHEMAS)
+    assert set(tagged) == set(OP_SCHEMAS)
+    for schema in OP_SCHEMAS.values():
+        assert schema.args and set(schema.args) <= {STR, U64, PAIRS}
+
+
+_IDS = ("a", "b", "", "ключ", "ä/b", "x" * 40)
+
+
+def _random_op(rng: random.Random) -> FamilyOp:
+    ident, other = rng.choice(_IDS), rng.choice(_IDS)
+    amount = rng.choice((0, 1, 77, U64_MAX))
+    fields = {rng.choice(_IDS): rng.choice(_IDS) for _ in range(rng.randrange(3))}
+    return rng.choice(
+        [
+            wallet_create(ident),
+            wallet_deposit(ident, amount),
+            wallet_withdraw(ident, amount),
+            wallet_transfer(ident, other, amount),
+            intkey_set(ident, amount),
+            intkey_inc(ident, amount),
+            intkey_dec(ident, amount),
+            voting_create_party(ident),
+            voting_add_voter(ident),
+            voting_vote(ident, other),
+            insurance_create(ident, fields),
+            insurance_update(ident, fields),
+            insurance_read(ident),
+        ]
+    )
+
+
+def test_parse_derives_the_sets_declared_sets_gives():
+    rng = random.Random(17)
+    ops = [
+        wallet_transfer("a", "a", 3),  # a self-transfer names one address
+        wallet_deposit("", U64_MAX),
+        intkey_set("ключ", U64_MAX),
+        insurance_create("", {"": ""}),
+    ]
+    ops += [_random_op(rng) for _ in range(400)]
+    block = block_from_ops(ops)
+    data = serialize_block(block, build_dag(block))
+    assert data == _unchecked_wire(attach_dag(block, build_dag(block)))
+    parsed = parse_block(data)
+    for op, txn in zip(ops, parsed.transactions):
+        assert txn.payload == op
+        assert (txn.read_set, txn.write_set) == declared_sets(op)
+    assert parsed.transactions[0].read_set == {b"wallet/a"}
+    assert serialize_block(parsed) == data
+
+
+def test_transfer_whose_sets_name_only_its_source_is_malformed():
+    # with the source-only sets, the deposit on b would get no edge to the
+    # transfer, and validate_dag would call the DAG built from them honest
+    ops = [wallet_deposit("a", 5), wallet_transfer("a", "b", 1), wallet_deposit("b", 2)]
+    lying = _lying(block_from_ops(ops), 1, {b"wallet/a"}, {b"wallet/a"})
+    shared = attach_dag(lying, build_dag(lying))
+    assert shared.transactions[2].declared_dependencies == ()
+    with pytest.raises(ValueError, match="sets are not the ones its wallet/transfer op declares"):
+        serialize_block(shared)
+    with pytest.raises(MalformedBlockError, match="not the one its wallet/transfer op declares"):
+        parse_block(_unchecked_wire(shared))
+
+
+def test_string_amount_is_rejected_both_ways():
+    op = FamilyOp("wallet", "deposit", ("a", "5"))
+    block = Block((Transaction(0, *declared_sets(op), op),))
+    with pytest.raises(ValueError, match=r"wallet/deposit takes \(str, u64\)"):
+        serialize_block(block)
+    with pytest.raises(MalformedBlockError, match="argument 1 is str, expected u64"):
+        parse_block(_unchecked_wire(block))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("a", True),
+        ("a", -1),
+        ("a", U64_MAX + 1),
+        ("a", 5.0),
+        ("a",),
+        ("a", 5, 6),
+        (b"a", 5),
+        (5, "a"),
+    ],
+)
+def test_serializer_applies_the_argument_schema(args):
+    op = FamilyOp("wallet", "deposit", args)
+    sets = (frozenset({b"wallet/a"}),) * 2
+    with pytest.raises(ValueError, match="wallet/deposit takes"):
+        serialize_block(Block((Transaction(0, *sets, op),)))
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[("f", "v")], (("f",),), (("f", "v", "w"),), (("f", 1),), (["f", "v"],), "fv"],
+)
+def test_serializer_applies_the_field_pairs_schema(pairs):
+    op = FamilyOp("insurance", "create_record", ("r", pairs))
+    sets = (frozenset({b"insurance/r"}),) * 2
+    with pytest.raises(ValueError, match="insurance/create_record takes"):
+        serialize_block(Block((Transaction(0, *sets, op),)))
+
+
+def test_parse_checks_argument_count_and_tags():
+    block = block_from_ops([wallet_deposit("a", 5)])
+    data = serialize_block(block)
+    argc = 12  # header, then family and opcode tags
+    assert data[argc] == 2
+    for lie in (1, 3):
+        tampered = bytearray(data)
+        tampered[argc] = lie
+        with pytest.raises(MalformedBlockError, match=f"wallet/deposit has {lie} arguments, expected 2"):
+            parse_block(_restamp(tampered))
+    wrong_kind = FamilyOp("wallet", "deposit", (("f", "v"), 5))
+    with pytest.raises(MalformedBlockError, match="argument 0 is pairs, expected str"):
+        parse_block(_unchecked_wire(Block((Transaction(0, frozenset(), frozenset(), wrong_kind),))))
+
+
+def test_unencodable_derived_address_is_malformed_not_a_crash():
+    # a string argument near the u16 limit gives an address too long for
+    # any set section; the wire cannot carry it, whatever it writes
+    op = wallet_create("x" * 0xFFFF)
+    with pytest.raises(ValueError, match="too long"):
+        serialize_block(block_from_ops([op]))
+    with pytest.raises(MalformedBlockError, match="not the one its wallet/create op declares"):
+        parse_block(_unchecked_wire(Block((Transaction(0, frozenset(), frozenset(), op),))))
+
+
+def test_set_section_differing_from_the_op_names_the_set():
+    block = block_from_ops([insurance_read("r")])
+    cases = [
+        (set(), set(), "read set is not the one"),
+        ({b"insurance/r"}, {b"insurance/r"}, "write set is not the one"),
+        ({b"insurance/r", b"insurance/s"}, set(), "read set is not the one"),
+    ]
+    for reads, writes, message in cases:
+        with pytest.raises(MalformedBlockError, match=f"transaction 0 {message} its insurance/read_record op"):
+            parse_block(_unchecked_wire(_lying(block, 0, reads, writes)))
+
+
+_ARG_VALUES = ("", "a", "c1", "ключ", "5", 0, 5, 499, U64_MAX, (), (("f", "v"),), (("", "ä"),))
+
+
+def _schema_holds(txn: Transaction) -> bool:
+    """The oracle: the op is in the table, its arguments have the kinds the
+    table gives, and the sets are the ones it declares."""
+    op = txn.payload
+    schema = OP_SCHEMAS.get((op.family, op.opcode))
+    if schema is None or len(schema.args) != len(op.args):
+        return False
+    for kind, arg in zip(schema.args, op.args):
+        if kind == STR and not isinstance(arg, str):
+            return False
+        if kind == U64 and not isinstance(arg, int):
+            return False
+        if kind == PAIRS and not isinstance(arg, tuple):
+            return False
+    return (txn.read_set, txn.write_set) == declared_sets(op)
+
+
+def _mutate(txn: Transaction, block: Block, rng: random.Random) -> Transaction:
+    op = txn.payload
+    what = rng.randrange(3)
+    if what == 0:  # an argument replaced, dropped, added or moved
+        args = list(op.args)
+        k = rng.randrange(len(args)) if args else 0
+        how = rng.randrange(4) if args else 2
+        if how == 0:
+            same_kind = [v for v in _ARG_VALUES if type(v) is type(args[k])]
+            args[k] = rng.choice(same_kind if rng.randrange(2) else _ARG_VALUES)
+        elif how == 1:
+            del args[k]
+        elif how == 2:
+            args.insert(k, rng.choice(_ARG_VALUES))
+        else:
+            rng.shuffle(args)
+        op = FamilyOp(op.family, op.opcode, tuple(args))
+    elif what == 1:  # another opcode, of this family or another one
+        family = op.family if rng.randrange(2) else rng.choice(sorted(codec._OPCODE_TAGS))
+        op = FamilyOp(family, rng.choice(sorted(codec._OPCODE_TAGS[family])), op.args)
+    else:  # the address sets
+        pool = sorted({a for t in block.transactions for a in t.read_set | t.write_set})
+        pool.append(b"wallet/elsewhere")
+        reads, writes = set(txn.read_set), set(txn.write_set)
+        how = rng.randrange(4)
+        if how == 0 and reads:
+            reads.discard(rng.choice(sorted(reads)))
+        elif how == 1:
+            writes.add(rng.choice(pool))
+        elif how == 2:
+            reads, writes = writes, reads
+        else:
+            writes = set()
+        return replace(txn, read_set=frozenset(reads), write_set=frozenset(writes))
+    txn = replace(txn, payload=op)
+    if rng.randrange(2):
+        # the sets follow the new op where it has any, so more blocks parse
+        try:
+            reads, writes = declared_sets(op)
+            txn = replace(txn, read_set=reads, write_set=writes)
+        except (ValueError, IndexError, AttributeError, TypeError):
+            pass
+    return txn
+
+
+def _serial_dag_and_tree_digests(shared: Block) -> list[bytes]:
+    stores = [StateStore() for _ in range(3)]
+    execute_block_serial(shared, stores[0])
+    execute_block_parallel(shared, dag_from_shared(shared), stores[1], 2)
+    execute_block_tree(shared, build_predecessor_tree(shared), stores[2], 2)
+    return [state_digest(store) for store in stores]
+
+
+def test_semantic_mutations_are_rejected_or_execute_to_the_serial_digest():
+    # args, opcodes and address sets mutated, then written with a valid CRC
+    # and a DAG built from the written sets: a block either fails to parse or
+    # runs under every strategy to the serial digest without crashing a worker
+    rng = random.Random(29)
+    parsed_count = rejected = 0
+    for trial in range(500):
+        block = random_family_block(rng, n=rng.randrange(2, 20))
+        txns = list(block.transactions)
+        for _ in range(rng.randrange(1, 3)):
+            j = rng.randrange(len(txns))
+            txns[j] = _mutate(txns[j], block, rng)
+        mutated = Block(tuple(txns))
+        shared = attach_dag(mutated, build_dag(mutated))
+        data = _unchecked_wire(shared)
+        expected_to_parse = all(_schema_holds(txn) for txn in txns)
+        try:
+            parsed = parse_block(data)
+        except BlockCodecError:
+            assert not expected_to_parse, trial
+            rejected += 1
+            continue
+        assert expected_to_parse, trial
+        assert parsed == shared
+        assert serialize_block(parsed) == data
+        assert validate_dag(parsed) is Verdict.HONEST
+        serial, dag, tree = _serial_dag_and_tree_digests(parsed)
+        assert dag == serial and tree == serial, trial
+        parsed_count += parsed.transactions != block.transactions
+    assert parsed_count > 20 and rejected > 20, (parsed_count, rejected)

@@ -172,9 +172,9 @@ def test_matrix_bytes_identical_across_worker_counts():
     rng = random.Random(23)
     for _ in range(200):
         block = random_structural_block(rng, max_n=64)
-        reference = build_dag(block, workers=1).matrix_bytes()
+        reference = build_dag(block, workers=1, variant="matrix").matrix_bytes()
         for workers in (2, 4, 8):
-            assert build_dag(block, workers=workers).matrix_bytes() == reference
+            assert build_dag(block, workers=workers, variant="matrix").matrix_bytes() == reference
 
 
 def test_variants_agree():
@@ -303,7 +303,7 @@ def test_tuple_only_dag_answers_edge_queries_like_the_matrix():
             if trial % 2
             else random_family_block(rng)
         )
-        matrix = build_dag(block)
+        matrix = build_dag(block, variant="matrix")
         shared = dag_from_shared(attach_dag(block, matrix))
         assert type(shared) is DependencyDAG
         n = block.txn_count
@@ -386,4 +386,4 @@ def test_validate_path_fills_no_dag_storage(monkeypatch):
         execute_block_serial(block, serial_store)
         assert state_digest(store) == state_digest(serial_store)
     with pytest.raises(AssertionError, match="storage filled"):
-        build_dag(blocks[0])
+        build_dag(blocks[0], variant="matrix")

@@ -229,6 +229,8 @@ def test_invalid_op_arguments_raise_at_build_time():
         fam.wallet_deposit("a", -1)
     with pytest.raises(ValueError):
         fam.intkey_set("k", fam.U64_MAX + 1)
+    with pytest.raises(ValueError):
+        fam.wallet_deposit("a", True)
 
 
 def test_unknown_ops_raise():
