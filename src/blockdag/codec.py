@@ -63,7 +63,8 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _INT_ARG = struct.Struct("<BQ")  # tag, value
-_PAIRS_HEAD = struct.Struct("<BH")  # tag, pair count
+_TAGGED_U16 = struct.Struct("<BH")  # tag, then a string's byte length or a pair count
+_NO_DEPS = _U32.pack(0)  # an empty dependency list
 _SET_OF_ONE = struct.Struct("<HH")  # count 1, address length
 
 
@@ -201,14 +202,8 @@ def attach_dag(block: Block, dag: DependencyDAG) -> Block:
         raise ValueError("DAG does not match block")
     preds = dag.predecessor_lists()
     transactions = tuple(
-        Transaction(
-            index=txn.index,
-            read_set=txn.read_set,
-            write_set=txn.write_set,
-            payload=txn.payload,
-            declared_dependencies=preds[txn.index],
-        )
-        for txn in block.transactions
+        Transaction(txn.index, txn.read_set, txn.write_set, txn.payload, deps)
+        for txn, deps in zip(block.transactions, preds)
     )
     return Block(
         transactions=transactions,
@@ -223,7 +218,7 @@ def _pairs_field(pairs) -> bytes | None:
         return None
     if len(pairs) > 0xFFFF:
         raise ValueError("too many field pairs for a u16 count")
-    parts = [_PAIRS_HEAD.pack(_ARG_PAIRS, len(pairs))]
+    parts = [_TAGGED_U16.pack(_ARG_PAIRS, len(pairs))]
     for pair in pairs:
         if type(pair) is not tuple or len(pair) != 2:
             return None
@@ -257,7 +252,7 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     flags = _FLAG_SHARED_DAG if has_dag else 0
     # total length is patched in once the body is known
     out = bytearray(_HEADER.pack(WIRE_VERSION, flags, 0, block.txn_count))
-    last_sets = (None, None, b"")  # ops with constant sets reuse one encoding
+    sections = {}  # (read set, write set) -> its canonical section
     for txn in block.transactions:
         payload: FamilyOp = txn.payload
         op = _WIRE_OPS.get((payload.family, payload.opcode))
@@ -269,8 +264,11 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
         out += op.head
         for tag, arg in zip(op.arg_tags, args):
             if tag == _ARG_STR and type(arg) is str:
-                out.append(_ARG_STR)
-                out += _blob16(arg.encode())
+                encoded = arg.encode()
+                if len(encoded) > 0xFFFF:
+                    raise ValueError("field too long for u16 length prefix")
+                out += _TAGGED_U16.pack(_ARG_STR, len(encoded))
+                out += encoded
             elif tag == _ARG_INT and type(arg) is int and 0 <= arg <= U64_MAX:
                 out += _INT_ARG.pack(_ARG_INT, arg)
             else:
@@ -278,18 +276,22 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
                 if field is None:
                     raise _bad_args(op, args)
                 out += field
-        read_set, write_set = op.sets(args)
-        if txn.read_set != read_set or txn.write_set != write_set:
+        sets = op.sets(args)
+        if txn.read_set != sets[0] or txn.write_set != sets[1]:
             raise ValueError(
                 f"transaction {txn.index} sets are not the ones its "
                 f"{op.family}/{op.opcode} op declares"
             )
-        if read_set is not last_sets[0] or write_set is not last_sets[1]:
-            last_sets = (read_set, write_set, _set_section(read_set, write_set))
-        out += last_sets[2]
+        section = sections.get(sets)
+        if section is None:
+            section = sections[sets] = _set_section(*sets)
+        out += section
         if has_dag:
             deps = txn.declared_dependencies
-            out += _u32_array(len(deps) + 1).pack(len(deps), *deps)
+            if deps:
+                out += _u32_array(len(deps) + 1).pack(len(deps), *deps)
+            else:
+                out += _NO_DEPS
     if has_dag:
         out += _u32_array(block.txn_count).pack(*block.shared_indegree)
     _U32.pack_into(out, 2, len(out) + 4)
@@ -327,7 +329,7 @@ def parse_block(data: bytes) -> Block:
         raise BlockTooLargeError(f"block declares {txn_count} txns, cap is {MAX_BLOCK_TXNS}")
     off = _HEADER.size
     transactions = []
-    last_sets = (None, None, b"")  # ops with constant sets reuse one encoding
+    sections = {}  # (read set, write set) -> its canonical section
     for index in range(txn_count):
         if off + 2 > end:
             raise _truncated(2, off, end)
@@ -362,9 +364,19 @@ def parse_block(data: bytes) -> Block:
                     f"transaction {index} {op.family}/{op.opcode} argument {len(args)} "
                     f"is {_TAG_KINDS[tag]}, expected {_TAG_KINDS[want]}"
                 )
-            if tag == _ARG_STR:
-                text, off = _read_str16(data, off, end)
-                args.append(text)
+            if tag == _ARG_STR:  # _read_str16 inline: same offsets, same errors
+                if off + 2 > end:
+                    raise _truncated(2, off, end)
+                start = off + 2
+                off = start + (data[off] | data[off + 1] << 8)
+                if off > end:
+                    raise _truncated(off - start, start, end)
+                try:
+                    args.append(data[start:off].decode())
+                except UnicodeDecodeError as exc:
+                    raise MalformedBlockError(
+                        f"string at offset {start} is not UTF-8: {exc.reason}"
+                    ) from exc
             elif tag == _ARG_INT:
                 if off + 8 > end:
                     raise _truncated(8, off, end)
@@ -382,16 +394,15 @@ def parse_block(data: bytes) -> Block:
                     pairs.append((key, value))
                 args.append(tuple(pairs))
         args = tuple(args)
-        read_set, write_set = op.sets(args)
-        if read_set is not last_sets[0] or write_set is not last_sets[1]:
+        sets = op.sets(args)
+        section = sections.get(sets)
+        if section is None:
             try:
-                section = _set_section(read_set, write_set)
+                section = sections[sets] = _set_section(*sets)
             except ValueError:  # an address too long for its u16 prefix: no encoding
-                section = None
-            last_sets = (read_set, write_set, section)
-        section = last_sets[2]
-        if section is None or not data.startswith(section, off, end):
-            raise _set_mismatch(data, off, end, index, op, (read_set, write_set))
+                raise _set_mismatch(data, off, end, index, op, sets) from None
+        if not data.startswith(section, off, end):
+            raise _set_mismatch(data, off, end, index, op, sets)
         off += len(section)
         deps = None
         if has_dag:
@@ -399,24 +410,21 @@ def parse_block(data: bytes) -> Block:
                 raise _truncated(4, off, end)
             dep_count = _U32.unpack_from(data, off)[0]
             off += 4
-            size = 4 * dep_count
-            if off + size > end:
-                raise _truncated(size, off, end)
-            deps = _u32_array(dep_count).unpack_from(data, off)
-            off += size
-            if deps and max(deps) >= index:
-                bad = next(dep for dep in deps if dep >= index)
-                raise MalformedBlockError(
-                    f"transaction {index} declares dependency {bad} not below it"
-                )
+            if dep_count:
+                size = 4 * dep_count
+                if off + size > end:
+                    raise _truncated(size, off, end)
+                deps = _u32_array(dep_count).unpack_from(data, off)
+                off += size
+                if max(deps) >= index:
+                    bad = next(dep for dep in deps if dep >= index)
+                    raise MalformedBlockError(
+                        f"transaction {index} declares dependency {bad} not below it"
+                    )
+            else:
+                deps = ()
         transactions.append(
-            Transaction(
-                index=index,
-                read_set=read_set,
-                write_set=write_set,
-                payload=FamilyOp(op.family, op.opcode, args),
-                declared_dependencies=deps,
-            )
+            Transaction(index, sets[0], sets[1], FamilyOp(op.family, op.opcode, args), deps)
         )
     shared_indegree = None
     if has_dag:

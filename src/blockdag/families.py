@@ -35,13 +35,27 @@ VOTING_PARTIES_ADDR: Address = b"voting/parties"
 VOTING_VOTERS_ADDR: Address = b"voting/voters"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FamilyOp:
-    """Family tag plus opcode and its (hashable) arguments."""
+    """Family tag plus opcode and its (hashable) arguments.
+
+    Slot-backed like ``model.Transaction``, and built the same way: the
+    constructor stores each field through its slot descriptor.
+    """
 
     family: str
     opcode: str
     args: tuple
+
+    def __init__(self, family: str, opcode: str, args: tuple) -> None:
+        _set_family(self, family)
+        _set_opcode(self, opcode)
+        _set_args(self, args)
+
+
+_set_family = FamilyOp.family.__set__
+_set_opcode = FamilyOp.opcode.__set__
+_set_args = FamilyOp.args.__set__
 
 
 def wallet_addr(account: str) -> Address:
@@ -195,7 +209,7 @@ def declared_sets(op: FamilyOp) -> tuple[frozenset[Address], frozenset[Address]]
 
 def make_transaction(index: int, op: FamilyOp) -> Transaction:
     read_set, write_set = declared_sets(op)
-    return Transaction(index=index, read_set=read_set, write_set=write_set, payload=op)
+    return Transaction(index, read_set, write_set, op)
 
 
 def block_from_ops(ops) -> Block:

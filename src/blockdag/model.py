@@ -39,13 +39,18 @@ class _AbsentType:
 ABSENT = _AbsentType()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One block entry: position, declared access sets, and family payload.
 
     ``declared_dependencies`` is populated only when a block carries a
     shared dependency DAG; each entry is the index of a predecessor
     transaction (strictly lower than ``index``).
+
+    The fields live in slots. The constructor stores each one through its
+    slot descriptor, which skips the frozen ``__setattr__`` that the
+    generated ``__init__`` goes through once per field; equality, hashing,
+    ``repr``, ``dataclasses.replace`` and frozenness are the dataclass's.
     """
 
     index: int
@@ -53,6 +58,27 @@ class Transaction:
     write_set: frozenset[Address]
     payload: "FamilyOp"
     declared_dependencies: tuple[int, ...] | None = None
+
+    def __init__(
+        self,
+        index: int,
+        read_set: frozenset[Address],
+        write_set: frozenset[Address],
+        payload: "FamilyOp",
+        declared_dependencies: tuple[int, ...] | None = None,
+    ) -> None:
+        _set_index(self, index)
+        _set_read_set(self, read_set)
+        _set_write_set(self, write_set)
+        _set_payload(self, payload)
+        _set_declared_dependencies(self, declared_dependencies)
+
+
+_set_index = Transaction.index.__set__
+_set_read_set = Transaction.read_set.__set__
+_set_write_set = Transaction.write_set.__set__
+_set_payload = Transaction.payload.__set__
+_set_declared_dependencies = Transaction.declared_dependencies.__set__
 
 
 @dataclass(frozen=True)

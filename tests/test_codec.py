@@ -17,7 +17,7 @@ from blockdag.codec import (
     parse_block,
     serialize_block,
 )
-from blockdag.dag import build_dag, dag_from_shared
+from blockdag.dag import DependencyDAG, build_dag, dag_from_shared
 from blockdag.families import (
     OP_SCHEMAS,
     PAIRS,
@@ -259,6 +259,51 @@ def test_invalid_utf8_in_a_string_argument_is_malformed(ops, raw, bad):
     assert data.count(raw) == 1
     with pytest.raises(MalformedBlockError):
         parse_block(_restamp(data.replace(raw, bad)))
+
+
+def _cut(data: bytes, at: int) -> bytes:
+    """The first ``at`` bytes as a whole message: the body ends at ``at``."""
+    return _restamp(data[:at] + bytes(4))
+
+
+def _string_failures():
+    """Each way a string argument can fail to decode, with the error and the
+    exact message the parser gives."""
+    one = serialize_block(block_from_ops([intkey_set("k", 1)]))
+    vote = serialize_block(block_from_ops([voting_vote("v", "party")]))
+    two = serialize_block(
+        block_from_ops([wallet_transfer("a", "b", 1), wallet_transfer("b", "é", 2)])
+    )
+    at = two.index("é".encode())
+    return {
+        # one byte of the u16 length prefix is left in the body
+        "prefix-cut-short": (
+            _cut(one, 15),
+            TruncatedBlockError,
+            "needed 2 bytes at offset 14, have 1",
+        ),
+        # "party" is 5 bytes, and the body ends after 2 of them
+        "runs-past-the-body": (
+            _cut(vote, vote.index(b"party") + 2),
+            TruncatedBlockError,
+            "needed 5 bytes at offset 20, have 2",
+        ),
+        # the second string of the second record
+        "not-utf8": (
+            _restamp(two[:at] + b"\xc3\x28" + two[at + 2 :]),
+            MalformedBlockError,
+            "string at offset 84 is not UTF-8: invalid continuation byte",
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["prefix-cut-short", "runs-past-the-body", "not-utf8"])
+def test_string_argument_failures_keep_their_error_and_message(case):
+    data, error, message = _string_failures()[case]
+    with pytest.raises(error) as caught:
+        parse_block(data)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 # A two-transaction shared block and, for each count field in it (from
@@ -513,6 +558,11 @@ def test_unencodable_derived_address_is_malformed_not_a_crash():
         parse_block(_unchecked_wire(Block((Transaction(0, frozenset(), frozenset(), op),))))
 
 
+def test_string_argument_too_long_for_its_prefix_is_rejected_on_serialize():
+    with pytest.raises(ValueError, match="^field too long for u16 length prefix$"):
+        serialize_block(block_from_ops([wallet_create("x" * 0x10000)]))
+
+
 def test_set_section_differing_from_the_op_names_the_set():
     block = block_from_ops([insurance_read("r")])
     cases = [
@@ -523,6 +573,49 @@ def test_set_section_differing_from_the_op_names_the_set():
     for reads, writes, message in cases:
         with pytest.raises(MalformedBlockError, match=f"transaction 0 {message} its insurance/read_record op"):
             parse_block(_unchecked_wire(_lying(block, 0, reads, writes)))
+
+
+@pytest.mark.parametrize(
+    "ops, reads, writes, message",
+    [
+        (
+            [wallet_deposit("a", 1), wallet_deposit("a", 2)],
+            {b"wallet/a"},
+            {b"wallet/b"},
+            "write set is not the one its wallet/deposit op",
+        ),
+        (
+            [voting_add_voter("v"), voting_vote("v", "p")],
+            {b"voting/parties"},
+            {b"voting/parties", b"voting/voters"},
+            "read set is not the one its voting/vote op",
+        ),
+    ],
+    ids=["equal-sets", "shared-sets"],
+)
+def test_a_lying_section_after_one_with_the_same_sets_is_malformed(ops, reads, writes, message):
+    # both transactions derive equal sets, so the second reuses the first's
+    # canonical section; its own section is still compared
+    block = block_from_ops(ops)
+    assert block.transactions[0].read_set == block.transactions[1].read_set
+    assert parse_block(_unchecked_wire(block)) == block
+    with pytest.raises(MalformedBlockError, match=f"^transaction 1 {message}"):
+        parse_block(_unchecked_wire(_lying(block, 1, reads, writes)))
+
+
+def test_attach_dag_shares_the_inputs_objects_and_replaces_dependencies():
+    block = block_from_ops([intkey_set("k", 1), intkey_set("k", 2), intkey_set("j", 3)])
+    shared = attach_dag(block, build_dag(block))
+    reattached = attach_dag(shared, DependencyDAG([(), (), (1, 0)]))
+    assert [t.declared_dependencies for t in shared.transactions] == [(), (0,), ()]
+    assert [t.declared_dependencies for t in reattached.transactions] == [(), (), (0, 1)]
+    assert (shared.shared_indegree, reattached.shared_indegree) == ((0, 1, 0), (0, 0, 2))
+    rows = zip(block.transactions, shared.transactions, reattached.transactions)
+    for before, after, again in rows:
+        assert before.index == after.index == again.index
+        assert before.payload is after.payload is again.payload
+        assert before.read_set is after.read_set is again.read_set
+        assert before.write_set is after.write_set is again.write_set
 
 
 _ARG_VALUES = ("", "a", "c1", "ключ", "5", 0, 5, 499, U64_MAX, (), (("f", "v"),), (("", "ä"),))

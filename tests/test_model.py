@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from blockdag.families import block_from_ops, wallet_deposit, wallet_withdraw
+from blockdag.families import FamilyOp, block_from_ops, wallet_deposit, wallet_withdraw
 from blockdag.model import ABSENT, Block, StateStore, Transaction, state_digest
 from blockdag.scheduler import execute_block_serial
 
@@ -125,3 +127,58 @@ def test_store_copy_is_independent():
     other = store.copy()
     other.set(b"a", 2)
     assert store.get(b"a") == 1
+
+
+# Each slot-backed record: its field names in order, and one value per field.
+_RECORDS = {
+    "transaction": (
+        Transaction,
+        ("index", "read_set", "write_set", "payload", "declared_dependencies"),
+        (
+            3,
+            frozenset({b"a"}),
+            frozenset({b"a", b"b"}),
+            FamilyOp("wallet", "create", ("a",)),
+            (0, 2),
+        ),
+    ),
+    "family-op": (FamilyOp, ("family", "opcode", "args"), ("voting", "vote", ("v", "p"))),
+}
+
+
+@pytest.mark.parametrize("record", sorted(_RECORDS))
+def test_slot_backed_records_keep_the_dataclass_contract(record):
+    cls, names, values = _RECORDS[record]
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert cls.__slots__ == names
+    built = cls(*values)
+    twin = cls(**dict(zip(names, values)))
+    assert built == twin and built is not twin
+    assert hash(built) == hash(twin)
+    assert not hasattr(built, "__dict__")
+    assert tuple(getattr(built, name) for name in names) == values
+    fields_repr = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(built) == f"{cls.__name__}({fields_repr})"
+    for name, value in zip(names, values):
+        changed = dataclasses.replace(built, **{name: None})
+        assert getattr(changed, name) is None and changed != built
+        assert getattr(built, name) is value
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(built, name)
+    assert dataclasses.replace(built) == built
+
+
+def test_transaction_dependencies_default_to_none():
+    op = FamilyOp("intkey", "set", ("k", 1))
+    keys = frozenset({b"intkey/k"})
+    by_position = Transaction(0, keys, keys, op)
+    by_keyword = Transaction(index=0, read_set=keys, write_set=keys, payload=op)
+    assert by_position.declared_dependencies is None
+    assert by_position == by_keyword
+    assert dataclasses.fields(Transaction)[-1].default is None
+    with pytest.raises(TypeError):
+        Transaction(0, keys, keys)
+    with pytest.raises(TypeError):
+        FamilyOp("intkey", "set")
