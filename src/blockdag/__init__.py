@@ -16,6 +16,7 @@ from .model import (
     state_digest,
 )
 from .dag import (
+    AccessIndex,
     DependencyDAG,
     LinkedListDAG,
     MatrixDAG,
@@ -39,7 +40,7 @@ from .tree import (
     tree_next_txn,
     tree_predecessors,
 )
-from .validator import AddressAccessIndex, Verdict, build_access_index, validate_dag
+from .validator import Verdict, build_access_index, validate_dag
 from .workload import ConflictMetrics, WorkloadSpec, conflict_metrics, generate_block, generate_blocks
 from .codec import (
     BlockCodecError,
@@ -54,8 +55,8 @@ from .codec import (
 
 __all__ = [
     "ABSENT",
+    "AccessIndex",
     "Address",
-    "AddressAccessIndex",
     "Block",
     "BlockCodecError",
     "BlockTooLargeError",

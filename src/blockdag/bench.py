@@ -142,9 +142,9 @@ def _prepare_block(block: Block, share: bool) -> tuple[bytes, ConflictMetrics, B
     """
     store = StateStore()
     execute_block_serial(block, store)
-    preds, writers, accessors = address_pass(block)
-    metrics = _metrics_from_pass(preds, writers, accessors)
-    shared = attach_dag(block, DependencyDAG(preds)) if share else None
+    index = address_pass(block)
+    metrics = _metrics_from_pass(index)
+    shared = attach_dag(block, DependencyDAG(index.preds)) if share else None
     return state_digest(store), metrics, shared
 
 

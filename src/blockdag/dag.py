@@ -7,9 +7,11 @@ that keeps, per address, the transactions so far that wrote it and the ones
 that read or wrote it: transaction j's predecessors are the prior writers of
 every address j touches plus the prior readers of every address j writes.
 Threads would not help, since they cannot overlap Python work under the GIL.
-The same pass feeds the validator, so building and validating agree on the
-edge set by construction, and its per-address lists feed the conflict
-metrics (``workload.conflict_metrics``).
+The pass returns one ``AccessIndex``: the block, every predecessor set and
+the per-address lists. It is the only per-address index outside the tree
+baseline. The builder and the validator read its sets, so building and
+validating agree on the edge set by construction, and the conflict metrics
+(``workload.conflict_metrics``) read its lists.
 
 Every DAG is built once from each transaction's predecessor set and never
 changed. It keeps those predecessors as an ascending tuple, which is what
@@ -30,6 +32,7 @@ any block.
 from __future__ import annotations
 
 import bisect
+from typing import NamedTuple
 
 from .model import Block, Transaction
 
@@ -44,9 +47,21 @@ def conflicts(a: Transaction, b: Transaction) -> bool:
     )
 
 
-def address_pass(
-    block: Block,
-) -> tuple[list[set[int]], dict[bytes, list[int]], dict[bytes, list[int]]]:
+class AccessIndex(NamedTuple):
+    """One block's per-address pass: the block, predecessor sets and lists.
+
+    ``preds[j]`` is transaction j's predecessor set; ``writers`` and
+    ``accessors`` map each address to the ascending indices that wrote it
+    and that read or wrote it.
+    """
+
+    block: Block
+    preds: list[set[int]]
+    writers: dict[bytes, list[int]]
+    accessors: dict[bytes, list[int]]
+
+
+def address_pass(block: Block) -> AccessIndex:
     """The one per-address pass: predecessor sets, writers and accessors.
 
     The pass keeps, per address, the transactions so far that wrote it and
@@ -79,12 +94,7 @@ def address_pass(
             accessors.setdefault(address, []).append(j)
         for address in write_set:
             writers.setdefault(address, []).append(j)
-    return out, writers, accessors
-
-
-def predecessor_sets(block: Block) -> list[set[int]]:
-    """Each transaction's predecessor set, from one pass over the block."""
-    return address_pass(block)[0]
+    return AccessIndex(block, out, writers, accessors)
 
 
 class DependencyDAG:
@@ -192,17 +202,17 @@ def build_dag(block: Block, workers: int = 1, variant: str | None = None) -> Dep
 
     ``variant`` names a representation that adds storage on top ("matrix"
     or "linked-list"); the default fills none, since no executor, codec or
-    validator reads it. ``workers`` must be >= 1 and is otherwise unused:
-    the single pass of predecessor_sets runs on the calling thread, because
-    threads cannot overlap pure-Python work under the GIL. The result is
-    the same edge set and indegrees for every variant.
+    validator reads it. ``workers`` is only range-checked (>= 1) and kept
+    because the benchmark passes it: the single ``address_pass`` runs on the
+    calling thread, since threads cannot overlap pure-Python work under the
+    GIL. The result is the same edge set and indegrees for every variant.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     cls = DependencyDAG if variant is None else _CLASSES.get(variant)
     if cls is None:
         raise ValueError(f"unknown DAG variant: {variant!r} (expected one of {tuple(_CLASSES)})")
-    return cls(predecessor_sets(block))
+    return cls(address_pass(block).preds)
 
 
 def brute_force_dag(block: Block) -> DependencyDAG:

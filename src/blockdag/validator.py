@@ -1,9 +1,11 @@
 """Verification of a miner-shared dependency DAG.
 
 The validator never rebuilds the DAG by pairwise scanning, and never fills
-a DAG's storage. It checks the block's structure, runs the builder's
-per-address pass (``dag.predecessor_sets``) once, and compares every
-recomputed predecessor set with the transaction's declared dependencies:
+a DAG's storage. It checks the block's structure, reads the predecessor
+sets of the builder's per-address pass (``dag.address_pass``, run once per
+block, by the caller through ``build_access_index`` or here), and compares
+every recomputed predecessor set with the transaction's declared
+dependencies:
 
 * structure — each dependency list holds distinct indices strictly below
   the transaction's own, and its length equals the shared indegree entry;
@@ -19,12 +21,11 @@ anywhere is ``MALICIOUS_EXTRA_EDGE``; otherwise a missing edge anywhere is
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import attrgetter, eq
 
-from .dag import predecessor_sets
-from .model import Address, Block
+from .dag import AccessIndex, address_pass
+from .model import Block
 
 _DEPENDENCIES = attrgetter("declared_dependencies")
 
@@ -35,58 +36,28 @@ class Verdict(enum.Enum):
     MALICIOUS_EXTRA_EDGE = "malicious-extra-edge"
 
 
-@dataclass
-class AddressEntry:
-    read_list: list[int] = field(default_factory=list)
-    write_list: list[int] = field(default_factory=list)
-
-
-class AddressAccessIndex:
-    """Per-address read/write lists over a block, sorted by transaction index."""
-
-    def __init__(self) -> None:
-        self.entries: dict[Address, AddressEntry] = {}
-
-    @property
-    def adds_count(self) -> int:
-        return len(self.entries)
-
-    def _entry(self, address: Address) -> AddressEntry:
-        entry = self.entries.get(address)
-        if entry is None:
-            entry = AddressEntry()
-            self.entries[address] = entry
-        return entry
-
-
-def build_access_index(block: Block) -> AddressAccessIndex:
-    """One pass over the block fills every address's read and write lists.
-
-    Transactions are visited in index order, so every list comes out sorted.
-    """
-    index = AddressAccessIndex()
-    for txn in block.transactions:
-        for address in txn.read_set:
-            index._entry(address).read_list.append(txn.index)
-        for address in txn.write_set:
-            index._entry(address).write_list.append(txn.index)
-    return index
+def build_access_index(block: Block) -> AccessIndex:
+    """The block's per-address pass, for ``validate_dag`` to read."""
+    return address_pass(block)
 
 
 def validate_dag(
     block: Block,
-    index: AddressAccessIndex | None = None,
+    index: AccessIndex | None = None,
     workers: int = 1,
 ) -> Verdict:
     """Judge the DAG a block carries: honest, or malicious and how.
 
-    ``index`` is accepted so callers that already built one can pass it,
-    but it is not read: the pass keeps its own per-address lists, which is
-    cheaper than looking up prefixes of finished ones. ``workers`` must be
-    >= 1 and is otherwise unused; the check runs on the calling thread.
+    ``index`` is this block's ``build_access_index`` result: its sets are
+    read and the pass is not run again, and one built from another block
+    object raises ``ValueError``. Without an index, the pass runs here.
+    ``workers`` is only range-checked (>= 1) and kept because the benchmark
+    passes it; the check runs on the calling thread.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if index is not None and index.block is not block:
+        raise ValueError("access index was built from another block")
     # The honest case is decided by whole-list comparisons that run at C
     # speed and build a set only for transactions that declare dependencies,
     # which keeps validation cheaper than the build's per-edge fill. Only a
@@ -97,7 +68,7 @@ def validate_dag(
     indegree = list(block.shared_indegree)
     if list(map(len, deps_of)) != indegree:
         return Verdict.MALICIOUS_EXTRA_EDGE
-    computed = predecessor_sets(block)
+    computed = (address_pass(block) if index is None else index).preds
     if list(map(len, computed)) == indegree and all(
         map(eq, compress(computed, indegree), map(frozenset, compress(deps_of, indegree)))
     ):

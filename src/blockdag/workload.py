@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from . import families
-from .dag import address_pass
+from .dag import AccessIndex, address_pass
 from .model import Block
 
 FAMILY_CHOICES = families.FAMILIES + ("mixed",)
@@ -222,9 +222,7 @@ class _UnionFind:
         return True
 
 
-def _metrics_from_pass(
-    preds: list[set[int]], writers: dict[bytes, list[int]], accessors: dict[bytes, list[int]]
-) -> ConflictMetrics:
+def _metrics_from_pass(index: AccessIndex) -> ConflictMetrics:
     """cp1/cp2/cp3 from one ``address_pass`` result, at O(accesses).
 
     On an address that has a writer, each writer conflicts with every other
@@ -233,13 +231,14 @@ def _metrics_from_pass(
     inside such a list. cp1 and cp3 therefore come from one merge per access
     into its list's first member, and only cp2 reads the full sets.
     """
+    preds, accessors = index.preds, index.accessors
     n = len(preds)
     if n == 0:
         return ConflictMetrics(cp1=0.0, cp2=0.0, cp3=0)
     touched: set[int] = set()
     uf = _UnionFind(n)
     components = n
-    for address in writers:
+    for address in index.writers:
         group = accessors[address]
         if len(group) < 2:
             continue
@@ -255,7 +254,7 @@ def _metrics_from_pass(
 
 def conflict_metrics(block: Block) -> ConflictMetrics:
     """Compute cp1/cp2/cp3 from the block's one per-address pass."""
-    return _metrics_from_pass(*address_pass(block))
+    return _metrics_from_pass(address_pass(block))
 
 
 def load_workload_spec(path: str) -> WorkloadSpec:

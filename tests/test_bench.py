@@ -14,7 +14,7 @@ from blockdag.bench import (
 from blockdag import cli
 from blockdag.cli import cli_main
 from blockdag.codec import attach_dag, serialize_block
-from blockdag.dag import LinkedListDAG, MatrixDAG, build_dag
+from blockdag.dag import LinkedListDAG, MatrixDAG, address_pass, build_dag
 from blockdag.workload import WorkloadSpec, generate_block
 
 from _helpers import add_spurious_edge
@@ -75,19 +75,28 @@ def test_smart_validate_rows_report_honest(monkeypatch):
 
 
 def test_smart_validate_and_verify_only_build_no_access_index(monkeypatch, tmp_path, capsys):
+    # each validated block runs the pass once, inside validate_dag
     import blockdag.validator as validator_mod
 
-    def no_index():
-        raise AssertionError("an access index was built")
+    passes = []
 
-    monkeypatch.setattr(validator_mod, "AddressAccessIndex", no_index)
-    rows = run_experiment(_small_plan(strategies=("smart-validate",), values=(12,)))
+    def counted(block):
+        passes.append(block)
+        return address_pass(block)
+
+    monkeypatch.setattr(validator_mod, "address_pass", counted)
+    plan = _small_plan(strategies=("smart-validate",), values=(12,))
+    rows = run_experiment(plan)
     assert rows[0]["verdict"] == "honest"
+    assert len(passes) == plan.num_blocks * plan.repetitions
+    assert len(set(map(id, passes))) == plan.num_blocks
+    passes.clear()
     block = generate_block(WorkloadSpec(family="mixed", txns_per_block=20, dependency_pct=50, rng_seed=3))
     path = tmp_path / "honest.blk"
     path.write_bytes(serialize_block(attach_dag(block, build_dag(block))))
     assert cli_main(["--verify-only", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "honest"
+    assert len(passes) == 1
 
 
 def test_all_strategies_run_one_value():

@@ -162,7 +162,7 @@ def test_address_pass_equals_the_pass_that_reads_every_writer():
     ]
     read_only = 0
     for block in blocks:
-        assert address_pass(block) == _pass_reading_every_writer(block)
+        assert address_pass(block) == (block, *_pass_reading_every_writer(block))
         assert build_dag(block).edge_set() == brute_force_dag(block).edge_set()
         read_only += sum(1 for t in block.transactions if t.read_set and not t.write_set)
     assert read_only > 0

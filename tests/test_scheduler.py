@@ -15,10 +15,10 @@ from blockdag.dag import (
     DependencyDAG,
     LinkedListDAG,
     MatrixDAG,
+    address_pass,
     brute_force_dag,
     build_dag,
     dag_from_shared,
-    predecessor_sets,
 )
 from blockdag.families import (
     apply_transaction,
@@ -93,7 +93,7 @@ def _dags_for(block, rng):
     n = block.txn_count
     extended = []
     for cls in (rng.choice((MatrixDAG, LinkedListDAG)), DependencyDAG):
-        preds = predecessor_sets(block)
+        preds = address_pass(block).preds
         for _ in range(rng.randrange(0, 2 * n + 1) if n > 1 else 0):
             i = rng.randrange(0, n - 1)
             preds[rng.randrange(i + 1, n)].add(i)

@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from blockdag.codec import attach_dag
-from blockdag.dag import build_dag, dag_from_shared
+import blockdag.validator as validator_mod
+from blockdag.codec import attach_dag, parse_block, serialize_block
+from blockdag.dag import address_pass, build_dag, dag_from_shared
 from blockdag.model import Block
 from blockdag.validator import Verdict, build_access_index, validate_dag
 
@@ -19,26 +20,6 @@ from _helpers import (
 
 def _shared(block, workers=2):
     return attach_dag(block, build_dag(block, workers=workers))
-
-
-def test_access_index_records_reader_and_writer():
-    block = structural_block([(set(), {b"A"}), ({b"A"}, set())])
-    index = build_access_index(block)
-    entry = index.entries[b"A"]
-    assert entry.write_list == [0]
-    assert entry.read_list == [1]
-
-
-def test_access_index_empty_block():
-    index = build_access_index(structural_block([]))
-    assert index.adds_count == 0
-
-
-def test_access_index_read_and_write_by_same_txn():
-    block = structural_block([({b"A"}, {b"A"})])
-    entry = build_access_index(block).entries[b"A"]
-    assert entry.read_list == [0]
-    assert entry.write_list == [0]
 
 
 def test_honest_blocks_verify_clean():
@@ -145,23 +126,6 @@ def test_empty_and_single_transaction_blocks_are_honest():
     assert validate_dag(_shared(structural_block([({b"a"}, {b"a"})])), workers=8) is Verdict.HONEST
 
 
-def test_index_argument_is_optional_but_honored():
-    block = structural_block([(set(), {b"A"}), ({b"A"}, set())])
-    shared = _shared(block)
-    index = build_access_index(shared)
-    assert validate_dag(shared, index, workers=2) is Verdict.HONEST
-    assert validate_dag(shared, None, workers=2) is Verdict.HONEST
-
-
-def test_access_index_lists_are_strictly_increasing():
-    rng = random.Random(29)
-    for _ in range(30):
-        index = build_access_index(random_family_block(rng))
-        for entry in index.entries.values():
-            for ordered in (entry.read_list, entry.write_list):
-                assert all(a < b for a, b in zip(ordered, ordered[1:]))
-
-
 def _retamper(shared, deps_by_txn, indegree_by_txn=None):
     """Copy of a shared block with some dependency lists replaced; each
     replaced list's indegree entry follows its length unless overridden."""
@@ -216,3 +180,60 @@ def test_build_validate_and_rebuild_start_no_thread(monkeypatch):
     shared = attach_dag(block, dag)
     assert validate_dag(shared, workers=8) is Verdict.HONEST
     assert dag_from_shared(shared).edge_set() == dag.edge_set()
+
+
+def _verdict_cases(rng):
+    """Honest, dropped-edge, spurious-edge and structurally bad shared blocks."""
+    cases = []
+    for _ in range(15):
+        shared = _shared(random_family_block(rng))
+        cases += [shared, remove_one_edge(shared, rng), add_spurious_edge(shared, rng)]
+    cases += [
+        _retamper(_shared(_MISSING_FIRST), {1: (), 3: (2, 2)}),
+        _retamper(_shared(_MISSING_FIRST), {1: ()}, {3: 1}),
+        _retamper(_shared(_EXTRA_FIRST), {1: (1,), 3: ()}),
+        _retamper(_shared(_EXTRA_FIRST), {1: (-1,)}),
+    ]
+    return [case for case in cases if case is not None]
+
+
+def test_index_argument_is_optional_but_honored(monkeypatch):
+    cases = _verdict_cases(random.Random(31))
+    expected = [validate_dag(case) for case in cases]
+    assert set(expected) == set(Verdict)
+    indexes = [build_access_index(case) for case in cases]
+
+    def no_pass(block):
+        raise AssertionError("the pass ran again")
+
+    monkeypatch.setattr(validator_mod, "address_pass", no_pass)
+    for case, index, verdict in zip(cases, indexes, expected):
+        assert index.block is case
+        for workers in (1, 2):
+            assert validate_dag(case, index, workers) is verdict
+
+
+def test_index_from_another_block_is_refused():
+    block = random_family_block(random.Random(43))
+    shared = _shared(block)
+    reparsed = parse_block(serialize_block(shared))
+    assert reparsed == shared
+    for other in (block, reparsed, _shared(block)):
+        with pytest.raises(ValueError, match="another block"):
+            validate_dag(shared, build_access_index(other), workers=2)
+
+
+def test_build_access_index_then_validate_runs_the_pass_once(monkeypatch):
+    calls = []
+
+    def counted(block):
+        calls.append(block)
+        return address_pass(block)
+
+    monkeypatch.setattr(validator_mod, "address_pass", counted)
+    shared = _shared(random_family_block(random.Random(41)))
+    assert validate_dag(shared, build_access_index(shared), 2) is Verdict.HONEST
+    assert calls == [shared]
+    calls.clear()
+    assert validate_dag(shared) is Verdict.HONEST
+    assert calls == [shared]
