@@ -18,8 +18,6 @@ from .model import (
 from .dag import (
     AccessIndex,
     DependencyDAG,
-    LinkedListDAG,
-    MatrixDAG,
     brute_force_dag,
     build_dag,
     conflicts,
@@ -64,9 +62,7 @@ __all__ = [
     "ConflictMetrics",
     "DependencyDAG",
     "ExecutionReport",
-    "LinkedListDAG",
     "MalformedBlockError",
-    "MatrixDAG",
     "ParallelExecutionError",
     "PredecessorTree",
     "ReadyQueue",

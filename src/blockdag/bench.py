@@ -109,9 +109,8 @@ def _run_rep(strategy, blocks, shared_blocks, references, workers, sim_work_us):
             build_wall += time.perf_counter() - t0
             report = execute_block_tree(block, tree, store, workers, sim_work_us=sim_work_us)
         elif strategy in ("adj-dag", "ll-dag"):
-            variant = "matrix" if strategy == "adj-dag" else "linked-list"
             t0 = time.perf_counter()
-            dag = build_dag(block, workers=workers, variant=variant)
+            dag = build_dag(block, workers=workers)
             build_wall += time.perf_counter() - t0
             report = execute_block_parallel(
                 block, dag, store, workers, sim_work_us=sim_work_us

@@ -13,25 +13,19 @@ baseline. The builder and the validator read its sets, so building and
 validating agree on the edge set by construction, and the conflict metrics
 (``workload.conflict_metrics``) read its lists.
 
-Every DAG is built once from each transaction's predecessor set and never
-changed. It keeps those predecessors as an ascending tuple, which is what
-the wire codec embeds and what the executor reads, so neither has to walk
-the edge relation. The constructor checks that every predecessor is below
-its transaction, and ``edges()`` walks the tuples for every kind. A plain
-``DependencyDAG`` holds nothing else and answers edge queries from those
-tuples; ``build_dag`` returns one unless a variant is named, and
-``dag_from_shared`` returns one, since the validate path only executes the
-DAG it has just checked. Two representations add storage on top, and only
-``build_dag`` with a named variant and the brute-force oracle fill it: the
-adjacency-matrix variant backs ``has_edge``/``successors`` with a flat byte
-grid (direct access), and the linked-list variant keeps a per-node
-successor list. Every kind must hold identical edge sets and indegrees for
-any block.
+Every DAG is a ``DependencyDAG``: each transaction's predecessors as an
+ascending tuple, built once and never changed. Those tuples are what the
+wire codec embeds and what the executor reads, so neither has to walk the
+edge relation, and the DAG keeps nothing else. The constructor checks that
+every predecessor is below its transaction; ``edges()``, the edge count and
+the indegrees come from the tuples. ``build_dag`` builds one from the pass,
+``dag_from_shared`` from a shared block's declared dependencies, and
+``brute_force_dag`` from ``conflicts()`` pair by pair; all three must hold
+identical edge sets and indegrees for any block.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import NamedTuple
 
 from .model import Block, Transaction
@@ -98,17 +92,15 @@ def address_pass(block: Block) -> AccessIndex:
 
 
 class DependencyDAG:
-    """A DAG kept as predecessor tuples, and the base of both representations.
+    """A DAG kept as predecessor tuples alone.
 
     ``preds[j]`` holds the distinct indices below j that j waits for, in any
     order; one that is negative or not below j raises ``ValueError``, so no
     DAG can make an executor wait for a transaction that never commits. The
     DAG is built once from them and never changed: ``_preds[j]`` is their
     ascending tuple, and indegrees, the edge count and ``edges()`` come from
-    the tuples. This class answers every edge query from the tuples, and a
-    subclass that adds storage overrides ``_store``, ``has_edge`` and
-    ``successors``. Executors only read the DAG, so one DAG can be executed
-    any number of times.
+    the tuples. Executors only read the DAG, so one DAG can be executed any
+    number of times.
     """
 
     def __init__(self, preds: list) -> None:
@@ -120,18 +112,6 @@ class DependencyDAG:
                 bad = next(i for i in preds[j] if not 0 <= i < j)
                 raise ValueError(f"transaction {j} declares invalid dependency {bad}")
         self.edge_count = sum(map(len, self._preds))
-        self._store(self._preds)
-
-    def _store(self, preds: list[tuple[int, ...]]) -> None:
-        """Allocate and fill the storage from the predecessor tuples; none here."""
-
-    def has_edge(self, i: int, j: int) -> bool:
-        preds = self._preds[j]
-        at = bisect.bisect_left(preds, i)
-        return at < len(preds) and preds[at] == i
-
-    def successors(self, i: int) -> list[int]:
-        return [j for j in range(i + 1, self.txn_count) if self.has_edge(i, j)]
 
     def edges(self):
         """Every edge (i, j) once, grouped by j; a walk of the kept tuples."""
@@ -150,69 +130,16 @@ class DependencyDAG:
         return list(map(len, self._preds))
 
 
-class MatrixDAG(DependencyDAG):
-    """Adjacency-matrix representation: n*n byte grid, direct access."""
+def build_dag(block: Block, workers: int = 1) -> DependencyDAG:
+    """Construct the block's dependency DAG from the one per-address pass.
 
-    def _store(self, preds: list[tuple[int, ...]]) -> None:
-        n = self.txn_count
-        self._cells = cells = bytearray(n * n)
-        for j, column in enumerate(preds):
-            for i in column:
-                cells[i * n + j] = 1
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self._cells[i * self.txn_count + j])
-
-    def successors(self, i: int) -> list[int]:
-        n = self.txn_count
-        base = i * n
-        end = base + n
-        out = []
-        k = self._cells.find(1, base, end)
-        while k != -1:
-            out.append(k - base)
-            k = self._cells.find(1, k + 1, end)
-        return out
-
-    def matrix_bytes(self) -> bytes:
-        return bytes(self._cells)
-
-
-class LinkedListDAG(DependencyDAG):
-    """Per-node successor lists, ascending by construction."""
-
-    def _store(self, preds: list[tuple[int, ...]]) -> None:
-        self._succ = succ = [[] for _ in preds]
-        for j, column in enumerate(preds):
-            for i in column:
-                succ[i].append(j)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self._succ[i]
-
-    def successors(self, i: int) -> list[int]:
-        return list(self._succ[i])
-
-
-_CLASSES = {"matrix": MatrixDAG, "linked-list": LinkedListDAG}
-
-
-def build_dag(block: Block, workers: int = 1, variant: str | None = None) -> DependencyDAG:
-    """Construct the block's dependency DAG, by default as predecessor tuples alone.
-
-    ``variant`` names a representation that adds storage on top ("matrix"
-    or "linked-list"); the default fills none, since no executor, codec or
-    validator reads it. ``workers`` is only range-checked (>= 1) and kept
-    because the benchmark passes it: the single ``address_pass`` runs on the
-    calling thread, since threads cannot overlap pure-Python work under the
-    GIL. The result is the same edge set and indegrees for every variant.
+    ``workers`` is only range-checked (>= 1) and kept because the benchmark
+    passes it: the single ``address_pass`` runs on the calling thread, since
+    threads cannot overlap pure-Python work under the GIL.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    cls = DependencyDAG if variant is None else _CLASSES.get(variant)
-    if cls is None:
-        raise ValueError(f"unknown DAG variant: {variant!r} (expected one of {tuple(_CLASSES)})")
-    return cls(address_pass(block).preds)
+    return DependencyDAG(address_pass(block).preds)
 
 
 def brute_force_dag(block: Block) -> DependencyDAG:
@@ -223,18 +150,16 @@ def brute_force_dag(block: Block) -> DependencyDAG:
     builder has something to be checked against.
     """
     txns = block.transactions
-    return MatrixDAG(
+    return DependencyDAG(
         [[i for i in range(j) if conflicts(txns[i], txn)] for j, txn in enumerate(txns)]
     )
 
 
 def dag_from_shared(block: Block) -> DependencyDAG:
-    """The DAG embedded in a shared block, kept as predecessor tuples only.
+    """The DAG embedded in a shared block, from its declared dependencies.
 
     Duplicate dependencies count once, in indegree too, and a dependency
-    that is negative or not below its transaction raises ``ValueError``. No
-    storage is filled: the validate path only executes this DAG, and the
-    executor reads the tuples.
+    that is negative or not below its transaction raises ``ValueError``.
     """
     if not block.has_shared_dag:
         raise ValueError("block does not carry a shared DAG")

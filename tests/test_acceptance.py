@@ -90,8 +90,7 @@ def test_serializability_and_topological_validity():
                 for p in tree_predecessors(tree, j)
             )
         else:
-            variant = "matrix" if strategy == "adj-dag" else "linked-list"
-            dag = build_dag(block, workers=workers, variant=variant)
+            dag = build_dag(block, workers=workers)
             report = execute_block_parallel(block, dag, store, workers=workers)
             edges = dag.edges()
         context = f"case {i}: {strategy} {family} n={n} pct={pct} w={workers}"
@@ -118,7 +117,7 @@ def test_serializability_and_topological_validity():
 
 
 def test_dag_builder_matches_brute_force_oracle():
-    """Both DAG variants, at 1/2/4/8 workers, equal the pairwise oracle."""
+    """The DAG builder, at 1/2/4/8 workers, equals the pairwise oracle."""
     started = time.perf_counter()
     rng = random.Random(77)
     for trial in range(300):
@@ -138,15 +137,14 @@ def test_dag_builder_matches_brute_force_oracle():
         expected_edges = oracle.edge_set()
         expected_indeg = oracle.indegree_snapshot()
         for workers in WORKER_COUNTS:
-            for variant in ("matrix", "linked-list"):
-                dag = build_dag(block, workers=workers, variant=variant)
-                assert dag.edge_set() == expected_edges, (trial, workers, variant)
-                assert dag.indegree_snapshot() == expected_indeg, (trial, workers, variant)
+            dag = build_dag(block, workers=workers)
+            assert dag.edge_set() == expected_edges, (trial, workers)
+            assert dag.indegree_snapshot() == expected_indeg, (trial, workers)
     elapsed = time.perf_counter() - started
     _report(
         "DAG construction equals brute-force oracle",
         True,
-        f"300 blocks x 8 builder configs, {elapsed:.1f}s",
+        f"300 blocks x 4 builder configs, {elapsed:.1f}s",
     )
 
 
@@ -243,7 +241,7 @@ def test_validation_cheaper_than_construction():
                 shared = attach_dag(block, build_dag(block, workers=2))
                 for _ in range(5):
                     t0 = time.perf_counter()
-                    build_dag(block, workers=2, variant="matrix")
+                    build_dag(block, workers=2)
                     build_times.append(time.perf_counter() - t0)
                     t0 = time.perf_counter()
                     verdict = validate_dag(shared, None, workers=2)

