@@ -2,32 +2,50 @@
 
 ``run_scheduled`` runs a block on the calling thread, which is worker 0, and
 on at most ``workers - 1`` helper threads that it starts only when there is
-work for them. All workers share one lock and condition variable. Under it
-a worker asks a *grant* step for a runnable transaction; after running the
-processor it re-takes the lock, appends the transaction to the schedule and
-calls a *commit* step that releases what waited on it. Appending before the
-lock is released is what makes the recorded schedule a topological order:
-nothing that depends on a transaction can be granted until that transaction
-is already in the schedule.
+work for them. All workers share one lock and condition variable. Each time
+a worker takes the lock it commits the batch it ran last and asks a *grant*
+step for the next batch. Committing appends each transaction to the
+schedule and calls a *commit* step that releases what waited on it.
+Appending before the lock is released is what makes the recorded schedule a
+topological order: nothing that depends on a transaction can be granted
+until that transaction is already in the schedule. A batch holds only
+transactions that were ready together, and ready transactions never
+conflict, so it may run in any order. A crash mid-batch commits the prefix
+that ran before the run fails.
 
-Workers wake and start only for work that is there. After a successful
-grant, the grant step may say whether another grant would succeed now;
-only then, or when it cannot tell, is a waiting worker woken or, with none
-waiting, a helper started (outside the lock). A failed grant stays failed
-until the next commit, so after one no worker grants again before a
-commit; it waits on the condition instead, never on a timer, until woken
-for work, by the end of the run, or by a crash. A chain therefore runs on
-the calling thread alone, with no failed grant and no helper.
+Workers wake and start only for work that is there. A successful grant
+says whether another grant would succeed now; only then, or when it cannot
+tell, is a waiting worker woken or, with none waiting, a helper started
+(outside the lock). A failed grant stays failed until the next commit, so
+after one no worker grants again before a commit; it waits on the
+condition instead, never on a timer, until woken for work, by the end of
+the run, or by a crash. A chain therefore runs on the calling thread alone,
+with no failed grant and no helper.
 
-The DAG executor's grant pops a heap of ready transactions and its commit
-re-checks only the transactions that waited on the committed one, each
-against its own predecessor tuple (``ReadyQueue``); the heap says in O(1)
-whether work is left. The predecessor-tree baseline (``blockdag.tree``)
-plugs its per-address grant check into the same loop and cannot tell.
+A helper is started without handing it the interpreter.
+``threading.Thread.start`` blocks the calling thread until the new thread
+runs, which then keeps the interpreter lock, so at sim 0 a helper that
+cannot overlap anything would run almost the whole block while the calling
+thread waits. ``_start_thread`` uses ``_thread.start_new_thread`` instead:
+a helper first runs when the calling thread blocks (a sleep in the
+processor, a wait on the condition, the final join) or the switch interval
+passes.
+
+The DAG executor's grant (``ReadyQueue.grant``) follows guided
+self-scheduling: up to ceil(ready / workers) of the lowest ready
+transactions, at most ``BATCH_CAP``, so a wide block still spreads over
+every worker. The batch ends early at the first transaction that another
+one waits on, so a chain goes one transaction at a time and a transaction
+that others wait on runs last in its batch. Its commit re-checks only
+the transactions that waited on the committed one, each against its own
+predecessor tuple; the heap says in O(1) whether work is left. The
+predecessor-tree baseline (``blockdag.tree``) plugs its per-address grant
+check into the same loop as batches of one and cannot tell.
 """
 
 from __future__ import annotations
 
+import _thread
 import bisect
 import heapq
 import threading
@@ -36,6 +54,9 @@ import time
 from . import families
 from .dag import DependencyDAG
 from .model import Block, ExecutionReport, StateStore
+
+# Most transactions one grant hands out; a module constant, never a setting.
+BATCH_CAP = 16
 
 
 class ParallelExecutionError(RuntimeError):
@@ -55,6 +76,25 @@ def _report(schedule: list[int], failures: int, wall: float) -> ExecutionReport:
     )
 
 
+def _start_thread(target):
+    """Start ``target()`` on a new thread; return a lock held until it returns.
+
+    Unlike ``threading.Thread.start``, this does not wait for the new thread
+    to run. Joining the thread is acquiring the returned lock.
+    """
+    done = _thread.allocate_lock()
+    done.acquire()
+
+    def run() -> None:
+        try:
+            target()
+        finally:
+            done.release()
+
+    _thread.start_new_thread(run, ())
+    return done
+
+
 def run_scheduled(
     block: Block,
     store: StateStore,
@@ -63,19 +103,19 @@ def run_scheduled(
     commit,
     processor=None,
     sim_work_us: int = 0,
-    more=None,
 ) -> ExecutionReport:
     """Execute every transaction of the block once on up to ``workers`` threads.
 
-    ``grant()`` returns the index of a transaction that may run now, marking
-    it taken, or None when there is none; ``commit(i)`` records that i has
-    finished; ``more()``, when given, says after a successful grant whether
-    another grant would succeed now, and without it the loop assumes one
-    might. All three are only ever called under the loop's one lock. Raises
-    ParallelExecutionError, carrying the partial report, when a processor,
-    a step or a helper's start raises. A ``KeyboardInterrupt`` or
-    ``SystemExit`` on the calling thread propagates unchanged once the
-    helpers have stopped.
+    ``grant(batch)`` appends to the empty list ``batch`` the indices of
+    transactions that may run now, in any order, marking them taken, or
+    leaves it empty when there is none; after a successful grant it returns
+    whether another grant would succeed now, or True when it cannot tell.
+    ``commit(i)`` records that i has finished. Both are only ever called
+    under the loop's one lock. Raises ParallelExecutionError, carrying the
+    partial report, when a processor, a step or a helper's start raises; a
+    crash mid-batch commits the transactions of the batch that ran before
+    it. A ``KeyboardInterrupt`` or ``SystemExit`` on the calling thread
+    propagates unchanged once the helpers have stopped.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -90,31 +130,33 @@ def run_scheduled(
     schedule: list[int] = []
     failures = 0
     errors: list[BaseException] = []
-    helpers: list[threading.Thread] = []
+    helpers: list = []  # per started helper, the lock it holds until it returns
     spawned = 0  # helpers reserved under the lock; at most workers - 1
     waiting = 0
     stale = False  # a grant failed and nothing has committed since
 
     def work() -> None:
         nonlocal failures, spawned, waiting, stale
+        batch: list[int] = []  # granted, then run, then committed; reused
+        bad = 0  # processor failures in the batch
         index = None
-        ok = True
         while True:
-            spawn = 0
+            spawn = False
             with lock:
-                if index is not None:
-                    schedule.append(index)
-                    if not ok:
-                        failures += 1
-                    commit(index)
+                if batch:
+                    for index in batch:
+                        schedule.append(index)
+                        commit(index)
+                    failures += bad
+                    batch.clear()
                     stale = False
                 while True:
                     if errors or len(schedule) == n:
                         cond.notify_all()
                         return
                     if not stale:
-                        index = grant()
-                        if index is not None:
+                        more = grant(batch)
+                        if batch:
                             break
                         stale = True
                     waiting += 1
@@ -122,23 +164,33 @@ def run_scheduled(
                     waiting -= 1
                 # Hand on only work that is there: a woken waiter that also
                 # finds more passes the wake-up on in turn.
-                if more is None or more():
+                if more:
                     if waiting:
                         cond.notify()
                     elif spawned < workers - 1:
                         spawned += 1
-                        spawn = spawned
+                        spawn = True
             if spawn:
-                # Started outside the lock, and listed only once started:
-                # every listed helper was started by the calling thread or
-                # by a helper listed before it, so joining in list order
-                # joins them all.
-                thread = threading.Thread(target=helper, name=f"exec-{spawn}")
-                thread.start()
-                helpers.append(thread)
-            ok = processor(txns[index], store)
-            if sim_work_s:
-                time.sleep(sim_work_s)
+                # Listed only once started: every listed helper was started
+                # by the calling thread or by a helper listed before it, so
+                # joining in list order joins them all.
+                helpers.append(_start_thread(helper))
+            bad = 0
+            try:
+                for index in batch:
+                    if not processor(txns[index], store):
+                        bad += 1
+                    if sim_work_s:
+                        time.sleep(sim_work_s)
+            except BaseException:
+                # Commit what ran before the transaction that raised; an
+                # interrupt before the first one leaves index outside batch.
+                with lock:
+                    for index in batch[: batch.index(index) if index in batch else 0]:
+                        schedule.append(index)
+                        commit(index)
+                    failures += bad
+                raise
 
     def fail(exc: BaseException) -> None:
         with lock:
@@ -152,8 +204,10 @@ def run_scheduled(
             fail(exc)
 
     def join_helpers() -> None:
-        for thread in helpers:
-            thread.join()
+        # Released again at once, so that joining twice cannot deadlock.
+        for done in helpers:
+            done.acquire()
+            done.release()
 
     started = time.perf_counter()
     try:
@@ -184,17 +238,20 @@ class ReadyQueue:
     rest are checked downwards from it, but only down to ``low``: every
     index below ``low`` has committed, and bisect skips them. ``upper[j]``
     is the position in j's tuple of the predecessor j waits on, and only
-    falls, so no predecessor is checked twice for the same transaction. A
-    chain therefore costs one bisect per commit, and nothing more than one
-    check per edge is ever spent.
+    falls, so no predecessor is checked twice for the same transaction, and
+    nothing more than one check per edge is ever spent. A chain link's next
+    predecessor is already below ``low``, so a chain costs no bisect.
 
     A transaction enters the heap at the commit of its last predecessor,
-    and the lowest ready index is granted first, as the tree baseline does:
-    in arrival order, a transaction on a long dependency chain would wait
-    behind every independent one that became ready before it.
+    and the lowest ready indices are granted first, as the tree baseline
+    does: in arrival order, a transaction on a long dependency chain would
+    wait behind every independent one that became ready before it.
+    ``workers`` is the number of workers that share the queue; a grant
+    hands each of them about an equal share of what is ready.
     """
 
-    def __init__(self, dag: DependencyDAG) -> None:
+    def __init__(self, dag: DependencyDAG, workers: int = 1) -> None:
+        self.workers = workers
         self.preds = preds = dag.predecessor_lists()
         self.done = bytearray(dag.txn_count)
         self.low = 0
@@ -209,13 +266,30 @@ class ReadyQueue:
                 ready.append(j)
         self.ready = ready  # ascending, so already a heap
 
-    def grant(self) -> int | None:
-        """The lowest-index ready transaction, or None when none is ready."""
-        return heapq.heappop(self.ready) if self.ready else None
+    def grant(self, batch: list[int]) -> bool:
+        """Append the next batch to the empty list ``batch`` and return
+        whether another grant would succeed now.
 
-    def more(self) -> bool:
-        """Whether a grant would succeed now."""
-        return bool(self.ready)
+        The batch is up to ceil(ready / workers) of the lowest ready
+        transactions, at most ``BATCH_CAP``, and ends early at the first one
+        that another transaction waits on. It stays empty when none is ready.
+        """
+        ready = self.ready
+        size = len(ready)
+        if size < 2:  # a chain's case, kept as cheap as a single pop
+            if size:
+                batch.append(ready.pop())
+            return False
+        size = (size - 1) // self.workers + 1
+        if size > BATCH_CAP:
+            size = BATCH_CAP
+        waiters = self.waiters
+        while True:
+            index = heapq.heappop(ready)
+            batch.append(index)
+            size -= 1
+            if not size or not ready or index in waiters:
+                return bool(ready)
 
     def commit(self, index: int) -> None:
         """Mark a transaction finished and release what it was last to block."""
@@ -232,16 +306,16 @@ class ReadyQueue:
         preds, upper, waiters, low = self.preds, self.upper, self.waiters, self.low
         for j in waiting:
             p = preds[j]
-            k = upper[j]
-            floor = bisect.bisect_left(p, low, 0, k)
-            k -= 1
-            while k >= floor and done[p[k]]:
-                k -= 1
-            if k < floor:
-                heapq.heappush(self.ready, j)
-            else:
-                upper[j] = k
-                waiters.setdefault(p[k], []).append(j)
+            k = upper[j] - 1
+            if k >= 0 and p[k] >= low:
+                floor = bisect.bisect_left(p, low, 0, k)
+                while k >= floor and done[p[k]]:
+                    k -= 1
+                if k >= floor:
+                    upper[j] = k
+                    waiters.setdefault(p[k], []).append(j)
+                    continue
+            heapq.heappush(self.ready, j)
 
 
 def execute_block_parallel(
@@ -258,9 +332,9 @@ def execute_block_parallel(
     """
     if dag.txn_count != block.txn_count:
         raise ValueError("DAG does not match block")
-    queue = ReadyQueue(dag)
+    queue = ReadyQueue(dag, workers)
     return run_scheduled(
-        block, store, workers, queue.grant, queue.commit, processor, sim_work_us, queue.more
+        block, store, workers, queue.grant, queue.commit, processor, sim_work_us
     )
 
 

@@ -8,9 +8,10 @@ pattern — that per-address bookkeeping, serialized behind one lock, is the
 cost this design pays relative to the DAG scheduler, and it is preserved
 here on purpose. Workers run on the same blocking loop as the DAG executor
 (``blockdag.scheduler.run_scheduled``), with this grant check and
-``TreeRun.mark_done`` as its grant and commit steps. The check cannot tell
-whether another transaction is grantable without a second scan, so after
-each successful grant the loop wakes a waiter or starts a helper.
+``TreeRun.mark_done`` as its grant and commit steps, granting batches of
+one. The check cannot tell whether another transaction is grantable without
+a second scan, so after each successful grant the loop wakes a waiter or
+starts a helper.
 """
 
 from __future__ import annotations
@@ -193,11 +194,19 @@ def execute_block_tree(
     if tree.txn_count != block.txn_count:
         raise ValueError("tree does not match block")
     run = TreeRun(tree)
+
+    def grant(batch: list[int]) -> bool:
+        index = tree_next_txn(tree, run)
+        if index is None:
+            return False
+        batch.append(index)
+        return True  # cannot tell without a second scan
+
     return run_scheduled(
         block,
         store,
         workers,
-        lambda: tree_next_txn(tree, run),
+        grant,
         run.mark_done,
         processor,
         sim_work_us,

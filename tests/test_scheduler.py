@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import heapq
 import random
@@ -52,34 +53,66 @@ def _chain_block(n):
     return structural_block(specs)
 
 
+def _single(dag):
+    """A ready queue whose every grant is one transaction: with at least as
+    many workers as transactions, ceil(ready / workers) is 1."""
+    return ReadyQueue(dag, workers=max(1, dag.txn_count))
+
+
+def _grant(queue):
+    batch = []
+    queue.grant(batch)
+    assert len(batch) <= 1
+    return batch[0] if batch else None
+
+
 def test_grant_takes_lowest_ready_first():
     block = structural_block(
         [(set(), {b"A"}), ({b"A"}, set()), (set(), {b"B"}), (set(), {b"C"})]
     )
-    queue = ReadyQueue(build_dag(block))
-    assert queue.grant() == 0
+    queue = _single(build_dag(block))
+    assert _grant(queue) == 0
     # 1 waits for 0, so the next grant skips to 2
-    assert queue.grant() == 2
+    assert _grant(queue) == 2
     queue.commit(0)
     # 1 is released after 3 became ready, and still goes first
-    assert [queue.grant() for _ in range(3)] == [1, 3, None]
+    assert [_grant(queue) for _ in range(3)] == [1, 3, None]
 
 
 class _IndegreeQueue:
     """Reference model of the ready queue: successor lists from the edge
-    walk, one indegree count per transaction, a heap of ready indices."""
+    walk, one indegree count per transaction, a heap of ready indices, and
+    the batch rule spelt out over them."""
 
     def __init__(self, dag):
         self.successors = [[] for _ in range(dag.txn_count)]
         for i, j in dag.edges():
             self.successors[i].append(j)
+        self.preds = dag.predecessor_lists()
         self.indegree = dag.indegree_snapshot()
+        self.committed = set()
         self.ready = [i for i, d in enumerate(self.indegree) if d == 0]
 
-    def grant(self):
-        return heapq.heappop(self.ready) if self.ready else None
+    def waited_on(self, index):
+        """Whether a transaction that is not ready waits on ``index``: it is
+        that transaction's highest uncommitted predecessor."""
+        return any(
+            self.indegree[j]
+            and max(p for p in self.preds[j] if p not in self.committed) == index
+            for j in self.successors[index]
+        )
+
+    def grant(self, workers):
+        size = min(scheduler.BATCH_CAP, -(-len(self.ready) // workers))
+        batch = []
+        while self.ready and len(batch) < size:
+            batch.append(heapq.heappop(self.ready))
+            if self.waited_on(batch[-1]):
+                break
+        return batch
 
     def commit(self, index):
+        self.committed.add(index)
         for j in self.successors[index]:
             self.indegree[j] -= 1
             if not self.indegree[j]:
@@ -111,26 +144,81 @@ def test_ready_queue_grants_match_indegree_model_under_random_interleavings():
             else random_family_block(rng, n=rng.randrange(2, 120))
         )
         for dag in _dags_for(block, rng):
-            queue, model = ReadyQueue(dag), _IndegreeQueue(dag)
+            n = dag.txn_count
+            workers = rng.choice((1, 2, 3, 8, max(1, n)))
+            queue, model = ReadyQueue(dag, workers), _IndegreeQueue(dag)
+            edges = dag.edge_set()
             running: list[int] = []
             committed = 0
-            while committed < dag.txn_count:
+            while committed < n:
                 if running and rng.random() < 0.5:
                     index = running.pop(rng.randrange(len(running)))
                     queue.commit(index)
                     model.commit(index)
                     committed += 1
                 else:
-                    granted = queue.grant()
-                    assert granted == model.grant()
-                    assert queue.more() == bool(model.ready)
-                    if granted is None:
-                        assert running, "nothing ready and nothing running"
+                    ready = len(model.ready)
+                    batch: list[int] = []
+                    more = queue.grant(batch)
+                    assert batch == sorted(batch)
+                    assert len(batch) <= min(scheduler.BATCH_CAP, -(-ready // workers))
+                    assert not any(model.waited_on(i) for i in batch[:-1])
+                    assert not any((i, j) in edges for i in batch for j in batch)
+                    assert batch == model.grant(workers)
+                    if batch:
+                        assert more == bool(model.ready)
                     else:
-                        running.append(granted)
+                        assert running, "nothing ready and nothing running"
+                    running.extend(batch)
                 steps += 1
-            assert queue.grant() is None and model.grant() is None
+            batch = []
+            queue.grant(batch)
+            assert batch == [] and model.grant(workers) == []
     assert steps > 5000
+
+
+def _batches(queue):
+    """Grant and commit batch after batch until the queue is empty."""
+    batches = []
+    while True:
+        batch: list[int] = []
+        queue.grant(batch)
+        if not batch:
+            return batches
+        batches.append(batch)
+        for index in batch:
+            queue.commit(index)
+
+
+def test_batch_sizes_follow_guided_self_scheduling():
+    dag = build_dag(structural_block([(set(), {b"k%d" % i}) for i in range(40)]))
+    for workers, sizes in ((1, [16, 16, 8]), (2, [16, 12, 6, 3, 2, 1]), (40, [1] * 40)):
+        queue = ReadyQueue(dag, workers)
+        granted = []
+        while True:
+            batch: list[int] = []
+            queue.grant(batch)
+            if not batch:
+                break
+            granted.append(batch)
+        assert [len(batch) for batch in granted] == sizes
+        assert [i for batch in granted for i in batch] == list(range(40))
+
+
+def test_batch_ends_at_the_first_waited_on_transaction():
+    # 0 and 3 are chain heads that 6 and 7 wait on; the rest are independent
+    block = structural_block(
+        [(set(), {b"A"}), (set(), {b"B"}), (set(), {b"C"}), (set(), {b"D"}),
+         (set(), {b"E"}), (set(), {b"F"}), ({b"A"}, set()), ({b"D"}, set())]
+    )
+    queue = ReadyQueue(build_dag(block), workers=1)
+    assert _batches(queue) == [[0], [1, 2, 3], [4, 5, 6, 7]]
+
+
+def test_a_chain_is_granted_one_transaction_at_a_time():
+    block = _chain_block(30)
+    for workers in (1, 2, 4):
+        assert _batches(ReadyQueue(build_dag(block), workers)) == [[i] for i in range(30)]
 
 
 def _waves(queue):
@@ -138,7 +226,7 @@ def _waves(queue):
     waves = []
     while True:
         wave = []
-        while (index := queue.grant()) is not None:
+        while (index := _grant(queue)) is not None:
             wave.append(index)
         if not wave:
             return waves
@@ -165,25 +253,25 @@ def test_ready_queue_grants_match_both_variants():
         expected = _levels(block.txn_count, brute_force_dag(block).edges())
         built = build_dag(block)
         for dag in (built, dag_from_shared(attach_dag(block, built))):
-            assert _waves(ReadyQueue(dag)) == expected
+            assert _waves(_single(dag)) == expected
 
 
 def test_grant_returns_none_until_commit():
     block = structural_block([(set(), {b"A"}), ({b"A"}, set())])
-    queue = ReadyQueue(build_dag(block))
-    assert queue.grant() == 0
+    queue = _single(build_dag(block))
+    assert _grant(queue) == 0
     # granted but uncommitted predecessor: successor stays unavailable
-    assert queue.grant() is None
+    assert _grant(queue) is None
     queue.commit(0)
-    assert queue.grant() == 1
+    assert _grant(queue) == 1
 
 
 def test_grant_returns_none_after_every_commit():
     block = structural_block([(set(), {b"A"}), (set(), {b"B"})])
-    queue = ReadyQueue(build_dag(block))
+    queue = _single(build_dag(block))
     for _ in range(2):
-        queue.commit(queue.grant())
-    assert queue.grant() is None
+        queue.commit(_grant(queue))
+    assert _grant(queue) is None
 
 
 def test_commit_releases_each_successor_once():
@@ -199,31 +287,31 @@ def test_commit_releases_each_successor_once():
     )
     dag = build_dag(block)
     before = (dag.indegree_snapshot(), dag.predecessor_lists())
-    queue = ReadyQueue(dag)
-    assert queue.grant() == 0
+    queue = _single(dag)
+    assert _grant(queue) == 0
     queue.commit(0)
     # 4 had no other predecessor and is queued behind the initial ready set;
     # 5 still waits for 2, and 3 for 1
-    assert [queue.grant() for _ in range(4)] == [1, 2, 4, None]
+    assert [_grant(queue) for _ in range(4)] == [1, 2, 4, None]
     queue.commit(2)
-    assert [queue.grant() for _ in range(2)] == [5, None]
+    assert [_grant(queue) for _ in range(2)] == [5, None]
     queue.commit(1)
-    assert [queue.grant() for _ in range(2)] == [3, None]
+    assert [_grant(queue) for _ in range(2)] == [3, None]
     for index in (3, 4, 5):
         queue.commit(index)
-    assert queue.grant() is None
+    assert _grant(queue) is None
     assert (dag.indegree_snapshot(), dag.predecessor_lists()) == before
 
 
 def test_commit_without_successors_touches_nothing_else():
     block = structural_block([(set(), {b"A"}), (set(), {b"B"}), ({b"A"}, set())])
-    queue = ReadyQueue(build_dag(block))
-    assert [queue.grant() for _ in range(3)] == [0, 1, None]
+    queue = _single(build_dag(block))
+    assert [_grant(queue) for _ in range(3)] == [0, 1, None]
     # nothing waits on 1, so its commit releases nothing
     queue.commit(1)
-    assert queue.grant() is None
+    assert _grant(queue) is None
     queue.commit(0)
-    assert [queue.grant() for _ in range(2)] == [2, None]
+    assert [_grant(queue) for _ in range(2)] == [2, None]
 
 
 def test_chain_schedules_in_order_for_any_worker_count():
@@ -460,55 +548,78 @@ def _prefix_then_chain(width, length):
 
 
 class _LoopSpy:
-    """Replaces the scheduler's threading module: records every helper the
-    loop starts and every thread that waits on its condition, and can make
-    the ``fail_start_at``-th start raise as a thread limit would."""
+    """Replaces the scheduler's helper start and its threading module: records
+    every helper the loop starts and, by ``threading.get_ident()``, every
+    thread that runs as a helper or waits on the loop's condition, and can
+    make the ``fail_start_at``-th start raise as a thread limit would."""
 
     def __init__(self, monkeypatch, fail_start_at=None):
-        self.attempts: list[threading.Thread] = []
-        self.started: list[threading.Thread] = []
-        self.waited: set[threading.Thread] = set()
+        self.attempts: list = []
+        self.started: list = []  # one entry per helper whose start succeeded
+        self.helpers: set[int] = set()  # idents of threads that ran as helpers
+        self.returned: list[int] = []  # idents of helpers whose loop returned
+        self.waited: set[int] = set()
         spy = self
+        start = scheduler._start_thread
 
-        class Thread(threading.Thread):
-            def start(self):
-                spy.attempts.append(self)
-                if len(spy.attempts) == fail_start_at:
-                    raise RuntimeError("can't start new thread")
-                super().start()
-                spy.started.append(self)
+        def spy_start(target):
+            spy.attempts.append(target)
+            if len(spy.attempts) == fail_start_at:
+                raise RuntimeError("can't start new thread")
+
+            def traced():
+                ident = threading.get_ident()
+                spy.helpers.add(ident)
+                try:
+                    target()
+                finally:
+                    # before the scheduler's join lock is released
+                    spy.returned.append(ident)
+
+            done = start(traced)
+            spy.started.append(done)
+            return done
 
         class Condition(threading.Condition):
             def wait(self, timeout=None):
-                spy.waited.add(threading.current_thread())
+                spy.waited.add(threading.get_ident())
                 return super().wait(timeout)
 
         fake = types.ModuleType("threading")
         fake.__dict__.update(vars(threading))
-        fake.Thread, fake.Condition = Thread, Condition
+        fake.Condition = Condition
         monkeypatch.setattr(scheduler, "threading", fake)
+        monkeypatch.setattr(scheduler, "_start_thread", spy_start)
 
     def helpers_stopped(self):
-        return not any(t.is_alive() for t in self.started)
+        """Every started helper ran and its loop returned."""
+        return len(self.returned) == len(self.started) == len(self.helpers)
 
 
 def _count_failed_grants(monkeypatch):
-    """Wrap both executors' grant steps; returns the list of failed grants."""
-    failed = []
+    """Wrap the grant steps both executors call; returns the list of failed
+    grants and the list of every grant, so a test can tell that the wrapped
+    step ran at all."""
+    failed, calls = [], []
     ready_grant, tree_grant = ReadyQueue.grant, tree_module.tree_next_txn
 
-    def counted(grant):
-        def wrapper(*args):
-            index = grant(*args)
-            if index is None:
-                failed.append(index)
-            return index
+    def counted_batch(queue, batch):
+        more = ready_grant(queue, batch)
+        calls.append(list(batch))
+        if not batch:
+            failed.append(None)
+        return more
 
-        return wrapper
+    def counted(*args):
+        index = tree_grant(*args)
+        calls.append(index)
+        if index is None:
+            failed.append(index)
+        return index
 
-    monkeypatch.setattr(ReadyQueue, "grant", counted(ready_grant))
-    monkeypatch.setattr(tree_module, "tree_next_txn", counted(tree_grant))
-    return failed
+    monkeypatch.setattr(ReadyQueue, "grant", counted_batch)
+    monkeypatch.setattr(tree_module, "tree_next_txn", counted)
+    return failed, calls
 
 
 @EXECUTORS
@@ -530,7 +641,7 @@ def test_crash_while_workers_wait_is_typed_with_partial_report(execute, monkeypa
     assert isinstance(error.__cause__, RuntimeError)
     assert sorted(error.report.schedule) == [0, 1, 2, 3, 4]
     assert [i for i in error.report.schedule if i >= 3] == [3, 4]
-    assert spy.waited & set(spy.started), "no helper waited"
+    assert spy.waited & spy.helpers, "no helper waited"
     assert spy.helpers_stopped()
 
 
@@ -555,18 +666,19 @@ def test_idle_workers_do_not_poll(execute, monkeypatch):
     report = execute(block, store, 4, processor=slow_chain_head, sim_work_us=0)
     assert state_digest(store) == state_digest(serial_store)
     assert [i for i in report.schedule if i >= 3] == list(range(3, block.txn_count))
-    assert spy.waited & set(spy.started), "no helper waited"
+    assert spy.waited & spy.helpers, "no helper waited"
 
 
 def test_dag_executor_runs_a_chain_alone_without_failed_grants(monkeypatch):
     spy = _LoopSpy(monkeypatch)
-    failed = _count_failed_grants(monkeypatch)
+    failed, calls = _count_failed_grants(monkeypatch)
     block = _voting_block(40)
     serial_store, store = StateStore(), StateStore()
     execute_block_serial(block, serial_store)
     report = _run_dag(block, store, 4, sim_work_us=50)
     assert report.schedule == list(range(block.txn_count))
     assert state_digest(store) == state_digest(serial_store)
+    assert calls == [[i] for i in range(block.txn_count)]
     assert failed == []
     assert spy.attempts == []
 
@@ -608,10 +720,70 @@ def test_wide_block_starts_every_helper_and_overlaps_processors(execute, monkeyp
     assert spy.helpers_stopped()
 
 
+def test_crash_mid_batch_commits_the_prefix_that_ran():
+    rng = random.Random(157)
+    checked = 0
+    for _ in range(30):
+        block = random_family_block(rng, n=rng.randrange(20, 120))
+        dag = build_dag(block)
+        # with one worker the executor runs the queue's batches in order
+        batches = _batches(ReadyQueue(dag, 1))
+        wide = [k for k, batch in enumerate(batches) if len(batch) > 1]
+        if not wide:
+            continue
+        k = rng.choice(wide)
+        pos = rng.randrange(1, len(batches[k]))
+        crash_at = batches[k][pos]
+        outcomes = {}
+
+        def crashing(txn, store):
+            if txn.index == crash_at:
+                raise RuntimeError("processor blew up")
+            outcomes[txn.index] = apply_transaction(txn, store)
+            return outcomes[txn.index]
+
+        with pytest.raises(ParallelExecutionError) as excinfo:
+            execute_block_parallel(block, dag, StateStore(), 1, processor=crashing)
+        report = excinfo.value.report
+        assert report.schedule == [i for batch in batches[:k] for i in batch] + batches[k][:pos]
+        assert len(set(report.schedule)) == len(report.schedule)
+        position = {index: p for p, index in enumerate(report.schedule)}
+        for i, j in dag.edges():
+            if j in position:
+                assert i in position and position[i] < position[j]
+        assert report.txn_failures == sum(not outcomes[i] for i in report.schedule)
+        checked += 1
+    assert checked >= 10
+
+
+@EXECUTORS
+def test_calling_thread_keeps_a_wide_block_at_sim_zero(execute):
+    """A helper cannot overlap anything at sim 0, so starting one must not
+    hand it the run: with a long switch interval the calling thread runs at
+    least half the transactions."""
+    block = generate_block(
+        WorkloadSpec(family="wallet", txns_per_block=1000, dependency_pct=20, rng_seed=1)
+    )
+    ran = collections.Counter()
+
+    def counting(txn, store):
+        ran[threading.get_ident()] += 1
+        return apply_transaction(txn, store)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        report = execute(block, StateStore(), 2, processor=counting)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_exactly_once(report.schedule, block.txn_count)
+    assert ran[threading.get_ident()] >= block.txn_count / 2
+
+
 @EXECUTORS
 @pytest.mark.parametrize("make", ["voting", "wallet", "prefix-chain"])
 def test_failed_grants_do_not_exceed_commits(execute, make, monkeypatch):
-    failed = _count_failed_grants(monkeypatch)
+    failed, calls = _count_failed_grants(monkeypatch)
     block = {
         "voting": lambda: _voting_block(60),
         "wallet": lambda: generate_block(
@@ -621,6 +793,7 @@ def test_failed_grants_do_not_exceed_commits(execute, make, monkeypatch):
     }[make]()
     report = execute(block, StateStore(), 4, sim_work_us=50)
     assert_exactly_once(report.schedule, block.txn_count)
+    assert len(calls) > len(failed)
     assert len(failed) <= block.txn_count
 
 
@@ -633,13 +806,13 @@ def test_interrupt_on_the_calling_thread_propagates_unchanged(execute, kind, mon
     caller = []
 
     def interrupted(txn, store):
-        if threading.current_thread() is caller[0] and len(spy.started) == 3:
+        if threading.get_ident() == caller[0] and len(spy.started) == 3:
             raise interrupt
         time.sleep(0.001)
         return apply_transaction(txn, store)
 
     def run():
-        caller.append(threading.current_thread())
+        caller.append(threading.get_ident())
         return execute(block, StateStore(), 4, processor=interrupted)
 
     result = _within(10, run)
