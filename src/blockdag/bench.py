@@ -3,7 +3,8 @@
 One plan varies exactly one parameter (number of blocks, transactions per
 block, dependency percentage, or — as a local extension — worker count)
 while everything else stays fixed, and emits one CSV row per
-(axis value, strategy). Wall time for data-structure construction is kept
+(axis value, strategy); the ``adj-dag`` and ``ll-dag`` rows share one
+measurement. Wall time for data-structure construction is kept
 separate from execution wall time, and every block of every run is checked
 against the serial-execution digest: divergence aborts the experiment.
 
@@ -29,6 +30,8 @@ from .workload import ConflictMetrics, WorkloadSpec, _metrics_from_pass, generat
 STRATEGIES = ("serial", "tree", "adj-dag", "ll-dag", "smart-validate")
 AXES = ("num_blocks", "txns_per_block", "dependency_pct", "workers")
 CSV_HEADER = "axis,value,strategy,mean_ms,tps,cp1,cp2,cp3,ds_build_ms,verdict"
+# Strategy names that build and run the same DAG, so one measurement fills both rows.
+_SAME_DAG = ("adj-dag", "ll-dag")
 
 
 class OracleDivergenceError(RuntimeError):
@@ -108,7 +111,7 @@ def _run_rep(strategy, blocks, shared_blocks, references, workers, sim_work_us):
             tree = build_predecessor_tree(block)
             build_wall += time.perf_counter() - t0
             report = execute_block_tree(block, tree, store, workers, sim_work_us=sim_work_us)
-        elif strategy in ("adj-dag", "ll-dag"):
+        elif strategy in _SAME_DAG:
             t0 = time.perf_counter()
             dag = build_dag(block, workers=workers)
             build_wall += time.perf_counter() - t0
@@ -162,6 +165,7 @@ def run_experiment(plan: ExperimentPlan) -> list[dict]:
         cp2 = statistics.fmean(m.cp2 for m in metrics)
         cp3 = statistics.fmean(m.cp3 for m in metrics)
         total_txns = spec.txns_per_block * spec.num_blocks
+        measured: dict[str, list[tuple]] = {}
         for strategy in plan.strategies:
             row = {
                 "axis": plan.axis,
@@ -171,17 +175,14 @@ def run_experiment(plan: ExperimentPlan) -> list[dict]:
                 "cp2": f"{cp2:.4f}",
                 "cp3": f"{cp3:.2f}",
             }
+            key = "dag" if strategy in _SAME_DAG else strategy
             try:
-                exec_walls = []
-                build_walls = []
-                verdicts: list[Verdict] = []
-                for _ in range(plan.repetitions):
-                    exec_wall, build_wall, rep_verdicts = _run_rep(
-                        strategy, blocks, shared_blocks, references, workers, plan.sim_work_us
-                    )
-                    exec_walls.append(exec_wall)
-                    build_walls.append(build_wall)
-                    verdicts.extend(rep_verdicts)
+                if key not in measured:
+                    measured[key] = list(zip(*(
+                        _run_rep(strategy, blocks, shared_blocks, references, workers, plan.sim_work_us)
+                        for _ in range(plan.repetitions)
+                    )))
+                exec_walls, build_walls, rep_verdicts = measured[key]
             except OracleDivergenceError:
                 raise
             except Exception as exc:  # noqa: BLE001 - recorded per-row, run continues
@@ -199,7 +200,7 @@ def run_experiment(plan: ExperimentPlan) -> list[dict]:
             )
             row["ds_build_ms"] = f"{statistics.fmean(build_walls) * 1000:.3f}"
             if strategy == "smart-validate":
-                bad = [v for v in verdicts if v is not Verdict.HONEST]
+                bad = [v for vs in rep_verdicts for v in vs if v is not Verdict.HONEST]
                 row["verdict"] = (bad[0] if bad else Verdict.HONEST).value
             else:
                 row["verdict"] = "-"

@@ -29,7 +29,11 @@ cannot overlap anything would run almost the whole block while the calling
 thread waits. ``_start_thread`` uses ``_thread.start_new_thread`` instead:
 a helper first runs when the calling thread blocks (a sleep in the
 processor, a wait on the condition, the final join) or the switch interval
-passes.
+passes. Helpers are therefore threads that ``threading`` does not track. A
+processor that calls ``threading.current_thread()`` on a helper leaves a
+``_DummyThread`` entry in ``threading.enumerate()`` after the helper exits;
+entries are keyed by thread id, so a later helper reuses one rather than
+piling up more.
 
 The DAG executor's grant (``ReadyQueue.grant``) follows guided
 self-scheduling: up to ceil(ready / workers) of the lowest ready

@@ -1,7 +1,9 @@
 """Predecessor-tree scheduler: the address-keyed parallel baseline.
 
-Every address in the block maps to a leaf of a byte-keyed prefix tree whose
-node records which transactions read and write it. Construction is serial.
+Every address in the block maps to one record of a per-address table that
+lists which transactions read and write it. Addresses conflict only when
+they are equal (``blockdag.dag.conflicts``), so unlike a radix tree over
+address prefixes the table needs no prefix walk. Construction is serial.
 To grant a transaction, the scheduler re-checks the completion status of all
 lower-index transactions sharing an address with it in a conflicting
 pattern — that per-address bookkeeping, serialized behind one lock, is the
@@ -26,47 +28,29 @@ RUNNING = 1
 DONE = 2
 
 
-class _TrieNode:
-    __slots__ = ("children", "read_list", "write_list", "leaf_id")
+class _AddressRecord:
+    __slots__ = ("read_list", "write_list", "slot")
 
-    def __init__(self) -> None:
-        self.children: dict[int, _TrieNode] = {}
+    def __init__(self, slot: int) -> None:
         self.read_list: list[int] = []
         self.write_list: list[int] = []
-        self.leaf_id = -1
+        self.slot = slot  # index into TreeRun's done-prefix arrays
 
 
 class PredecessorTree:
-    """Prefix tree over address bytes with per-node read/write lists."""
+    """Per-address table: each address maps to the ascending lists of the
+    transactions that read and write it. Addresses conflict only when equal,
+    so no prefix walk is needed."""
 
     def __init__(self) -> None:
-        self.root = _TrieNode()
-        self.leaf_count = 0
+        self._records: dict[bytes, _AddressRecord] = {}
         self.txn_count = 0
-        # Per transaction: (node, writes_here) for each touched address, so
-        # grant checks do not re-walk the trie.
-        self._txn_nodes: list[list[tuple[_TrieNode, bool]]] = []
+        # Per transaction: (record, writes_here) for each touched address, so
+        # grant checks do not look addresses up again.
+        self._txn_records: list[list[tuple[_AddressRecord, bool]]] = []
 
-    def _descend(self, address: bytes) -> _TrieNode:
-        node = self.root
-        for byte in address:
-            child = node.children.get(byte)
-            if child is None:
-                child = _TrieNode()
-                node.children[byte] = child
-            node = child
-        if node.leaf_id < 0:
-            node.leaf_id = self.leaf_count
-            self.leaf_count += 1
-        return node
-
-    def node(self, address: bytes) -> _TrieNode | None:
-        node = self.root
-        for byte in address:
-            node = node.children.get(byte)
-            if node is None:
-                return None
-        return node
+    def node(self, address: bytes) -> _AddressRecord | None:
+        return self._records.get(address)
 
 
 def tree_insert(tree: PredecessorTree, txn: Transaction) -> None:
@@ -75,16 +59,19 @@ def tree_insert(tree: PredecessorTree, txn: Transaction) -> None:
         raise ValueError(
             f"insertions must follow index order: got {txn.index}, expected {tree.txn_count}"
         )
-    entry: list[tuple[_TrieNode, bool]] = []
+    records = tree._records
+    entry: list[tuple[_AddressRecord, bool]] = []
     for address in sorted(txn.read_set | txn.write_set):
-        node = tree._descend(address)
+        record = records.get(address)
+        if record is None:
+            record = records[address] = _AddressRecord(len(records))
         writes = address in txn.write_set
         if address in txn.read_set:
-            node.read_list.append(txn.index)
+            record.read_list.append(txn.index)
         if writes:
-            node.write_list.append(txn.index)
-        entry.append((node, writes))
-    tree._txn_nodes.append(entry)
+            record.write_list.append(txn.index)
+        entry.append((record, writes))
+    tree._txn_records.append(entry)
     tree.txn_count += 1
 
 
@@ -97,11 +84,12 @@ def build_predecessor_tree(block: Block) -> PredecessorTree:
 
 @dataclass
 class TreeRun:
-    """Per-run scheduling state: txn status plus per-node done-prefix hints.
+    """Per-run scheduling state: txn status plus per-address done-prefix hints.
 
-    The hint arrays track how many leading entries of each node's lists are
-    DONE; they only ever advance, which is safe because status transitions
-    are monotonic. A fresh TreeRun makes the tree reusable across runs.
+    The hint arrays, indexed by each record's slot, track how many leading
+    entries of each address's lists are DONE; they only ever advance, which
+    is safe because status transitions are monotonic. A fresh TreeRun makes
+    the tree reusable across runs.
     """
 
     tree: PredecessorTree
@@ -113,8 +101,9 @@ class TreeRun:
 
     def __post_init__(self) -> None:
         self.status = [UNSCHEDULED] * self.tree.txn_count
-        self._read_ptr = [0] * self.tree.leaf_count
-        self._write_ptr = [0] * self.tree.leaf_count
+        slots = len(self.tree._records)
+        self._read_ptr = [0] * slots
+        self._write_ptr = [0] * slots
 
     def mark_done(self, index: int) -> None:
         if self.status[index] != RUNNING:
@@ -123,12 +112,12 @@ class TreeRun:
         self.done_count += 1
 
 
-def _lower_entries_done(lst: list[int], ptrs: list[int], leaf: int, status: list[int], limit: int) -> bool:
-    p = ptrs[leaf]
+def _lower_entries_done(lst: list[int], ptrs: list[int], slot: int, status: list[int], limit: int) -> bool:
+    p = ptrs[slot]
     size = len(lst)
     while p < size and status[lst[p]] == DONE:
         p += 1
-    ptrs[leaf] = p
+    ptrs[slot] = p
     return p >= size or lst[p] >= limit
 
 
@@ -136,11 +125,11 @@ def _grantable(tree: PredecessorTree, run: TreeRun, index: int) -> bool:
     # A read competes with earlier writers; a write also competes with
     # earlier readers. Read-read sharing never blocks.
     status = run.status
-    for node, writes in tree._txn_nodes[index]:
-        leaf = node.leaf_id
-        if not _lower_entries_done(node.write_list, run._write_ptr, leaf, status, index):
+    for record, writes in tree._txn_records[index]:
+        slot = record.slot
+        if not _lower_entries_done(record.write_list, run._write_ptr, slot, status, index):
             return False
-        if writes and not _lower_entries_done(node.read_list, run._read_ptr, leaf, status, index):
+        if writes and not _lower_entries_done(record.read_list, run._read_ptr, slot, status, index):
             return False
     return True
 
@@ -167,12 +156,12 @@ def tree_next_txn(tree: PredecessorTree, run: TreeRun) -> int | None:
 def tree_predecessors(tree: PredecessorTree, index: int) -> set[int]:
     """Lower-index transactions this one must wait for (test/inspection aid)."""
     preds: set[int] = set()
-    for node, writes in tree._txn_nodes[index]:
-        for other in node.write_list:
+    for record, writes in tree._txn_records[index]:
+        for other in record.write_list:
             if other < index:
                 preds.add(other)
         if writes:
-            for other in node.read_list:
+            for other in record.read_list:
                 if other < index:
                     preds.add(other)
     return preds

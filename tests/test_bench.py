@@ -110,6 +110,32 @@ def test_all_strategies_run_one_value():
     ]
 
 
+@pytest.mark.parametrize(
+    "strategies", (("adj-dag", "ll-dag"), ("ll-dag", "serial", "adj-dag"), ("ll-dag",))
+)
+def test_adj_and_ll_dag_rows_share_one_measurement(monkeypatch, strategies):
+    import blockdag.bench as bench_mod
+
+    builds = []
+
+    def counted(block, workers=1):
+        builds.append(block)
+        return build_dag(block, workers=workers)
+
+    monkeypatch.setattr(bench_mod, "build_dag", counted)
+    plan = _small_plan(strategies=strategies)
+    rows = run_experiment(plan)
+    assert [r["strategy"] for r in rows] == list(strategies) * len(plan.values)
+    assert len(builds) == len(plan.values) * plan.num_blocks * plan.repetitions
+    for value in plan.values:
+        dag_rows = [
+            r for r in rows if r["value"] == value and r["strategy"] in ("adj-dag", "ll-dag")
+        ]
+        walls = {(r["mean_ms"], r["tps"], r["ds_build_ms"]) for r in dag_rows}
+        assert len(walls) == 1
+        assert float(dag_rows[0]["tps"]) > 0
+
+
 def test_csv_reproducible_except_wall_time_columns():
     def strip_times(text):
         lines = text.strip().splitlines()

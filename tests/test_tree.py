@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from blockdag.dag import brute_force_dag
+from blockdag.dag import brute_force_dag, conflicts
 from blockdag.model import StateStore, state_digest
 from blockdag.scheduler import execute_block_serial
 from blockdag.tree import (
     DONE,
     RUNNING,
+    UNSCHEDULED,
     PredecessorTree,
     TreeRun,
     build_predecessor_tree,
@@ -37,16 +38,21 @@ def test_insert_registers_reader_and_writer():
     assert node.read_list == [1]
 
 
-def test_shared_prefix_addresses_share_interior_path():
-    tree = PredecessorTree()
-    tree_insert(tree, structural_txn(0, set(), {b"ab"}))
-    tree_insert(tree, structural_txn(1, set(), {b"ac"}))
-    leaf_ab = tree.node(b"ab")
-    leaf_ac = tree.node(b"ac")
-    assert leaf_ab is not leaf_ac
-    interior = tree.node(b"a")
-    assert interior is not None
-    assert set(interior.children) == {ord("b"), ord("c")}
+@pytest.mark.parametrize("addresses", ((b"a", b"ab", b"abc"), (b"abc", b"ab", b"a")))
+def test_addresses_sharing_a_byte_prefix_never_block_each_other(addresses):
+    # conflicts() compares whole addresses, so a byte prefix is no overlap
+    block = structural_block([(set(), {a}) for a in addresses] + [({b"ab"}, set())])
+    txns = block.transactions
+    assert not any(conflicts(txns[i], txns[j]) for i in range(3) for j in range(i + 1, 3))
+    tree = build_predecessor_tree(block)
+    run = TreeRun(tree)
+    assert [tree_next_txn(tree, run) for _ in range(3)] == [0, 1, 2]
+    assert tree_next_txn(tree, run) is None  # 3 reads b"ab", written by running 1
+    run.mark_done(0)
+    run.mark_done(2)
+    assert tree_next_txn(tree, run) is None
+    run.mark_done(1)
+    assert tree_next_txn(tree, run) == 3
 
 
 def test_insert_requires_index_order():
@@ -113,6 +119,41 @@ def test_predecessor_relation_matches_reference_dag():
             for i in tree_predecessors(tree, j)
         }
         assert tree_pairs == brute_force_dag(block).edge_set()
+
+
+def test_grants_match_the_reference_dag_at_every_step():
+    # single-threaded drain with random commit timing: each grant must be the
+    # lowest unscheduled index whose brute-force predecessors are all done
+    rng = random.Random(41)
+    for _ in range(40):
+        block = random_family_block(rng)
+        n = block.txn_count
+        preds = [set() for _ in range(n)]
+        for i, j in brute_force_dag(block).edges():
+            preds[j].add(i)
+        tree = build_predecessor_tree(block)
+        run = TreeRun(tree)
+        running = []
+        while run.done_count < n:
+            if running and (rng.random() < 0.5 or len(running) == n - run.done_count):
+                run.mark_done(running.pop(rng.randrange(len(running))))
+                continue
+            done = [s == DONE for s in run.status]
+            expected = next(
+                (
+                    i
+                    for i in range(n)
+                    if run.status[i] == UNSCHEDULED and all(done[p] for p in preds[i])
+                ),
+                None,
+            )
+            granted = tree_next_txn(tree, run)
+            assert granted == expected
+            if granted is None:
+                assert running  # something must be left to finish
+                run.mark_done(running.pop(rng.randrange(len(running))))
+            else:
+                running.append(granted)
 
 
 def test_tree_execution_matches_serial_digest():
