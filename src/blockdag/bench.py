@@ -140,13 +140,13 @@ def _prepare_block(block: Block, share: bool) -> tuple[bytes, ConflictMetrics, B
     ``share`` is set, the block carrying its DAG for smart-validate.
 
     One per-address pass feeds both the metrics and the shared DAG. Its
-    sets are locals, so none outlives the block it was made for.
+    tuples are locals, so none outlives the block it was made for.
     """
     store = StateStore()
     execute_block_serial(block, store)
     index = address_pass(block)
     metrics = _metrics_from_pass(index)
-    shared = attach_dag(block, DependencyDAG(index.preds)) if share else None
+    shared = attach_dag(block, DependencyDAG._from_pass(index.preds)) if share else None
     return state_digest(store), metrics, shared
 
 

@@ -7,21 +7,23 @@ that keeps, per address, the transactions so far that wrote it and the ones
 that read or wrote it: transaction j's predecessors are the prior writers of
 every address j touches plus the prior readers of every address j writes.
 Threads would not help, since they cannot overlap Python work under the GIL.
-The pass returns one ``AccessIndex``: the block, every predecessor set and
-the per-address lists. It is the only per-address index outside the tree
-baseline. The builder and the validator read its sets, so building and
-validating agree on the edge set by construction, and the conflict metrics
-(``workload.conflict_metrics``) read its lists.
+The pass returns one ``AccessIndex``: the block, every transaction's
+predecessors as an ascending tuple, and the per-address lists. It is the
+only per-address index outside the tree baseline. The builder and the
+validator read its tuples, so building and validating agree on the edge set
+by construction, and the conflict metrics (``workload.conflict_metrics``)
+read its lists.
 
 Every DAG is a ``DependencyDAG``: each transaction's predecessors as an
 ascending tuple, built once and never changed. Those tuples are what the
 wire codec embeds and what the executor reads, so neither has to walk the
-edge relation, and the DAG keeps nothing else. The constructor checks that
-every predecessor is below its transaction; ``edges()``, the edge count and
-the indegrees come from the tuples. ``build_dag`` builds one from the pass,
-``dag_from_shared`` from a shared block's declared dependencies, and
-``brute_force_dag`` from ``conflicts()`` pair by pair; all three must hold
-identical edge sets and indegrees for any block.
+edge relation, and the DAG keeps nothing else. The public constructor sorts
+and checks that every predecessor is below its transaction; ``edges()``,
+the edge count and the indegrees come from the tuples. ``build_dag`` wraps
+the pass's tuples as they are (``DependencyDAG._from_pass``),
+``dag_from_shared`` builds one from a shared block's declared dependencies,
+and ``brute_force_dag`` from ``conflicts()`` pair by pair; all three must
+hold identical edge sets and indegrees for any block.
 """
 
 from __future__ import annotations
@@ -42,48 +44,59 @@ def conflicts(a: Transaction, b: Transaction) -> bool:
 
 
 class AccessIndex(NamedTuple):
-    """One block's per-address pass: the block, predecessor sets and lists.
+    """One block's per-address pass: the block, predecessor tuples and lists.
 
-    ``preds[j]`` is transaction j's predecessor set; ``writers`` and
-    ``accessors`` map each address to the ascending indices that wrote it
-    and that read or wrote it.
+    ``preds[j]`` is transaction j's predecessors as an ascending tuple of
+    distinct indices below j; ``writers`` and ``accessors`` map each address
+    to the ascending indices that wrote it and that read or wrote it.
     """
 
     block: Block
-    preds: list[set[int]]
+    preds: list[tuple[int, ...]]
     writers: dict[bytes, list[int]]
     accessors: dict[bytes, list[int]]
 
 
 def address_pass(block: Block) -> AccessIndex:
-    """The one per-address pass: predecessor sets, writers and accessors.
+    """The one per-address pass: predecessor tuples, writers and accessors.
 
     The pass keeps, per address, the transactions so far that wrote it and
     the ones that read or wrote it, and returns both lists (ascending) next
-    to each transaction's predecessor set. A read waits for every prior
-    writer and a write for every prior reader or writer, which is exactly
+    to each transaction's predecessors. A read waits for every prior writer
+    and a write for every prior reader or writer, which is exactly
     conflicts(). An address's accessors include its writers, so the writers
     are read only for addresses the transaction reads but does not write.
-    A transaction is registered only after its own set is taken, so it is
-    never its own predecessor. The conflict metrics read the per-address
-    lists; the DAG builder and the validator only the sets.
+    A transaction is registered only after its predecessors are taken, so it
+    is never its own predecessor. Every per-address list is strictly
+    ascending, so when all the lists a transaction reads are equal (a voting
+    ballot reads two registries, each accessed by every earlier ballot) its
+    predecessors are a copy of one of them; otherwise they are the sorted
+    union. Either way the tuple does not depend on the order in which the
+    sets are iterated. The conflict metrics read the per-address lists; the
+    DAG builder and the validator only the tuples.
     """
     writers: dict[bytes, list[int]] = {}
     accessors: dict[bytes, list[int]] = {}
-    out: list[set[int]] = []
+    out: list[tuple[int, ...]] = []
     for j, txn in enumerate(block.transactions):
-        preds: set[int] = set()
+        lists: list[list[int]] = []
         write_set = txn.write_set
         for address in txn.read_set:
             if address not in write_set:
                 prior = writers.get(address)
                 if prior:
-                    preds.update(prior)
+                    lists.append(prior)
         for address in write_set:
             prior = accessors.get(address)
             if prior:
-                preds.update(prior)
-        out.append(preds)
+                lists.append(prior)
+        if not lists:
+            out.append(())
+        elif lists.count(lists[0]) == len(lists):
+            # list == checks the length first, so unequal lists are cheap to reject
+            out.append(tuple(lists[0]))
+        else:
+            out.append(tuple(sorted(set().union(*lists))))
         for address in txn.read_set | write_set:
             accessors.setdefault(address, []).append(j)
         for address in write_set:
@@ -101,6 +114,10 @@ class DependencyDAG:
     ascending tuple, and indegrees, the edge count and ``edges()`` come from
     the tuples. Executors only read the DAG, so one DAG can be executed any
     number of times.
+
+    ``_from_pass`` is the one other constructor: it wraps ``address_pass``
+    tuples without sorting or checking them, since the pass emits only
+    ascending, distinct indices below each transaction.
     """
 
     def __init__(self, preds: list) -> None:
@@ -112,6 +129,15 @@ class DependencyDAG:
                 bad = next(i for i in preds[j] if not 0 <= i < j)
                 raise ValueError(f"transaction {j} declares invalid dependency {bad}")
         self.edge_count = sum(map(len, self._preds))
+
+    @classmethod
+    def _from_pass(cls, preds: list[tuple[int, ...]]) -> DependencyDAG:
+        """The DAG of ``address_pass`` tuples, kept as they are."""
+        dag = cls.__new__(cls)
+        dag.txn_count = len(preds)
+        dag._preds = list(preds)
+        dag.edge_count = sum(map(len, preds))
+        return dag
 
     def edges(self):
         """Every edge (i, j) once, grouped by j; a walk of the kept tuples."""
@@ -139,7 +165,7 @@ def build_dag(block: Block, workers: int = 1) -> DependencyDAG:
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    return DependencyDAG(address_pass(block).preds)
+    return DependencyDAG._from_pass(address_pass(block).preds)
 
 
 def brute_force_dag(block: Block) -> DependencyDAG:

@@ -12,7 +12,7 @@ varies the voter/party pool sizes.
 
 The conflict metrics come from the DAG builder's one per-address pass
 (``dag.address_pass``) and fill no DAG: cp2 from the lengths of the
-predecessor sets, cp1 and cp3 from the per-address writer and accessor
+predecessor tuples, cp1 and cp3 from the per-address writer and accessor
 lists at O(accesses), never from a walk over the edges.
 """
 
@@ -229,7 +229,8 @@ def _metrics_from_pass(index: AccessIndex) -> ConflictMetrics:
     accessor and each reader with some other writer, so an accessor list of
     two or more is connected and every member has an edge; every edge lies
     inside such a list. cp1 and cp3 therefore come from one merge per access
-    into its list's first member, and only cp2 reads the full sets.
+    into its list's first member, and cp2 reads only the lengths of the
+    predecessor tuples.
     """
     preds, accessors = index.preds, index.accessors
     n = len(preds)

@@ -1,9 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import blockdag
 from blockdag.codec import attach_dag, parse_block, serialize_block
 from blockdag.dag import (
     DependencyDAG,
@@ -158,10 +163,81 @@ def test_address_pass_equals_the_pass_that_reads_every_writer():
     ]
     read_only = 0
     for block in blocks:
-        assert address_pass(block) == (block, *_pass_reading_every_writer(block))
+        sets, writers, accessors = _pass_reading_every_writer(block)
+        ascending = [tuple(sorted(s)) for s in sets]
+        assert address_pass(block) == (block, ascending, writers, accessors)
         assert build_dag(block).edge_set() == brute_force_dag(block).edge_set()
         read_only += sum(1 for t in block.transactions if t.read_set and not t.write_set)
     assert read_only > 0
+
+
+def test_address_pass_tuples_are_ascending_below_their_transaction():
+    rng = random.Random(71)
+    blocks = [
+        *(random_family_block(rng) for _ in range(30)),
+        *(random_structural_block(rng, max_n=48) for _ in range(30)),
+    ]
+    for block in blocks:
+        preds = address_pass(block).preds
+        assert preds == brute_force_dag(block).predecessor_lists()
+        for j, column in enumerate(preds):
+            assert type(column) is tuple
+            assert all(a < b for a, b in zip(column, column[1:]))
+            assert all(0 <= i < j for i in column)
+
+
+def _fillers(start, stop):
+    return [(set(), {b"filler%d" % k}) for k in range(start, stop)]
+
+
+@pytest.mark.parametrize(
+    "specs, expected",
+    [
+        # every transaction writes a and b, so each reads two equal lists
+        ([(set(), {b"a", b"b"})] * 4, [(), (0,), (0, 1), (0, 1, 2)]),
+        # 9 reads a (written by 5) and b (written by 8): two unequal lists,
+        # and a set of {5, 8} iterates 8 first
+        (
+            [*_fillers(0, 5), (set(), {b"a"}), *_fillers(6, 8), (set(), {b"b"}), ({b"a", b"b"}, set())],
+            [()] * 9 + [(5, 8)],
+        ),
+        # r is only ever read, so reading it waits for nothing
+        (
+            [({b"r"}, set()), ({b"r"}, set()), ({b"r"}, {b"w"}), ({b"r"}, {b"w"})],
+            [(), (), (), (2,)],
+        ),
+    ],
+    ids=["equal-lists", "unequal-lists", "read-only-address"],
+)
+def test_address_pass_tuples_of_hand_built_blocks(specs, expected):
+    block = structural_block(specs)
+    assert address_pass(block).preds == expected
+    assert brute_force_dag(block).predecessor_lists() == expected
+
+
+def test_address_pass_tuples_do_not_depend_on_the_hash_seed():
+    # Address sets of bytes iterate in an order that follows the hash seed.
+    script = (
+        "from blockdag.dag import address_pass\n"
+        "from blockdag.workload import WorkloadSpec, generate_block\n"
+        "spec = WorkloadSpec(family='mixed', txns_per_block=120, dependency_pct=60, rng_seed=5)\n"
+        "print(address_pass(generate_block(spec)).preds)\n"
+    )
+    src = str(Path(blockdag.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outputs[0] == outputs[1]
+    spec = WorkloadSpec(family="mixed", txns_per_block=120, dependency_pct=60, rng_seed=5)
+    assert outputs[0] == f"{address_pass(generate_block(spec)).preds}\n"
 
 
 def test_dags_are_acyclic():

@@ -126,7 +126,7 @@ def _dags_for(block, rng):
     n = block.txn_count
     extended = []
     for _ in range(2):
-        preds = address_pass(block).preds
+        preds = [set(p) for p in address_pass(block).preds]
         for _ in range(rng.randrange(0, 2 * n + 1) if n > 1 else 0):
             i = rng.randrange(0, n - 1)
             preds[rng.randrange(i + 1, n)].add(i)

@@ -236,3 +236,70 @@ def test_build_access_index_then_validate_runs_the_pass_once(monkeypatch):
     calls.clear()
     assert validate_dag(shared) is Verdict.HONEST
     assert calls == [shared]
+
+
+def _validate(block, with_index):
+    return validate_dag(block, build_access_index(block) if with_index else None)
+
+
+def _with_deps(shared, deps_of):
+    """Copy of a shared block whose dependency lists are ``deps_of(deps)``."""
+    transactions = tuple(
+        replace(t, declared_dependencies=deps_of(t.declared_dependencies))
+        for t in shared.transactions
+    )
+    return Block(transactions, shared.shared_indegree)
+
+
+def _dense_shared_blocks(seed, count=15):
+    """Honest shared blocks, each with a transaction of two or more dependencies."""
+    rng = random.Random(seed)
+    blocks = []
+    while len(blocks) < count:
+        shared = _shared(random_family_block(rng))
+        if max(shared.shared_indegree, default=0) >= 2:
+            blocks.append(shared)
+    return blocks
+
+
+@pytest.mark.parametrize("with_index", [False, True])
+def test_permuted_honest_lists_are_honest(with_index):
+    for shared in _dense_shared_blocks(47):
+        permuted = _with_deps(shared, lambda deps: tuple(reversed(deps)))
+        assert permuted != shared
+        assert _validate(permuted, with_index) is Verdict.HONEST
+
+
+@pytest.mark.parametrize("with_index", [False, True])
+def test_a_duplicate_of_the_right_length_is_an_extra_edge(with_index):
+    for shared in _dense_shared_blocks(53):
+        j = max(range(shared.txn_count), key=shared.shared_indegree.__getitem__)
+        deps = shared.transactions[j].declared_dependencies
+        bad = _retamper(shared, {j: (deps[0], *deps[:-1])})
+        assert bad.shared_indegree == shared.shared_indegree
+        assert _validate(bad, with_index) is Verdict.MALICIOUS_EXTRA_EDGE
+
+
+@pytest.mark.parametrize("with_index", [False, True])
+def test_a_dropped_edge_is_a_missing_edge(with_index):
+    rng = random.Random(59)
+    for shared in _dense_shared_blocks(59):
+        bad = remove_one_edge(shared, rng)
+        assert _validate(bad, with_index) is Verdict.MALICIOUS_MISSING_EDGE
+
+
+@pytest.mark.parametrize("with_index", [False, True])
+def test_dependencies_given_as_lists_are_honest(with_index):
+    for shared in [_shared(structural_block([])), *_dense_shared_blocks(61)]:
+        as_lists = _with_deps(shared, list)
+        assert all(type(t.declared_dependencies) is list for t in as_lists.transactions)
+        assert _validate(as_lists, with_index) is Verdict.HONEST
+
+
+def test_rebuilt_shared_dag_keeps_the_built_tuples():
+    rng = random.Random(67)
+    for _ in range(30):
+        block = random_family_block(rng)
+        built = build_dag(block)
+        rebuilt = dag_from_shared(attach_dag(block, built))
+        assert rebuilt.predecessor_lists() == built.predecessor_lists()
