@@ -34,7 +34,6 @@ from .tree import (
     TreeRun,
     build_predecessor_tree,
     execute_block_tree,
-    tree_insert,
     tree_next_txn,
     tree_predecessors,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "parse_block",
     "serialize_block",
     "state_digest",
-    "tree_insert",
     "tree_next_txn",
     "tree_predecessors",
     "validate_dag",

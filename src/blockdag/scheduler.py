@@ -10,8 +10,9 @@ Appending before the lock is released is what makes the recorded schedule a
 topological order: nothing that depends on a transaction can be granted
 until that transaction is already in the schedule. A batch holds only
 transactions that were ready together, and ready transactions never
-conflict, so it may run in any order. A crash mid-batch commits the prefix
-that ran before the run fails.
+conflict, so it may run in any order. A transaction's simulated work (a
+sleep) comes before its processor call, so a crash mid-batch, in either,
+commits exactly the prefix that ran before the run fails.
 
 Workers wake and start only for work that is there. A successful grant
 says whether another grant would succeed now; only then, or when it cannot
@@ -182,10 +183,10 @@ def run_scheduled(
             bad = 0
             try:
                 for index in batch:
-                    if not processor(txns[index], store):
-                        bad += 1
                     if sim_work_s:
                         time.sleep(sim_work_s)
+                    if not processor(txns[index], store):
+                        bad += 1
             except BaseException:
                 # Commit what ran before the transaction that raised; an
                 # interrupt before the first one leaves index outside batch.
@@ -357,10 +358,10 @@ def execute_block_serial(
     failures = 0
     started = time.perf_counter()
     for txn in block.transactions:
-        if not processor(txn, store):
-            failures += 1
         if sim_work_s:
             time.sleep(sim_work_s)
+        if not processor(txn, store):
+            failures += 1
         schedule.append(txn.index)
     wall = time.perf_counter() - started
     return _report(schedule, failures, wall)

@@ -1,12 +1,15 @@
 """Predecessor-tree scheduler: the address-keyed parallel baseline.
 
-Every address in the block maps to one record of a per-address table that
-lists which transactions read and write it. Addresses conflict only when
-they are equal (``blockdag.dag.conflicts``), so unlike a radix tree over
-address prefixes the table needs no prefix walk. Construction is serial.
-To grant a transaction, the scheduler re-checks the completion status of all
-lower-index transactions sharing an address with it in a conflicting
-pattern — that per-address bookkeeping, serialized behind one lock, is the
+Every address in the block maps to two ascending lists in a per-address
+table: its writers, and its accessors (the transactions that read or write
+it). Addresses conflict only when they are equal (``blockdag.dag.conflicts``),
+so unlike a radix tree over address prefixes the table needs no prefix walk.
+A read waits for the earlier writers and a write for the earlier accessors,
+so the build records one check per address a transaction touches: the
+accessors list where it writes the address, the writers list where it only
+reads it. Construction is serial. To grant a transaction, the scheduler
+re-checks the completion status of the lower-index entries of each of those
+lists — that per-address bookkeeping, serialized behind one lock, is the
 cost this design pays relative to the DAG scheduler, and it is preserved
 here on purpose. Workers run on the same blocking loop as the DAG executor
 (``blockdag.scheduler.run_scheduled``), with this grant check and
@@ -18,9 +21,7 @@ starts a helper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .model import Block, ExecutionReport, StateStore, Transaction
+from .model import Block, ExecutionReport, StateStore
 from .scheduler import run_scheduled
 
 UNSCHEDULED = 0
@@ -28,82 +29,57 @@ RUNNING = 1
 DONE = 2
 
 
-class _AddressRecord:
-    __slots__ = ("read_list", "write_list", "slot")
-
-    def __init__(self, slot: int) -> None:
-        self.read_list: list[int] = []
-        self.write_list: list[int] = []
-        self.slot = slot  # index into TreeRun's done-prefix arrays
-
-
 class PredecessorTree:
-    """Per-address table: each address maps to the ascending lists of the
-    transactions that read and write it. Addresses conflict only when equal,
-    so no prefix walk is needed."""
+    """Per-address table: ``writers`` and ``accessors`` map each address to
+    an ascending list of transaction indices. ``checks[j]`` holds one
+    ``(slot, list)`` per address transaction j touches; the slot is the
+    list's place in a run's done-prefix array."""
 
     def __init__(self) -> None:
-        self._records: dict[bytes, _AddressRecord] = {}
+        self.writers: dict[bytes, list[int]] = {}
+        self.accessors: dict[bytes, list[int]] = {}
+        self.checks: list[list[tuple[int, list[int]]]] = []
         self.txn_count = 0
-        # Per transaction: (record, writes_here) for each touched address, so
-        # grant checks do not look addresses up again.
-        self._txn_records: list[list[tuple[_AddressRecord, bool]]] = []
-
-    def node(self, address: bytes) -> _AddressRecord | None:
-        return self._records.get(address)
-
-
-def tree_insert(tree: PredecessorTree, txn: Transaction) -> None:
-    """Register a transaction's addresses; must be called in index order."""
-    if txn.index != tree.txn_count:
-        raise ValueError(
-            f"insertions must follow index order: got {txn.index}, expected {tree.txn_count}"
-        )
-    records = tree._records
-    entry: list[tuple[_AddressRecord, bool]] = []
-    for address in sorted(txn.read_set | txn.write_set):
-        record = records.get(address)
-        if record is None:
-            record = records[address] = _AddressRecord(len(records))
-        writes = address in txn.write_set
-        if address in txn.read_set:
-            record.read_list.append(txn.index)
-        if writes:
-            record.write_list.append(txn.index)
-        entry.append((record, writes))
-    tree._txn_records.append(entry)
-    tree.txn_count += 1
 
 
 def build_predecessor_tree(block: Block) -> PredecessorTree:
     tree = PredecessorTree()
-    for txn in block.transactions:
-        tree_insert(tree, txn)
+    writers, accessors, checks = tree.writers, tree.accessors, tree.checks
+    slots: dict[bytes, int] = {}  # address -> its writers' slot; accessors' is next
+    for j, txn in enumerate(block.transactions):
+        write_set = txn.write_set
+        entry: list[tuple[int, list[int]]] = []
+        for address in txn.read_set | write_set:
+            slot = slots.get(address)
+            if slot is None:
+                slot = slots[address] = 2 * len(slots)
+                writers[address] = []
+                accessors[address] = []
+            if address in write_set:
+                entry.append((slot + 1, accessors[address]))
+                writers[address].append(j)
+            else:
+                entry.append((slot, writers[address]))
+            accessors[address].append(j)
+        checks.append(entry)
+    tree.txn_count = len(checks)
     return tree
 
 
-@dataclass
 class TreeRun:
-    """Per-run scheduling state: txn status plus per-address done-prefix hints.
+    """Per-run scheduling state: txn status plus per-list done-prefix hints.
 
-    The hint arrays, indexed by each record's slot, track how many leading
-    entries of each address's lists are DONE; they only ever advance, which
-    is safe because status transitions are monotonic. A fresh TreeRun makes
-    the tree reusable across runs.
+    ``_done_prefix[slot]`` counts how many leading entries of that slot's
+    list are DONE; it only ever advances, which is safe because status
+    transitions are monotonic. A fresh TreeRun makes the tree reusable
+    across runs.
     """
 
-    tree: PredecessorTree
-    status: list[int] = field(init=False)
-    done_count: int = field(init=False, default=0)
-    _first_pending: int = field(init=False, default=0)
-    _read_ptr: list[int] = field(init=False)
-    _write_ptr: list[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.status = [UNSCHEDULED] * self.tree.txn_count
-        slots = len(self.tree._records)
-        self._read_ptr = [0] * slots
-        self._write_ptr = [0] * slots
+    def __init__(self, tree: PredecessorTree) -> None:
+        self.status = [UNSCHEDULED] * tree.txn_count
+        self.done_count = 0
+        self._first_pending = 0
+        self._done_prefix = [0] * (2 * len(tree.accessors))
 
     def mark_done(self, index: int) -> None:
         if self.status[index] != RUNNING:
@@ -112,24 +88,17 @@ class TreeRun:
         self.done_count += 1
 
 
-def _lower_entries_done(lst: list[int], ptrs: list[int], slot: int, status: list[int], limit: int) -> bool:
-    p = ptrs[slot]
-    size = len(lst)
-    while p < size and status[lst[p]] == DONE:
-        p += 1
-    ptrs[slot] = p
-    return p >= size or lst[p] >= limit
-
-
 def _grantable(tree: PredecessorTree, run: TreeRun, index: int) -> bool:
-    # A read competes with earlier writers; a write also competes with
-    # earlier readers. Read-read sharing never blocks.
+    # Every entry below index in each checked list must be DONE.
     status = run.status
-    for record, writes in tree._txn_records[index]:
-        slot = record.slot
-        if not _lower_entries_done(record.write_list, run._write_ptr, slot, status, index):
-            return False
-        if writes and not _lower_entries_done(record.read_list, run._read_ptr, slot, status, index):
+    done_prefix = run._done_prefix
+    for slot, listed in tree.checks[index]:
+        p = done_prefix[slot]
+        size = len(listed)
+        while p < size and status[listed[p]] == DONE:
+            p += 1
+        done_prefix[slot] = p
+        if p < size and listed[p] < index:
             return False
     return True
 
@@ -155,16 +124,7 @@ def tree_next_txn(tree: PredecessorTree, run: TreeRun) -> int | None:
 
 def tree_predecessors(tree: PredecessorTree, index: int) -> set[int]:
     """Lower-index transactions this one must wait for (test/inspection aid)."""
-    preds: set[int] = set()
-    for record, writes in tree._txn_records[index]:
-        for other in record.write_list:
-            if other < index:
-                preds.add(other)
-        if writes:
-            for other in record.read_list:
-                if other < index:
-                    preds.add(other)
-    return preds
+    return {other for _, listed in tree.checks[index] for other in listed if other < index}
 
 
 def execute_block_tree(
@@ -191,12 +151,4 @@ def execute_block_tree(
         batch.append(index)
         return True  # cannot tell without a second scan
 
-    return run_scheduled(
-        block,
-        store,
-        workers,
-        grant,
-        run.mark_done,
-        processor,
-        sim_work_us,
-    )
+    return run_scheduled(block, store, workers, grant, run.mark_done, processor, sim_work_us)

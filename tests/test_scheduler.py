@@ -757,6 +757,31 @@ def test_crash_mid_batch_commits_the_prefix_that_ran():
 
 
 @EXECUTORS
+def test_a_raising_sleep_reports_exactly_the_transactions_that_ran(execute, monkeypatch):
+    block = structural_block([(set(), {b"a"}), (set(), {b"b"})])
+    completed = []
+    sleeps = []
+
+    def failing(txn, store):
+        completed.append(txn.index)
+        return False
+
+    def sleep(seconds):
+        sleeps.append(seconds)
+        if len(sleeps) == 2:
+            raise RuntimeError("sleep interrupted")
+
+    fake = types.SimpleNamespace(sleep=sleep, perf_counter=time.perf_counter)
+    monkeypatch.setattr(scheduler, "time", fake)
+    with pytest.raises(ParallelExecutionError) as excinfo:
+        execute(block, StateStore(), 1, processor=failing, sim_work_us=10)
+    report = excinfo.value.report
+    assert report.schedule == completed
+    assert report.txn_successes + report.txn_failures == len(report.schedule)
+    assert report.txn_successes >= 0 and report.txn_failures >= 0
+
+
+@EXECUTORS
 def test_calling_thread_keeps_a_wide_block_at_sim_zero(execute):
     """A helper cannot overlap anything at sim 0, so starting one must not
     hand it the run: with a long switch interval the calling thread runs at

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,33 +10,40 @@ from blockdag.tree import (
     DONE,
     RUNNING,
     UNSCHEDULED,
-    PredecessorTree,
     TreeRun,
     build_predecessor_tree,
     execute_block_tree,
-    tree_insert,
     tree_next_txn,
     tree_predecessors,
 )
 
-from _helpers import random_family_block, structural_block, structural_txn
+from _helpers import random_family_block, random_structural_block, structural_block
 
 
-def test_insert_registers_writer():
-    tree = PredecessorTree()
-    tree_insert(tree, structural_txn(0, set(), {b"A"}))
-    node = tree.node(b"A")
-    assert node.write_list == [0]
-    assert node.read_list == []
-
-
-def test_insert_registers_reader_and_writer():
-    tree = PredecessorTree()
-    tree_insert(tree, structural_txn(0, set(), {b"A"}))
-    tree_insert(tree, structural_txn(1, {b"A"}, set()))
-    node = tree.node(b"A")
-    assert node.write_list == [0]
-    assert node.read_list == [1]
+def test_build_lists_writers_and_accessors_and_one_check_per_access():
+    # 0 writes A; 1 reads A; 2 reads A, writes B; 3 reads B, writes A
+    block = structural_block(
+        [(set(), {b"A"}), ({b"A"}, set()), ({b"A"}, {b"B"}), ({b"B"}, {b"A"})]
+    )
+    tree = build_predecessor_tree(block)
+    writers, accessors = tree.writers, tree.accessors
+    assert writers == {b"A": [0, 3], b"B": [2]}
+    assert accessors == {b"A": [0, 1, 2, 3], b"B": [2, 3]}
+    # a write checks the address's accessors, a read-only access its writers
+    expected = [
+        [accessors[b"A"]],
+        [writers[b"A"]],
+        [writers[b"A"], accessors[b"B"]],
+        [writers[b"B"], accessors[b"A"]],
+    ]
+    assert tree.txn_count == len(tree.checks) == len(expected)
+    for entry, lists in zip(tree.checks, expected):
+        assert sorted(id(listed) for _, listed in entry) == sorted(map(id, lists))
+    slot_of = {}
+    for entry in tree.checks:
+        for slot, listed in entry:
+            assert slot_of.setdefault(id(listed), slot) == slot
+    assert len(set(slot_of.values())) == len(slot_of)  # one slot per list
 
 
 @pytest.mark.parametrize("addresses", ((b"a", b"ab", b"abc"), (b"abc", b"ab", b"a")))
@@ -53,12 +61,6 @@ def test_addresses_sharing_a_byte_prefix_never_block_each_other(addresses):
     assert tree_next_txn(tree, run) is None
     run.mark_done(1)
     assert tree_next_txn(tree, run) == 3
-
-
-def test_insert_requires_index_order():
-    tree = PredecessorTree()
-    with pytest.raises(ValueError):
-        tree_insert(tree, structural_txn(3, set(), {b"A"}))
 
 
 def test_grants_lowest_unscheduled_when_no_conflicts():
@@ -108,10 +110,18 @@ def test_writer_waits_for_earlier_reader():
     assert tree_next_txn(tree, run) == 1
 
 
+def _reference_blocks(rng, count):
+    """count family blocks, then count structural ones (empty sets, reads of
+    one address next to writes of another), drawn lazily from rng."""
+    return itertools.chain(
+        (random_family_block(rng) for _ in range(count)),
+        (random_structural_block(rng) for _ in range(count)),
+    )
+
+
 def test_predecessor_relation_matches_reference_dag():
     rng = random.Random(17)
-    for _ in range(50):
-        block = random_family_block(rng)
+    for block in _reference_blocks(rng, 50):
         tree = build_predecessor_tree(block)
         tree_pairs = {
             (i, j)
@@ -125,8 +135,7 @@ def test_grants_match_the_reference_dag_at_every_step():
     # single-threaded drain with random commit timing: each grant must be the
     # lowest unscheduled index whose brute-force predecessors are all done
     rng = random.Random(41)
-    for _ in range(40):
-        block = random_family_block(rng)
+    for block in _reference_blocks(rng, 40):
         n = block.txn_count
         preds = [set() for _ in range(n)]
         for i, j in brute_force_dag(block).edges():
