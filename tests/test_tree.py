@@ -20,6 +20,22 @@ from blockdag.tree import (
 from _helpers import random_family_block, random_structural_block, structural_block
 
 
+def test_insert_registers_writer():
+    tree = build_predecessor_tree(structural_block([(set(), {b"A"})]))
+    assert tree.writers == {b"A": [0]}
+    assert tree.accessors == {b"A": [0]}
+    [(_, listed)] = tree.checks[0]
+    assert listed is tree.accessors[b"A"]  # a write checks the accessors
+
+
+def test_insert_registers_reader_and_writer():
+    tree = build_predecessor_tree(structural_block([(set(), {b"A"}), ({b"A"}, set())]))
+    assert tree.writers == {b"A": [0]}  # the reader is listed as an accessor only
+    assert tree.accessors == {b"A": [0, 1]}
+    [(_, listed)] = tree.checks[1]
+    assert listed is tree.writers[b"A"]  # a read-only access checks the writers
+
+
 def test_build_lists_writers_and_accessors_and_one_check_per_access():
     # 0 writes A; 1 reads A; 2 reads A, writes B; 3 reads B, writes A
     block = structural_block(
