@@ -240,15 +240,19 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     When a DAG is given it is embedded (replacing whatever shared-DAG fields
     the block already has); otherwise the block's own fields are written
     as-is, shared section included only if present. Every op must match its
-    entry in the opcode table (``families.OP_SCHEMAS``) and every
-    transaction must carry the sets its op declares, or ``ValueError`` is
-    raised.
+    entry in the opcode table (``families.OP_SCHEMAS``), every transaction
+    must carry the sets its op declares, and a block with an indegree must
+    give every transaction a dependency list, with every entry a u32, or
+    ``ValueError`` is raised.
     """
     if block.txn_count > MAX_BLOCK_TXNS:
         raise BlockTooLargeError(f"block has {block.txn_count} txns, cap is {MAX_BLOCK_TXNS}")
     if dag is not None:
         block = attach_dag(block, dag)
     has_dag = block.has_shared_dag
+    if block.shared_indegree is not None and not has_dag:
+        index = next(t.index for t in block.transactions if t.declared_dependencies is None)
+        raise ValueError(f"block carries an indegree but transaction {index} has no dependencies")
     flags = _FLAG_SHARED_DAG if has_dag else 0
     # total length is patched in once the body is known
     out = bytearray(_HEADER.pack(WIRE_VERSION, flags, 0, block.txn_count))
@@ -289,11 +293,25 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
         if has_dag:
             deps = txn.declared_dependencies
             if deps:
-                out += _u32_array(len(deps) + 1).pack(len(deps), *deps)
+                try:
+                    out += _u32_array(len(deps) + 1).pack(len(deps), *deps)
+                except struct.error:
+                    raise ValueError(
+                        f"transaction {txn.index} declares dependencies {deps!r}, not all u32"
+                    ) from None
             else:
                 out += _NO_DEPS
     if has_dag:
-        out += _u32_array(block.txn_count).pack(*block.shared_indegree)
+        try:
+            out += _u32_array(block.txn_count).pack(*block.shared_indegree)
+        except struct.error:
+            for index, entry in enumerate(block.shared_indegree):
+                try:
+                    _U32.pack(entry)
+                except struct.error:
+                    raise ValueError(
+                        f"indegree {entry!r} for transaction {index} is not a u32"
+                    ) from None
     _U32.pack_into(out, 2, len(out) + 4)
     out += _U32.pack(zlib.crc32(out))
     return bytes(out)

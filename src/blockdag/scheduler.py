@@ -16,25 +16,29 @@ commits exactly the prefix that ran before the run fails.
 
 Workers wake and start only for work that is there. A successful grant
 says whether another grant would succeed now; only then, or when it cannot
-tell, is a waiting worker woken or, with none waiting, a helper started
-(outside the lock). A failed grant stays failed until the next commit, so
-after one no worker grants again before a commit; it waits on the
-condition instead, never on a timer, until woken for work, by the end of
-the run, or by a crash. A chain therefore runs on the calling thread alone,
-with no failed grant and no helper.
+tell, is a waiting worker woken or, with none waiting, a helper started. A
+failed grant stays failed until the next commit, so after one no worker
+grants again before a commit; it waits on the condition instead, never on
+a timer, until woken for work, by the end of the run, or by a crash. A
+chain therefore runs on the calling thread alone, with no failed grant and
+no helper.
 
-A helper is started without handing it the interpreter.
+A helper is started, then counted, under the loop's lock, so a start that
+raises counts nothing. A helper counts itself stopped under the same lock
+once its loop has returned or failed, and notifies the condition; the run
+returns only when every counted helper has counted itself stopped. The
+start does not hand the new thread the interpreter.
 ``threading.Thread.start`` blocks the calling thread until the new thread
 runs, which then keeps the interpreter lock, so at sim 0 a helper that
 cannot overlap anything would run almost the whole block while the calling
 thread waits. ``_start_thread`` uses ``_thread.start_new_thread`` instead:
 a helper first runs when the calling thread blocks (a sleep in the
-processor, a wait on the condition, the final join) or the switch interval
-passes. Helpers are therefore threads that ``threading`` does not track. A
-processor that calls ``threading.current_thread()`` on a helper leaves a
-``_DummyThread`` entry in ``threading.enumerate()`` after the helper exits;
-entries are keyed by thread id, so a later helper reuses one rather than
-piling up more.
+processor, a wait on the condition) or the switch interval passes. Helpers
+are therefore threads that ``threading`` does not track. A processor that
+calls ``threading.current_thread()`` on a helper leaves a ``_DummyThread``
+entry in ``threading.enumerate()`` after the helper exits; entries are
+keyed by thread id, so a later helper reuses one rather than piling up
+more.
 
 The DAG executor's grant (``ReadyQueue.grant``) follows guided
 self-scheduling: up to ceil(ready / workers) of the lowest ready
@@ -81,23 +85,9 @@ def _report(schedule: list[int], failures: int, wall: float) -> ExecutionReport:
     )
 
 
-def _start_thread(target):
-    """Start ``target()`` on a new thread; return a lock held until it returns.
-
-    Unlike ``threading.Thread.start``, this does not wait for the new thread
-    to run. Joining the thread is acquiring the returned lock.
-    """
-    done = _thread.allocate_lock()
-    done.acquire()
-
-    def run() -> None:
-        try:
-            target()
-        finally:
-            done.release()
-
-    _thread.start_new_thread(run, ())
-    return done
+def _start_thread(target) -> None:
+    """Start ``target()`` on a new thread without waiting for it to run."""
+    _thread.start_new_thread(target, ())
 
 
 def run_scheduled(
@@ -135,8 +125,8 @@ def run_scheduled(
     schedule: list[int] = []
     failures = 0
     errors: list[BaseException] = []
-    helpers: list = []  # per started helper, the lock it holds until it returns
-    spawned = 0  # helpers reserved under the lock; at most workers - 1
+    spawned = 0  # helpers started; at most workers - 1
+    stopped = 0  # helpers whose loop has returned or failed
     waiting = 0
     stale = False  # a grant failed and nothing has committed since
 
@@ -146,7 +136,6 @@ def run_scheduled(
         bad = 0  # processor failures in the batch
         index = None
         while True:
-            spawn = False
             with lock:
                 if batch:
                     for index in batch:
@@ -173,13 +162,8 @@ def run_scheduled(
                     if waiting:
                         cond.notify()
                     elif spawned < workers - 1:
+                        _start_thread(helper)
                         spawned += 1
-                        spawn = True
-            if spawn:
-                # Listed only once started: every listed helper was started
-                # by the calling thread or by a helper listed before it, so
-                # joining in list order joins them all.
-                helpers.append(_start_thread(helper))
             bad = 0
             try:
                 for index in batch:
@@ -203,16 +187,19 @@ def run_scheduled(
             cond.notify_all()
 
     def helper() -> None:
+        nonlocal stopped
         try:
             work()
         except BaseException as exc:  # noqa: BLE001 - surfaced as run failure
             fail(exc)
+        with lock:
+            stopped += 1
+            cond.notify_all()
 
     def join_helpers() -> None:
-        # Released again at once, so that joining twice cannot deadlock.
-        for done in helpers:
-            done.acquire()
-            done.release()
+        with lock:
+            while stopped < spawned:
+                cond.wait()
 
     started = time.perf_counter()
     try:

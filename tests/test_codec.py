@@ -532,6 +532,35 @@ def test_serializer_applies_the_field_pairs_schema(pairs):
         serialize_block(Block((Transaction(0, *sets, op),)))
 
 
+def _two_deposits(deps, indegree):
+    block = block_from_ops([wallet_deposit("a", 1), wallet_deposit("b", 2)])
+    return Block(
+        tuple(replace(t, declared_dependencies=d) for t, d in zip(block.transactions, deps)),
+        shared_indegree=indegree,
+    )
+
+
+@pytest.mark.parametrize(
+    "deps, indegree, message",
+    [
+        (((), (-1,)), (0, 1), r"^transaction 1 declares dependencies \(-1,\), not all u32$"),
+        (((), (2**32,)), (0, 1), r"^transaction 1 declares dependencies \(4294967296,\)"),
+        (((), (0.5,)), (0, 1), r"^transaction 1 declares dependencies \(0.5,\)"),
+        (((), ()), (0, -1), r"^indegree -1 for transaction 1 is not a u32$"),
+    ],
+    ids=["negative", "above-u32", "float", "negative-indegree"],
+)
+def test_serializer_refuses_a_dependency_or_indegree_outside_u32(deps, indegree, message):
+    with pytest.raises(ValueError, match=message):
+        serialize_block(_two_deposits(deps, indegree))
+
+
+def test_serializer_refuses_a_partial_shared_dag():
+    block = _two_deposits(((), None), (0, 0))
+    with pytest.raises(ValueError, match="^block carries an indegree but transaction 1 has no"):
+        serialize_block(block)
+
+
 def test_parse_checks_argument_count_and_tags():
     block = block_from_ops([wallet_deposit("a", 5)])
     data = serialize_block(block)

@@ -550,14 +550,15 @@ def _prefix_then_chain(width, length):
 class _LoopSpy:
     """Replaces the scheduler's helper start and its threading module: records
     every helper the loop starts and, by ``threading.get_ident()``, every
-    thread that runs as a helper or waits on the loop's condition, and can
-    make the ``fail_start_at``-th start raise as a thread limit would."""
+    thread that runs as a helper, waits on the loop's condition or notifies
+    all of its waiters, and can make the ``fail_start_at``-th start raise as
+    a thread limit would."""
 
     def __init__(self, monkeypatch, fail_start_at=None):
         self.attempts: list = []
         self.started: list = []  # one entry per helper whose start succeeded
         self.helpers: set[int] = set()  # idents of threads that ran as helpers
-        self.returned: list[int] = []  # idents of helpers whose loop returned
+        self.returned: set[int] = set()  # idents of helpers whose loop returned
         self.waited: set[int] = set()
         spy = self
         start = scheduler._start_thread
@@ -568,22 +569,24 @@ class _LoopSpy:
                 raise RuntimeError("can't start new thread")
 
             def traced():
-                ident = threading.get_ident()
-                spy.helpers.add(ident)
-                try:
-                    target()
-                finally:
-                    # before the scheduler's join lock is released
-                    spy.returned.append(ident)
+                spy.helpers.add(threading.get_ident())
+                target()
 
-            done = start(traced)
-            spy.started.append(done)
-            return done
+            start(traced)
+            spy.started.append(target)
 
         class Condition(threading.Condition):
             def wait(self, timeout=None):
                 spy.waited.add(threading.get_ident())
                 return super().wait(timeout)
+
+            def notify_all(self):
+                # A helper's loop ends in notify_all, whether it returns or
+                # fails, and the lock is held, so the run sees this record.
+                ident = threading.get_ident()
+                if ident in spy.helpers:
+                    spy.returned.add(ident)
+                super().notify_all()
 
         fake = types.ModuleType("threading")
         fake.__dict__.update(vars(threading))
@@ -592,8 +595,8 @@ class _LoopSpy:
         monkeypatch.setattr(scheduler, "_start_thread", spy_start)
 
     def helpers_stopped(self):
-        """Every started helper ran and its loop returned."""
-        return len(self.returned) == len(self.started) == len(self.helpers)
+        """Every started helper ran and its loop returned before the run did."""
+        return len(self.started) == len(self.helpers) and self.returned == self.helpers
 
 
 def _count_failed_grants(monkeypatch):
@@ -805,6 +808,23 @@ def test_calling_thread_keeps_a_wide_block_at_sim_zero(execute):
     assert ran[threading.get_ident()] >= block.txn_count / 2
 
 
+def test_helper_start_returns_before_the_helper_runs():
+    """Starting a helper does not hand it the interpreter: with a long switch
+    interval the new thread has not run when ``_start_thread`` returns. A
+    start that waits for the thread would let it run while the loop's lock
+    is held."""
+    ran = threading.Event()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        scheduler._start_thread(ran.set)
+        ran_before_return = ran.is_set()
+    finally:
+        sys.setswitchinterval(interval)
+    assert ran.wait(10)
+    assert not ran_before_return
+
+
 @EXECUTORS
 @pytest.mark.parametrize("make", ["voting", "wallet", "prefix-chain"])
 def test_failed_grants_do_not_exceed_commits(execute, make, monkeypatch):
@@ -847,7 +867,7 @@ def test_interrupt_on_the_calling_thread_propagates_unchanged(execute, kind, mon
 
 
 @EXECUTORS
-@pytest.mark.parametrize("fail_start_at", [1, 2])
+@pytest.mark.parametrize("fail_start_at", [1, 2, 3])
 def test_helper_start_failure_is_typed_with_partial_report(execute, fail_start_at, monkeypatch):
     spy = _LoopSpy(monkeypatch, fail_start_at=fail_start_at)
     block = _wallet_block(60)
@@ -864,6 +884,50 @@ def test_helper_start_failure_is_typed_with_partial_report(execute, fail_start_a
     schedule = error.report.schedule
     assert len(set(schedule)) == len(schedule) < block.txn_count
     assert len(spy.started) == fail_start_at - 1
+    assert spy.helpers_stopped()
+
+
+@EXECUTORS
+def test_run_waits_for_a_helper_that_stops_after_the_join_began(execute, monkeypatch):
+    """Each release of the loop's lock by a helper is followed by a pause, so
+    the helper counts itself stopped after the calling thread has begun to
+    wait for it: the stop's notification must wake the calling thread."""
+    spy = _LoopSpy(monkeypatch)
+    caller = []
+
+    class PausingLock:
+        def __init__(self):
+            self._lock = threading.Lock()
+
+        def acquire(self, blocking=True, timeout=-1):
+            return self._lock.acquire(blocking, timeout)
+
+        def release(self):
+            self._lock.release()
+            if threading.get_ident() != caller[0]:
+                time.sleep(0.005)
+
+        def __enter__(self):
+            return self.acquire()
+
+        def __exit__(self, *exc_info):
+            self.release()
+
+    monkeypatch.setattr(scheduler.threading, "Lock", PausingLock)
+    block = generate_block(
+        WorkloadSpec(family="wallet", txns_per_block=40, dependency_pct=0, rng_seed=3)
+    )
+    serial_store, store = StateStore(), StateStore()
+    execute_block_serial(block, serial_store)
+
+    def run():
+        caller.append(threading.get_ident())
+        return execute(block, store, 2, sim_work_us=500)
+
+    result = _within(10, run)
+    assert_exactly_once(result["value"].schedule, block.txn_count)
+    assert state_digest(store) == state_digest(serial_store)
+    assert len(spy.started) == 1
     assert spy.helpers_stopped()
 
 
