@@ -52,7 +52,7 @@ class ExperimentPlan:
     rng_seed: int = 0
     sim_work_us: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}, expected one of {AXES}")
         if not self.values:
@@ -85,9 +85,7 @@ def _spec_for_value(plan: ExperimentPlan, value: int) -> tuple[WorkloadSpec, int
         workers = value
     else:
         fields[plan.axis] = value
-    spec = WorkloadSpec(**fields)
-    spec.validate()
-    return spec, workers
+    return WorkloadSpec(**fields), workers
 
 
 def _check_digest(strategy: str, block_seq: int, digest: bytes, reference: bytes) -> None:
@@ -152,7 +150,6 @@ def _prepare_block(block: Block, share: bool) -> tuple[bytes, ConflictMetrics, B
 
 def run_experiment(plan: ExperimentPlan) -> list[dict]:
     """Execute the plan and return one row dict per (axis value, strategy)."""
-    plan.validate()
     rows: list[dict] = []
     for value in plan.values:
         spec, workers = _spec_for_value(plan, value)

@@ -114,7 +114,6 @@ def cli_main(argv: list[str] | None = None) -> int:
             sim_work_us=args.sim_work_us,
             **scalars,
         )
-        plan.validate()
     except (_UsageError, ValueError) as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -241,18 +241,14 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     the block already has); otherwise the block's own fields are written
     as-is, shared section included only if present. Every op must match its
     entry in the opcode table (``families.OP_SCHEMAS``), every transaction
-    must carry the sets its op declares, and a block with an indegree must
-    give every transaction a dependency list, with every entry a u32, or
-    ``ValueError`` is raised.
+    must carry the sets its op declares, and every dependency and indegree
+    entry must be a u32, or ``ValueError`` is raised.
     """
     if block.txn_count > MAX_BLOCK_TXNS:
         raise BlockTooLargeError(f"block has {block.txn_count} txns, cap is {MAX_BLOCK_TXNS}")
     if dag is not None:
         block = attach_dag(block, dag)
     has_dag = block.has_shared_dag
-    if block.shared_indegree is not None and not has_dag:
-        index = next(t.index for t in block.transactions if t.declared_dependencies is None)
-        raise ValueError(f"block carries an indegree but transaction {index} has no dependencies")
     flags = _FLAG_SHARED_DAG if has_dag else 0
     # total length is patched in once the body is known
     out = bytearray(_HEADER.pack(WIRE_VERSION, flags, 0, block.txn_count))

@@ -17,13 +17,14 @@ read its lists.
 Every DAG is a ``DependencyDAG``: each transaction's predecessors as an
 ascending tuple, built once and never changed. Those tuples are what the
 wire codec embeds and what the executor reads, so neither has to walk the
-edge relation, and the DAG keeps nothing else. The public constructor sorts
-and checks that every predecessor is below its transaction; ``edges()``,
-the edge count and the indegrees come from the tuples. ``build_dag`` wraps
-the pass's tuples as they are (``DependencyDAG._from_pass``),
-``dag_from_shared`` builds one from a shared block's declared dependencies,
-and ``brute_force_dag`` from ``conflicts()`` pair by pair; all three must
-hold identical edge sets and indegrees for any block.
+edge relation, and the DAG keeps nothing else. The public constructor sorts,
+drops repeats and checks that every predecessor is below its transaction;
+``edges()``, the edge count and the indegrees come from the tuples.
+``build_dag`` wraps the pass's tuples as they are
+(``DependencyDAG._from_pass``), ``dag_from_shared`` builds one from a
+shared block's declared dependencies, and ``brute_force_dag`` from
+``conflicts()`` pair by pair; all three must hold identical edge sets and
+indegrees for any block.
 """
 
 from __future__ import annotations
@@ -107,13 +108,13 @@ def address_pass(block: Block) -> AccessIndex:
 class DependencyDAG:
     """A DAG kept as predecessor tuples alone.
 
-    ``preds[j]`` holds the distinct indices below j that j waits for, in any
-    order; one that is negative or not below j raises ``ValueError``, so no
-    DAG can make an executor wait for a transaction that never commits. The
-    DAG is built once from them and never changed: ``_preds[j]`` is their
-    ascending tuple, and indegrees, the edge count and ``edges()`` come from
-    the tuples. Executors only read the DAG, so one DAG can be executed any
-    number of times.
+    ``preds[j]`` holds the indices below j that j waits for, in any order,
+    and a repeat counts once; one that is negative or not below j raises
+    ``ValueError``, so no DAG can make an executor wait for a transaction
+    that never commits. The DAG is built once from them and never changed:
+    ``_preds[j]`` is their ascending tuple without repeats, and indegrees,
+    the edge count and ``edges()`` come from the tuples. Executors only
+    read the DAG, so one DAG can be executed any number of times.
 
     ``_from_pass`` is the one other constructor: it wraps ``address_pass``
     tuples without sorting or checking them, since the pass emits only
@@ -122,7 +123,7 @@ class DependencyDAG:
 
     def __init__(self, preds: list) -> None:
         self.txn_count = len(preds)
-        self._preds: list[tuple[int, ...]] = [tuple(sorted(p)) if p else () for p in preds]
+        self._preds: list[tuple[int, ...]] = [tuple(sorted(set(p))) if p else () for p in preds]
         # each tuple is ascending, so its ends are its minimum and maximum
         for j, column in enumerate(self._preds):
             if column and (column[0] < 0 or column[-1] >= j):
@@ -184,9 +185,9 @@ def brute_force_dag(block: Block) -> DependencyDAG:
 def dag_from_shared(block: Block) -> DependencyDAG:
     """The DAG embedded in a shared block, from its declared dependencies.
 
-    Duplicate dependencies count once, in indegree too, and a dependency
-    that is negative or not below its transaction raises ``ValueError``.
+    The lists go to ``DependencyDAG`` as they are: a repeat counts once, and
+    a dependency negative or not below its transaction raises ``ValueError``.
     """
     if not block.has_shared_dag:
         raise ValueError("block does not carry a shared DAG")
-    return DependencyDAG([set(txn.declared_dependencies) for txn in block.transactions])
+    return DependencyDAG([txn.declared_dependencies for txn in block.transactions])

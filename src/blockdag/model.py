@@ -43,9 +43,9 @@ ABSENT = _AbsentType()
 class Transaction:
     """One block entry: position, declared access sets, and family payload.
 
-    ``declared_dependencies`` is populated only when a block carries a
-    shared dependency DAG; each entry is the index of a predecessor
-    transaction (strictly lower than ``index``).
+    ``declared_dependencies`` is the transaction's list of predecessor
+    indices when its block carries a shared dependency DAG, and ``None``
+    otherwise.
 
     The fields live in slots. The constructor stores each one through its
     slot descriptor, which skips the frozen ``__setattr__`` that the
@@ -83,20 +83,27 @@ _set_declared_dependencies = Transaction.declared_dependencies.__set__
 
 @dataclass(frozen=True)
 class Block:
-    """Ordered transaction list, optionally carrying a shared indegree array."""
+    """Ordered transaction list, optionally carrying a whole shared DAG:
+    every transaction carries ``declared_dependencies`` exactly when
+    ``shared_indegree`` is set, or ``ValueError`` is raised."""
 
     transactions: tuple[Transaction, ...]
     shared_indegree: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        shared = self.shared_indegree is not None
         for pos, txn in enumerate(self.transactions):
             if txn.index != pos:
                 raise ValueError(
                     f"transaction at position {pos} has index {txn.index}"
                 )
-        if self.shared_indegree is not None and len(self.shared_indegree) != len(
-            self.transactions
-        ):
+            if (txn.declared_dependencies is None) is shared:
+                raise ValueError(
+                    f"block carries an indegree but transaction {pos} has no dependencies"
+                    if shared
+                    else f"transaction {pos} declares dependencies but the block carries no indegree"
+                )
+        if shared and len(self.shared_indegree) != len(self.transactions):
             raise ValueError("shared_indegree length does not match txn count")
 
     @property
@@ -105,9 +112,7 @@ class Block:
 
     @property
     def has_shared_dag(self) -> bool:
-        return self.shared_indegree is not None and all(
-            t.declared_dependencies is not None for t in self.transactions
-        )
+        return self.shared_indegree is not None
 
 
 class StateStore:

@@ -62,11 +62,11 @@ def validate_dag(
         raise ValueError("workers must be >= 1")
     if index is not None and index.block is not block:
         raise ValueError("access index was built from another block")
+    if not block.has_shared_dag:
+        raise ValueError("block does not carry a shared DAG")
     # The honest case is decided by whole-list comparisons at C speed. Only
     # a block that fails them is walked transaction by transaction.
     deps_of = list(map(_DEPENDENCIES, block.transactions))
-    if block.shared_indegree is None or None in deps_of:
-        raise ValueError("block does not carry a shared DAG")
     indegree = list(block.shared_indegree)
     if list(map(len, deps_of)) != indegree:
         return Verdict.MALICIOUS_EXTRA_EDGE

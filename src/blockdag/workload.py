@@ -36,7 +36,7 @@ class WorkloadSpec:
     dependency_pct: int = 0
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.family not in FAMILY_CHOICES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILY_CHOICES}")
         if self.txns_per_block < 1:
@@ -188,7 +188,6 @@ def _gen_mixed(n: int, pct: int, rng: random.Random) -> list[families.FamilyOp]:
 
 def generate_block(spec: WorkloadSpec, sequence: int = 0) -> Block:
     """Deterministically generate one block; same (seed, sequence) -> same block."""
-    spec.validate()
     rng = random.Random(f"{spec.rng_seed}:{sequence}")
     n = spec.txns_per_block
     if spec.family == "mixed":
@@ -271,7 +270,7 @@ def load_workload_spec(path: str) -> WorkloadSpec:
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
     try:
-        spec = WorkloadSpec(
+        fields = dict(
             family=values.pop("family"),
             txns_per_block=int(values.pop("txns_per_block")),
             num_blocks=int(values.pop("num_blocks", "1")),
@@ -282,5 +281,4 @@ def load_workload_spec(path: str) -> WorkloadSpec:
         raise ValueError(f"missing required key: {exc.args[0]}") from None
     if values:
         raise ValueError(f"unknown keys: {sorted(values)}")
-    spec.validate()
-    return spec
+    return WorkloadSpec(**fields)

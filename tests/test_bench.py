@@ -206,29 +206,47 @@ def test_workers_axis_extension():
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        _small_plan(axis="phases").validate()
+        _small_plan(axis="phases")
     with pytest.raises(ValueError):
-        _small_plan(values=()).validate()
+        _small_plan(values=())
     with pytest.raises(ValueError):
-        _small_plan(strategies=("serial", "quantum")).validate()
+        _small_plan(strategies=("serial", "quantum"))
     with pytest.raises(ValueError, match="at least one strategy"):
-        _small_plan(strategies=()).validate()
+        _small_plan(strategies=())
     with pytest.raises(ValueError):
-        _small_plan(repetitions=0).validate()
+        _small_plan(repetitions=0)
     with pytest.raises(ValueError):
-        _small_plan(workers=0).validate()
+        _small_plan(workers=0)
     # every axis value is checked, not only the first
     with pytest.raises(ValueError):
-        _small_plan(values=(10, 0)).validate()
+        _small_plan(values=(10, 0))
     with pytest.raises(ValueError):
-        _small_plan(axis="num_blocks", values=(1,), txns_per_block=0).validate()
+        _small_plan(axis="num_blocks", values=(1,), txns_per_block=0)
     with pytest.raises(ValueError):
-        _small_plan(axis="dependency_pct", values=(20, 101)).validate()
+        _small_plan(axis="dependency_pct", values=(20, 101))
     with pytest.raises(ValueError):
-        _small_plan(axis="workers", values=(2, 0)).validate()
+        _small_plan(axis="workers", values=(2, 0))
     with pytest.raises(ValueError):
-        _small_plan(sim_work_us=-5).validate()
-    _small_plan(axis="workers", values=(1, 2), workers=0).validate()
+        _small_plan(sim_work_us=-5)
+    _small_plan(axis="workers", values=(1, 2), workers=0)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"axis": "phases"}, "^unknown axis 'phases'"),
+        ({"values": ()}, "^plan needs at least one axis value$"),
+        ({"strategies": ("serial", "quantum")}, r"^unknown strategies: \['quantum'\]$"),
+        ({"repetitions": 0}, "^repetitions must be >= 1$"),
+        ({"sim_work_us": -5}, "^sim_work_us must be >= 0$"),
+        ({"axis": "workers", "values": (2, 0)}, "^workers must be >= 1$"),
+        ({"values": (10, 0)}, "^txns_per_block must be >= 1$"),
+    ],
+    ids=["axis", "no-values", "strategy", "reps", "sim-work", "workers-axis", "spec-axis"],
+)
+def test_plan_is_checked_at_construction(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        _small_plan(**overrides)
 
 
 def test_digest_check_raises_on_divergence():

@@ -556,9 +556,9 @@ def test_serializer_refuses_a_dependency_or_indegree_outside_u32(deps, indegree,
 
 
 def test_serializer_refuses_a_partial_shared_dag():
-    block = _two_deposits(((), None), (0, 0))
+    # Block itself refuses it, so no partial shared DAG reaches the serializer
     with pytest.raises(ValueError, match="^block carries an indegree but transaction 1 has no"):
-        serialize_block(block)
+        _two_deposits(((), None), (0, 0))
 
 
 def test_parse_checks_argument_count_and_tags():

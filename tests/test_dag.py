@@ -285,6 +285,17 @@ def test_constructor_rejects_a_predecessor_not_below_its_transaction(cls, preds)
         cls(preds)
 
 
+def test_constructor_keeps_a_repeated_predecessor_once():
+    # three deposits into one account: 1 waits for 0, and 2 for 0 and 1
+    block = block_from_ops([wallet_deposit("a", 1)] * 3)
+    dag = DependencyDAG([(), (0, 0), (1, 0, 1)])
+    assert dag.edge_count == 3
+    assert dag.predecessor_lists() == [(), (0,), (0, 1)]
+    assert dag.indegree_snapshot() == [0, 1, 2]
+    assert list(dag.edges()) == [(0, 1), (0, 2), (1, 2)]
+    assert validate_dag(attach_dag(block, dag)) is Verdict.HONEST
+
+
 def test_edges_walk_the_tuples_without_edge_queries():
     rng = random.Random(67)
     for trial in range(20):

@@ -104,6 +104,24 @@ def test_block_rejects_mismatched_indegree_length():
         Block((txn,), shared_indegree=(0, 0))
 
 
+@pytest.mark.parametrize(
+    "deps, indegree, message",
+    [
+        (((), ()), None, "^transaction 0 declares dependencies but the block carries no indegree$"),
+        (((), None), (0, 0), "^block carries an indegree but transaction 1 has no dependencies$"),
+    ],
+    ids=["lists-without-indegree", "indegree-without-a-list"],
+)
+def test_block_refuses_a_partial_shared_dag(deps, indegree, message):
+    block = block_from_ops([wallet_deposit("a", 1), wallet_deposit("b", 2)])
+    transactions = tuple(
+        dataclasses.replace(txn, declared_dependencies=d)
+        for txn, d in zip(block.transactions, deps)
+    )
+    with pytest.raises(ValueError, match=message):
+        Block(transactions, indegree)
+
+
 def test_block_shared_dag_flag():
     plain = Block((structural_txn(0, {b"a"}, set()),))
     assert not plain.has_shared_dag

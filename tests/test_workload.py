@@ -233,13 +233,29 @@ def test_mixed_blocks_interleave_families():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        WorkloadSpec(family="wallet", txns_per_block=0).validate()
+        WorkloadSpec(family="wallet", txns_per_block=0)
     with pytest.raises(ValueError):
-        WorkloadSpec(family="wallet", txns_per_block=1, dependency_pct=101).validate()
+        WorkloadSpec(family="wallet", txns_per_block=1, dependency_pct=101)
     with pytest.raises(ValueError):
-        WorkloadSpec(family="futures", txns_per_block=1).validate()
+        WorkloadSpec(family="futures", txns_per_block=1)
     with pytest.raises(ValueError):
         generate_block(WorkloadSpec(family="wallet", txns_per_block=1, num_blocks=0))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"family": "futures"}, "^unknown family 'futures'"),
+        ({"txns_per_block": 0}, "^txns_per_block must be >= 1$"),
+        ({"num_blocks": 0}, "^num_blocks must be >= 1$"),
+        ({"dependency_pct": -1}, r"^dependency_pct must be in \[0, 100\]$"),
+        ({"dependency_pct": 101}, r"^dependency_pct must be in \[0, 100\]$"),
+    ],
+    ids=["family", "txns", "blocks", "pct-below", "pct-above"],
+)
+def test_spec_is_checked_at_construction(fields, message):
+    with pytest.raises(ValueError, match=message):
+        WorkloadSpec(**{"family": "wallet", "txns_per_block": 1, **fields})
 
 
 def test_load_workload_spec(tmp_path):
@@ -254,15 +270,16 @@ def test_load_workload_spec(tmp_path):
 
 
 def test_load_workload_spec_errors(tmp_path):
-    bad = tmp_path / "bad.spec"
-    bad.write_text("family=wallet\n")
-    with pytest.raises(ValueError):
-        load_workload_spec(str(bad))
-    weird = tmp_path / "weird.spec"
-    weird.write_text("family=wallet\ntxns_per_block=3\nshoes=2\n")
-    with pytest.raises(ValueError):
-        load_workload_spec(str(weird))
-    noeq = tmp_path / "noeq.spec"
-    noeq.write_text("family wallet\n")
-    with pytest.raises(ValueError):
-        load_workload_spec(str(noeq))
+    # a missing key is named first, then unknown keys, then a value out of range
+    for text, message in [
+        ("family=wallet\n", "^missing required key: txns_per_block$"),
+        ("family=wallet\nshoes=2\ndependency_pct=101\n", "^missing required key: txns_per_block$"),
+        ("family=wallet\ntxns_per_block=3\nshoes=2\n", r"^unknown keys: \['shoes'\]$"),
+        ("family=wallet\ntxns_per_block=0\nshoes=2\n", r"^unknown keys: \['shoes'\]$"),
+        ("family=wallet\ntxns_per_block=0\n", "^txns_per_block must be >= 1$"),
+        ("family wallet\n", "^expected key=value, got 'family wallet'$"),
+    ]:
+        path = tmp_path / "bad.spec"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_workload_spec(str(path))
