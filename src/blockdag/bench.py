@@ -116,7 +116,7 @@ def _run_rep(strategy, blocks, shared_blocks, references, workers, sim_work_us):
             report = execute_block_parallel(
                 block, dag, store, workers, sim_work_us=sim_work_us
             )
-        elif strategy == "smart-validate":
+        else:  # smart-validate; ExperimentPlan admits no other strategy
             shared = shared_blocks[seq]
             t0 = time.perf_counter()
             verdict = validate_dag(shared)
@@ -126,8 +126,6 @@ def _run_rep(strategy, blocks, shared_blocks, references, workers, sim_work_us):
             report = execute_block_parallel(
                 shared, run_dag, store, workers, sim_work_us=sim_work_us
             )
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
         exec_wall += report.wall_time
         _check_digest(strategy, seq, state_digest(store), references[seq])
     return exec_wall, build_wall, verdicts

@@ -16,15 +16,16 @@ before it is used, and strings that are not UTF-8 are malformed, so a
 CRC-valid body that lies raises a ``BlockCodecError`` subclass, never
 ``struct.error``, ``IndexError``, ``MemoryError`` or ``UnicodeDecodeError``.
 
-Both directions read the one opcode table, ``families.OP_SCHEMAS``. The
-serializer checks each op's arguments against their kinds and each
-transaction's sets against the ones its op declares. The parser checks each
-record's argument count and tags, derives the read and write sets from the
-decoded arguments, and requires the wire's set section to be their
+Both directions read the one opcode table, ``families.OP_SCHEMAS``, which
+each ``FamilyOp`` was checked against when it was made. The serializer
+checks the wire's own limits (u16 string lengths and pair counts, u32
+dependencies) and that each transaction's sets are its op's. The parser
+checks each record's opcode, argument count and tags, derives the sets from
+the decoded arguments, and requires the wire's set section to be their
 canonical encoding (addresses strictly ascending) byte for byte: one
 compare, and a slow path that runs only to name what differs. So a block
-that parses carries the sets its ops declare, and re-serializes to the bytes
-it came from.
+that parses carries the sets its ops declare, and re-serializes to the
+bytes it came from.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, NamedTuple
 
 from .dag import DependencyDAG
 from .model import Address, Block, Transaction
-from .families import OP_SCHEMAS, PAIRS, STR, U64, U64_MAX, FamilyOp
+from .families import OP_SCHEMAS, PAIRS, STR, U64, FamilyOp
 
 WIRE_VERSION = 1
 _FLAG_SHARED_DAG = 0x01
@@ -95,6 +96,7 @@ _OPS_BY_TAG = {
     _FAMILY_TAGS[family]: {op.head[1]: op for op in _WIRE_OPS.values() if op.family == family}
     for family in _OPCODE_TAGS
 }
+_op = FamilyOp._unchecked  # parse_block checks each record as it decodes it
 
 
 class BlockCodecError(Exception):
@@ -211,38 +213,16 @@ def attach_dag(block: Block, dag: DependencyDAG) -> Block:
     )
 
 
-def _pairs_field(pairs) -> bytes | None:
-    """A field-pairs argument's encoding, or None if it is not a tuple of
-    (str, str) tuples."""
-    if type(pairs) is not tuple:
-        return None
-    if len(pairs) > 0xFFFF:
-        raise ValueError("too many field pairs for a u16 count")
-    parts = [_TAGGED_U16.pack(_ARG_PAIRS, len(pairs))]
-    for pair in pairs:
-        if type(pair) is not tuple or len(pair) != 2:
-            return None
-        key, value = pair
-        if type(key) is not str or type(value) is not str:
-            return None
-        parts += (_blob16(key.encode()), _blob16(value.encode()))
-    return b"".join(parts)
-
-
-def _bad_args(op: _WireOp, args) -> ValueError:
-    kinds = ", ".join(_TAG_KINDS[tag] for tag in op.arg_tags)
-    return ValueError(f"{op.family}/{op.opcode} takes ({kinds}), got {args!r}")
-
-
 def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     """Deterministic bytes for a block; same input always yields same output.
 
     When a DAG is given it is embedded (replacing whatever shared-DAG fields
     the block already has); otherwise the block's own fields are written
-    as-is, shared section included only if present. Every op must match its
-    entry in the opcode table (``families.OP_SCHEMAS``), every transaction
-    must carry the sets its op declares, and every dependency and indegree
-    entry must be a u32, or ``ValueError`` is raised.
+    as-is, shared section included only if present. Each op was checked
+    against the opcode table when it was made; here every string and pair
+    list must fit its u16 prefix, every transaction must carry the sets its
+    op declares, and every dependency and indegree entry must be a u32, or
+    ``ValueError`` is raised.
     """
     if block.txn_count > MAX_BLOCK_TXNS:
         raise BlockTooLargeError(f"block has {block.txn_count} txns, cap is {MAX_BLOCK_TXNS}")
@@ -255,27 +235,24 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     sections = {}  # (read set, write set) -> its canonical section
     for txn in block.transactions:
         payload: FamilyOp = txn.payload
-        op = _WIRE_OPS.get((payload.family, payload.opcode))
-        if op is None:
-            raise ValueError(f"op {payload.family}/{payload.opcode} has no wire tag")
+        op = _WIRE_OPS[payload.family, payload.opcode]
         args = payload.args
-        if len(args) != len(op.arg_tags):
-            raise _bad_args(op, args)
         out += op.head
         for tag, arg in zip(op.arg_tags, args):
-            if tag == _ARG_STR and type(arg) is str:
+            if tag == _ARG_STR:
                 encoded = arg.encode()
                 if len(encoded) > 0xFFFF:
                     raise ValueError("field too long for u16 length prefix")
                 out += _TAGGED_U16.pack(_ARG_STR, len(encoded))
                 out += encoded
-            elif tag == _ARG_INT and type(arg) is int and 0 <= arg <= U64_MAX:
+            elif tag == _ARG_INT:
                 out += _INT_ARG.pack(_ARG_INT, arg)
             else:
-                field = _pairs_field(arg) if tag == _ARG_PAIRS else None
-                if field is None:
-                    raise _bad_args(op, args)
-                out += field
+                if len(arg) > 0xFFFF:
+                    raise ValueError("too many field pairs for a u16 count")
+                out += _TAGGED_U16.pack(_ARG_PAIRS, len(arg))
+                for key, value in arg:
+                    out += _blob16(key.encode()) + _blob16(value.encode())
         sets = op.sets(args)
         if txn.read_set != sets[0] or txn.write_set != sets[1]:
             raise ValueError(
@@ -317,9 +294,10 @@ def parse_block(data: bytes) -> Block:
     """Parse wire bytes back into a Block, or raise a descriptive error.
 
     Each record's arguments must have the count and kinds its opcode's
-    table entry gives. The read and write sets are derived from those
-    arguments, and the wire's set section must be their canonical encoding
-    byte for byte, so the block carries the sets its ops declare.
+    table entry gives; they are decoded into those kinds, so the ops are
+    built without ``FamilyOp``'s check. The read and write sets are derived
+    from the arguments, and the wire's set section must be their canonical
+    encoding byte for byte, so the block carries the sets its ops declare.
     """
     if len(data) < _MIN_SIZE:
         raise TruncatedBlockError(f"{len(data)} bytes is below the minimum of {_MIN_SIZE}")
@@ -438,7 +416,7 @@ def parse_block(data: bytes) -> Block:
             else:
                 deps = ()
         transactions.append(
-            Transaction(index, sets[0], sets[1], FamilyOp(op.family, op.opcode, args), deps)
+            Transaction(index, sets[0], sets[1], _op(op.family, op.opcode, args), deps)
         )
     shared_indegree = None
     if has_dag:

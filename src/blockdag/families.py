@@ -11,9 +11,10 @@ transactions in a block conflict. That pathology is intentional and is
 exercised by the benchmark suite.
 
 One table, ``OP_SCHEMAS``, gives each opcode's argument kinds and the rule
-that derives its read and write sets from its arguments. ``declared_sets``
-reads it, and so does the wire codec in both directions, so a block read
-off the wire carries the sets its ops declare and no others.
+that derives its read and write sets from its arguments. ``FamilyOp``
+checks each op against it once, where it is made; ``declared_sets``,
+``apply_op`` and the wire codec in both directions index it directly, so a
+block read off the wire carries the sets its ops declare and no others.
 """
 
 from __future__ import annotations
@@ -37,10 +38,13 @@ VOTING_VOTERS_ADDR: Address = b"voting/voters"
 
 @dataclass(frozen=True, slots=True)
 class FamilyOp:
-    """Family tag plus opcode and its (hashable) arguments.
+    """Family tag plus opcode and its (hashable) arguments, checked once.
 
-    Slot-backed like ``model.Transaction``, and built the same way: the
-    constructor stores each field through its slot descriptor.
+    The constructor raises ``ValueError`` for an op not in ``OP_SCHEMAS`` or
+    for arguments that are not a tuple of the kinds it gives. ``_unchecked``
+    skips that, for the parser, which has checked and decoded each argument.
+    Slot-backed like ``model.Transaction``: each field is stored through its
+    slot descriptor.
     """
 
     family: str
@@ -48,9 +52,23 @@ class FamilyOp:
     args: tuple
 
     def __init__(self, family: str, opcode: str, args: tuple) -> None:
+        shape = _SHAPES.get((family, opcode))
+        if shape is None:
+            raise ValueError(f"unknown op: {family!r}/{opcode!r}")
+        if not _args_fit(args, shape):
+            kinds = ", ".join(OP_SCHEMAS[family, opcode].args)
+            raise ValueError(f"{family}/{opcode} takes ({kinds}), got {args!r}")
         _set_family(self, family)
         _set_opcode(self, opcode)
         _set_args(self, args)
+
+    @classmethod
+    def _unchecked(cls, family: str, opcode: str, args: tuple) -> FamilyOp:
+        op = object.__new__(cls)
+        _set_family(op, family)
+        _set_opcode(op, opcode)
+        _set_args(op, args)
+        return op
 
 
 _set_family = FamilyOp.family.__set__
@@ -70,39 +88,32 @@ def insurance_addr(record_id: str) -> Address:
     return b"insurance/" + record_id.encode()
 
 
-def _check_amount(amount: int) -> int:
-    # the wire's u64 kind: an int, and never a bool
-    if type(amount) is not int or amount < 0 or amount > U64_MAX:
-        raise ValueError(f"amount out of range: {amount!r}")
-    return amount
-
-
 def wallet_create(account: str) -> FamilyOp:
     return FamilyOp(WALLET, "create", (account,))
 
 
 def wallet_deposit(account: str, amount: int) -> FamilyOp:
-    return FamilyOp(WALLET, "deposit", (account, _check_amount(amount)))
+    return FamilyOp(WALLET, "deposit", (account, amount))
 
 
 def wallet_withdraw(account: str, amount: int) -> FamilyOp:
-    return FamilyOp(WALLET, "withdraw", (account, _check_amount(amount)))
+    return FamilyOp(WALLET, "withdraw", (account, amount))
 
 
 def wallet_transfer(src: str, dst: str, amount: int) -> FamilyOp:
-    return FamilyOp(WALLET, "transfer", (src, dst, _check_amount(amount)))
+    return FamilyOp(WALLET, "transfer", (src, dst, amount))
 
 
 def intkey_set(key: str, value: int) -> FamilyOp:
-    return FamilyOp(INTKEY, "set", (key, _check_amount(value)))
+    return FamilyOp(INTKEY, "set", (key, value))
 
 
 def intkey_inc(key: str, delta: int) -> FamilyOp:
-    return FamilyOp(INTKEY, "inc", (key, _check_amount(delta)))
+    return FamilyOp(INTKEY, "inc", (key, delta))
 
 
 def intkey_dec(key: str, delta: int) -> FamilyOp:
-    return FamilyOp(INTKEY, "dec", (key, _check_amount(delta)))
+    return FamilyOp(INTKEY, "dec", (key, delta))
 
 
 def voting_create_party(party: str) -> FamilyOp:
@@ -179,9 +190,8 @@ class OpSchema(NamedTuple):
     sets: Callable[[tuple], tuple[frozenset[Address], frozenset[Address]]]
 
 
-# The one table of opcodes: the constructors above build these ops,
-# declared_sets reads it, and the wire codec checks and derives from it in
-# both directions.
+# The one table of opcodes: FamilyOp checks each op against it, and
+# declared_sets and the wire codec derive from it in both directions.
 OP_SCHEMAS: dict[tuple[str, str], OpSchema] = {
     (WALLET, "create"): OpSchema((STR,), _account_sets),
     (WALLET, "deposit"): OpSchema((STR, U64), _account_sets),
@@ -198,13 +208,36 @@ OP_SCHEMAS: dict[tuple[str, str], OpSchema] = {
     (INSURANCE, "read_record"): OpSchema((STR,), _record_read_sets),
 }
 
+# What FamilyOp checks per op: each argument's type, then the positions of
+# the u64 and pairs arguments, whose values their type does not bound.
+_KIND_TYPES = {STR: str, U64: int, PAIRS: tuple}
+_SHAPES = {
+    key: (
+        tuple(_KIND_TYPES[kind] for kind in schema.args),
+        tuple(k for k, kind in enumerate(schema.args) if kind == U64),
+        tuple(k for k, kind in enumerate(schema.args) if kind == PAIRS),
+    )
+    for key, schema in OP_SCHEMAS.items()
+}
+
+
+def _args_fit(args, shape) -> bool:
+    types, u64_at, pairs_at = shape
+    if type(args) is not tuple or tuple(map(type, args)) != types:
+        return False  # a bool's type is not int
+    for k in u64_at:
+        if not 0 <= args[k] <= U64_MAX:
+            return False
+    for k in pairs_at:
+        for pair in args[k]:
+            if type(pair) is not tuple or tuple(map(type, pair)) != (str, str):
+                return False
+    return True
+
 
 def declared_sets(op: FamilyOp) -> tuple[frozenset[Address], frozenset[Address]]:
     """Read and write address sets implied by an op, fixed at build time."""
-    schema = OP_SCHEMAS.get((op.family, op.opcode))
-    if schema is None:
-        raise ValueError(f"unknown op: {op.family!r}/{op.opcode!r}")
-    return schema.sets(op.args)
+    return OP_SCHEMAS[op.family, op.opcode].sets(op.args)
 
 
 def make_transaction(index: int, op: FamilyOp) -> Transaction:
@@ -242,25 +275,24 @@ def _apply_wallet(op: FamilyOp, store: StateStore) -> bool:
             return False
         store.set(addr, balance - op.args[1])
         return True
-    if opcode == "transfer":
-        src = wallet_addr(op.args[0])
-        dst = wallet_addr(op.args[1])
-        amount = op.args[2]
-        src_balance = store.get(src)
-        if src_balance is ABSENT or src_balance < amount:
-            return False
-        if src == dst:
-            return True  # self-transfer moves nothing
+    # transfer
+    src = wallet_addr(op.args[0])
+    dst = wallet_addr(op.args[1])
+    amount = op.args[2]
+    src_balance = store.get(src)
+    if src_balance is ABSENT or src_balance < amount:
+        return False
+    if src == dst:
+        return True  # self-transfer moves nothing
 
-        dst_balance = store.get(dst)
-        if dst_balance is ABSENT:
-            dst_balance = 0
-        if dst_balance + amount > U64_MAX:
-            return False
-        store.set(src, src_balance - amount)
-        store.set(dst, dst_balance + amount)
-        return True
-    raise ValueError(f"unknown wallet opcode: {opcode!r}")
+    dst_balance = store.get(dst)
+    if dst_balance is ABSENT:
+        dst_balance = 0
+    if dst_balance + amount > U64_MAX:
+        return False
+    store.set(src, src_balance - amount)
+    store.set(dst, dst_balance + amount)
+    return True
 
 
 def _apply_intkey(op: FamilyOp, store: StateStore) -> bool:
@@ -277,12 +309,11 @@ def _apply_intkey(op: FamilyOp, store: StateStore) -> bool:
             return False
         store.set(addr, value + op.args[1])
         return True
-    if op.opcode == "dec":
-        if value is ABSENT or value < op.args[1]:
-            return False
-        store.set(addr, value - op.args[1])
-        return True
-    raise ValueError(f"unknown intkey opcode: {op.opcode!r}")
+    # dec
+    if value is ABSENT or value < op.args[1]:
+        return False
+    store.set(addr, value - op.args[1])
+    return True
 
 
 def _apply_voting(op: FamilyOp, store: StateStore) -> bool:
@@ -306,20 +337,19 @@ def _apply_voting(op: FamilyOp, store: StateStore) -> bool:
         updated[voter] = None
         store.set(VOTING_VOTERS_ADDR, updated)
         return True
-    if op.opcode == "vote":
-        voter, party = op.args
-        if voter not in voters or party not in parties:
-            return False
-        if voters[voter] is not None:
-            return False
-        new_voters = dict(voters)
-        new_voters[voter] = party
-        new_parties = dict(parties)
-        new_parties[party] += 1
-        store.set(VOTING_VOTERS_ADDR, new_voters)
-        store.set(VOTING_PARTIES_ADDR, new_parties)
-        return True
-    raise ValueError(f"unknown voting opcode: {op.opcode!r}")
+    # vote
+    voter, party = op.args
+    if voter not in voters or party not in parties:
+        return False
+    if voters[voter] is not None:
+        return False
+    new_voters = dict(voters)
+    new_voters[voter] = party
+    new_parties = dict(parties)
+    new_parties[party] += 1
+    store.set(VOTING_VOTERS_ADDR, new_voters)
+    store.set(VOTING_PARTIES_ADDR, new_parties)
+    return True
 
 
 def _apply_insurance(op: FamilyOp, store: StateStore) -> bool:
@@ -337,9 +367,8 @@ def _apply_insurance(op: FamilyOp, store: StateStore) -> bool:
         updated.update(op.args[1])
         store.set(addr, updated)
         return True
-    if op.opcode == "read_record":
-        return record is not ABSENT
-    raise ValueError(f"unknown insurance opcode: {op.opcode!r}")
+    # read_record
+    return record is not ABSENT
 
 
 _APPLIERS = {

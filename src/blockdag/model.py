@@ -11,7 +11,7 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
     from .families import FamilyOp
@@ -136,14 +136,8 @@ class StateStore:
     def set(self, address: Address, value) -> None:
         self._entries[address] = value
 
-    def __contains__(self, address: Address) -> bool:
-        return address in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def items(self) -> Iterator[tuple[Address, object]]:
-        return iter(self._entries.items())
 
     def copy(self) -> "StateStore":
         return StateStore(self._entries)

@@ -7,7 +7,7 @@ import random
 from dataclasses import replace
 
 from blockdag.families import FamilyOp
-from blockdag.model import ABSENT, Block, StateStore, Transaction
+from blockdag.model import Block, StateStore, Transaction
 from blockdag.workload import WorkloadSpec, generate_block
 
 _DUMMY_OP = FamilyOp("intkey", "set", ("structural", 0))
@@ -152,11 +152,3 @@ class TrackingStore(StateStore):
     def reset_tracking(self) -> None:
         self.reads.clear()
         self.writes.clear()
-
-
-def assert_store_equal(a: StateStore, b: StateStore) -> None:
-    assert dict(a.items()) == dict(b.items())
-
-
-def absent(store: StateStore, address: bytes) -> bool:
-    return store.get(address) is ABSENT

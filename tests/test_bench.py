@@ -1,3 +1,5 @@
+import errno
+import io
 import re
 
 import pytest
@@ -15,6 +17,7 @@ from blockdag import cli
 from blockdag.cli import cli_main
 from blockdag.codec import attach_dag, serialize_block
 from blockdag.dag import address_pass, build_dag
+from blockdag.model import ExecutionReport
 from blockdag.workload import WorkloadSpec, generate_block
 
 from _helpers import add_spurious_edge
@@ -273,6 +276,19 @@ def test_strategy_failure_recorded_per_row(monkeypatch, capsys):
     ]
 
 
+def _tree_that_runs_nothing(block, tree, store, workers, sim_work_us=0):
+    return ExecutionReport()
+
+
+def test_divergence_stops_the_experiment_rather_than_writing_an_error_row(monkeypatch, capsys):
+    import blockdag.bench as bench_mod
+
+    monkeypatch.setattr(bench_mod, "execute_block_tree", _tree_that_runs_nothing)
+    with pytest.raises(OracleDivergenceError, match="^strategy 'tree' diverged from serial on block 0$"):
+        run_experiment(_small_plan(strategies=("serial", "tree"), values=(8,)))
+    assert capsys.readouterr().err == ""
+
+
 # CLI
 
 
@@ -367,6 +383,48 @@ def test_cli_unwritable_out_is_one_error_line(tmp_path, capsys, monkeypatch):
         assert captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_divergence_exits_1_with_one_error_line(monkeypatch, capsys):
+    import blockdag.bench as bench_mod
+
+    monkeypatch.setattr(bench_mod, "execute_block_tree", _tree_that_runs_nothing)
+    rc = cli_main(
+        ["--experiment", "2", "--family", "wallet", "--strategies", "serial,tree",
+         "--txns", "8", "--blocks", "1", "--reps", "1"]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: strategy 'tree' diverged from serial on block 0"]
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_cli_out_write_that_fails_after_the_run_exits_1(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda plan: ran.append(plan) or [])
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullDisk(), raising=False)
+    rc = cli_main(
+        ["--experiment", "3", "--family", "intkey", "--strategies", "serial",
+         "--dep-pct", "0", "--txns", "10", "--blocks", "1", "--reps", "1",
+         "--out", str(tmp_path / "rows.csv")]
+    )
+    assert rc == 1 and len(ran) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+def test_cli_non_integer_in_a_list_is_a_usage_error(capsys):
+    assert cli_main(["--experiment", "2", "--txns", "1,x"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err
+    assert captured.err.splitlines()[-1] == "error: argument --txns: expected integer(s), got '1,x'"
 
 
 def test_cli_verify_only_honest(tmp_path, capsys):

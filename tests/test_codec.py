@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import struct
 import zlib
 from dataclasses import replace
@@ -305,6 +306,50 @@ def test_string_argument_failures_keep_their_error_and_message(case):
     assert str(caught.value) == message
 
 
+# Each fixed-width field the parser reads, with a CRC-valid body that ends
+# inside it (offsets from docs/wire-format.md: a 10-byte header, then each
+# record's family tag, opcode tag and argc).
+_FIELD_CUTS = {
+    # one byte of the first record's family and opcode tags
+    "record-head": ([wallet_deposit("a", 5)], False, 11, "needed 2 bytes at offset 10, have 1"),
+    "argc": ([wallet_deposit("a", 5)], False, 12, "needed 1 bytes at offset 12, have 0"),
+    "argument-tag": ([wallet_deposit("a", 5)], False, 13, "needed 1 bytes at offset 13, have 0"),
+    # the amount starts at 18, after the tagged string "a"
+    "u64-argument": ([wallet_deposit("a", 5)], False, 20, "needed 8 bytes at offset 18, have 2"),
+    "pair-count": ([insurance_create("r", {"f": "v"})], False, 19, "needed 2 bytes at offset 18, have 1"),
+    "pair-key-length": ([insurance_create("r", {"f": "v"})], False, 21, "needed 2 bytes at offset 20, have 1"),
+    # the set section no longer matches, and naming why reads its count
+    "set-count": ([wallet_create("a")], False, 18, "needed 2 bytes at offset 17, have 1"),
+    # wallet_create("a") with its DAG: the dependency count follows the sets at 41
+    "dependency-count": ([wallet_create("a")], True, 43, "needed 4 bytes at offset 41, have 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIELD_CUTS))
+def test_a_body_cut_inside_a_field_names_the_bytes_it_needed(case):
+    ops, shared, at, message = _FIELD_CUTS[case]
+    block = block_from_ops(ops)
+    data = serialize_block(block, build_dag(block) if shared else None)
+    with pytest.raises(TruncatedBlockError) as caught:
+        parse_block(_cut(data, at))
+    assert type(caught.value) is TruncatedBlockError
+    assert str(caught.value) == message
+
+
+def test_unknown_flag_bit_is_malformed():
+    data = bytearray(serialize_block(block_from_ops([wallet_create("a")])))
+    data[1] = 0x02
+    with pytest.raises(MalformedBlockError, match="^unknown flag bits 0x02$"):
+        parse_block(_restamp(data))
+
+
+def test_serializer_refuses_more_field_pairs_than_a_u16_count():
+    # FamilyOp takes any number of pairs; the wire's u16 count is the limit
+    op = insurance_create("r", {f"k{i}": "" for i in range(0x10000)})
+    with pytest.raises(ValueError, match="^too many field pairs for a u16 count$"):
+        serialize_block(block_from_ops([op]))
+
+
 # A two-transaction shared block and, for each count field in it (from
 # docs/wire-format.md), its offset, width, true value and the lies tried:
 # insurance_create("r", {"f": "v"}) then insurance_read("r"), which
@@ -493,10 +538,11 @@ def test_transfer_whose_sets_name_only_its_source_is_malformed():
 
 
 def test_string_amount_is_rejected_both_ways():
-    op = FamilyOp("wallet", "deposit", ("a", "5"))
+    # FamilyOp refuses it where it is made; only hostile bytes carry one
+    with pytest.raises(ValueError, match=r"^wallet/deposit takes \(str, u64\), got \('a', '5'\)$"):
+        FamilyOp("wallet", "deposit", ("a", "5"))
+    op = FamilyOp._unchecked("wallet", "deposit", ("a", "5"))
     block = Block((Transaction(0, *declared_sets(op), op),))
-    with pytest.raises(ValueError, match=r"wallet/deposit takes \(str, u64\)"):
-        serialize_block(block)
     with pytest.raises(MalformedBlockError, match="argument 1 is str, expected u64"):
         parse_block(_unchecked_wire(block))
 
@@ -515,10 +561,11 @@ def test_string_amount_is_rejected_both_ways():
     ],
 )
 def test_serializer_applies_the_argument_schema(args):
-    op = FamilyOp("wallet", "deposit", args)
-    sets = (frozenset({b"wallet/a"}),) * 2
-    with pytest.raises(ValueError, match="wallet/deposit takes"):
-        serialize_block(Block((Transaction(0, *sets, op),)))
+    # the schema is applied once, where the op is made, so no op with
+    # arguments of the wrong kind reaches the serializer
+    message = re.escape(f"wallet/deposit takes (str, u64), got {args!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FamilyOp("wallet", "deposit", args)
 
 
 @pytest.mark.parametrize(
@@ -526,10 +573,10 @@ def test_serializer_applies_the_argument_schema(args):
     [[("f", "v")], (("f",),), (("f", "v", "w"),), (("f", 1),), (["f", "v"],), "fv"],
 )
 def test_serializer_applies_the_field_pairs_schema(pairs):
-    op = FamilyOp("insurance", "create_record", ("r", pairs))
-    sets = (frozenset({b"insurance/r"}),) * 2
-    with pytest.raises(ValueError, match="insurance/create_record takes"):
-        serialize_block(Block((Transaction(0, *sets, op),)))
+    # as above: FamilyOp applies the schema, the serializer never sees it fail
+    message = re.escape(f"insurance/create_record takes (str, pairs), got {('r', pairs)!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FamilyOp("insurance", "create_record", ("r", pairs))
 
 
 def _two_deposits(deps, indegree):
@@ -571,7 +618,7 @@ def test_parse_checks_argument_count_and_tags():
         tampered[argc] = lie
         with pytest.raises(MalformedBlockError, match=f"wallet/deposit has {lie} arguments, expected 2"):
             parse_block(_restamp(tampered))
-    wrong_kind = FamilyOp("wallet", "deposit", (("f", "v"), 5))
+    wrong_kind = FamilyOp._unchecked("wallet", "deposit", (("f", "v"), 5))
     with pytest.raises(MalformedBlockError, match="argument 0 is pairs, expected str"):
         parse_block(_unchecked_wire(Block((Transaction(0, frozenset(), frozenset(), wrong_kind),))))
 
@@ -682,10 +729,10 @@ def _mutate(txn: Transaction, block: Block, rng: random.Random) -> Transaction:
             args.insert(k, rng.choice(_ARG_VALUES))
         else:
             rng.shuffle(args)
-        op = FamilyOp(op.family, op.opcode, tuple(args))
+        op = FamilyOp._unchecked(op.family, op.opcode, tuple(args))
     elif what == 1:  # another opcode, of this family or another one
         family = op.family if rng.randrange(2) else rng.choice(sorted(codec._OPCODE_TAGS))
-        op = FamilyOp(family, rng.choice(sorted(codec._OPCODE_TAGS[family])), op.args)
+        op = FamilyOp._unchecked(family, rng.choice(sorted(codec._OPCODE_TAGS[family])), op.args)
     else:  # the address sets
         pool = sorted({a for t in block.transactions for a in t.read_set | t.write_set})
         pool.append(b"wallet/elsewhere")

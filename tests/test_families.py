@@ -180,6 +180,24 @@ def test_insurance_read_absent_fails():
     assert results == [False]
 
 
+@pytest.mark.parametrize(
+    "before, refused",
+    [
+        ([fam.wallet_deposit("a", 10), fam.wallet_deposit("b", fam.U64_MAX)], fam.wallet_transfer("a", "b", 1)),
+        ([fam.voting_create_party("P")], fam.voting_create_party("P")),
+        ([fam.voting_add_voter("V")], fam.voting_add_voter("V")),
+        ([fam.insurance_create("r", {"f": "v"})], fam.insurance_create("r", {"f": "w"})),
+    ],
+    ids=["transfer-overflows-destination", "party-twice", "voter-twice", "record-twice"],
+)
+def test_refused_ops_return_false_and_leave_the_store_unchanged(before, refused):
+    store, results = _run(before)
+    assert all(results)
+    digest = state_digest(store)
+    assert fam.apply_op(refused, store) is False
+    assert state_digest(store) == digest
+
+
 def test_insurance_reads_do_not_conflict():
     block = fam.block_from_ops([fam.insurance_read("r"), fam.insurance_read("r")])
     assert brute_force_dag(block).edge_count == 0
@@ -234,9 +252,7 @@ def test_invalid_op_arguments_raise_at_build_time():
 
 
 def test_unknown_ops_raise():
-    with pytest.raises(ValueError):
-        fam.apply_op(fam.FamilyOp("wallet", "burn", ("a",)), StateStore())
-    with pytest.raises(KeyError):
-        fam.apply_op(fam.FamilyOp("lottery", "draw", ()), StateStore())
-    with pytest.raises(ValueError):
-        fam.declared_sets(fam.FamilyOp("lottery", "draw", ()))
+    # at construction, so apply_op and declared_sets never see one
+    for family, opcode, args in (("wallet", "burn", ("a",)), ("lottery", "draw", ()), ("voting", "deposit", ("a", 1))):
+        with pytest.raises(ValueError, match=f"^unknown op: '{family}'/'{opcode}'$"):
+            fam.FamilyOp(family, opcode, args)

@@ -99,8 +99,8 @@ def test_block_rejects_out_of_position_indices():
 
 
 def test_block_rejects_mismatched_indegree_length():
-    txn = structural_txn(0, {b"a"}, set())
-    with pytest.raises(ValueError):
+    txn = dataclasses.replace(structural_txn(0, {b"a"}, set()), declared_dependencies=())
+    with pytest.raises(ValueError, match="^shared_indegree length does not match txn count$"):
         Block((txn,), shared_indegree=(0, 0))
 
 
@@ -147,11 +147,14 @@ def test_store_copy_is_independent():
     assert store.get(b"a") == 1
 
 
-# Each slot-backed record: its field names in order, and one value per field.
+# Each slot-backed record: its field names in order, one value per field,
+# and the changes dataclasses.replace must make. A FamilyOp is checked
+# against the opcode table, so only a valid change is one it accepts.
+_TRANSACTION_FIELDS = ("index", "read_set", "write_set", "payload", "declared_dependencies")
 _RECORDS = {
     "transaction": (
         Transaction,
-        ("index", "read_set", "write_set", "payload", "declared_dependencies"),
+        _TRANSACTION_FIELDS,
         (
             3,
             frozenset({b"a"}),
@@ -159,14 +162,20 @@ _RECORDS = {
             FamilyOp("wallet", "create", ("a",)),
             (0, 2),
         ),
+        dict.fromkeys(_TRANSACTION_FIELDS),
     ),
-    "family-op": (FamilyOp, ("family", "opcode", "args"), ("voting", "vote", ("v", "p"))),
+    "family-op": (
+        FamilyOp,
+        ("family", "opcode", "args"),
+        ("voting", "vote", ("v", "p")),
+        {"args": ("w", "q")},
+    ),
 }
 
 
 @pytest.mark.parametrize("record", sorted(_RECORDS))
 def test_slot_backed_records_keep_the_dataclass_contract(record):
-    cls, names, values = _RECORDS[record]
+    cls, names, values, changes = _RECORDS[record]
     assert tuple(f.name for f in dataclasses.fields(cls)) == names
     assert cls.__slots__ == names
     built = cls(*values)
@@ -177,9 +186,13 @@ def test_slot_backed_records_keep_the_dataclass_contract(record):
     assert tuple(getattr(built, name) for name in names) == values
     fields_repr = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
     assert repr(built) == f"{cls.__name__}({fields_repr})"
+    for name, new in changes.items():
+        changed = dataclasses.replace(built, **{name: new})
+        assert getattr(changed, name) is new and changed != built
     for name, value in zip(names, values):
-        changed = dataclasses.replace(built, **{name: None})
-        assert getattr(changed, name) is None and changed != built
+        if cls is FamilyOp:
+            with pytest.raises(ValueError):
+                dataclasses.replace(built, **{name: None})
         assert getattr(built, name) is value
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(built, name, value)
