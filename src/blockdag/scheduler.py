@@ -20,8 +20,18 @@ tell, is a waiting worker woken or, with none waiting, a helper started. A
 failed grant stays failed until the next commit, so after one no worker
 grants again before a commit; it waits on the condition instead, never on
 a timer, until woken for work, by the end of the run, or by a crash. A
-chain therefore runs on the calling thread alone, with no failed grant and
-no helper.
+chain that follows other work therefore runs one transaction at a time
+and wakes no one.
+
+A block whose whole DAG is one chain never reaches the loop. When every
+transaction j >= 1 has j - 1 as the last entry of its ascending
+predecessor tuple, index order is the only valid order, and the loop
+would only run it on the calling thread one grant at a time.
+``execute_block_parallel`` checks this in one walk that stops at the
+first transaction that fails it, and runs such a block through
+``_run_in_order``, the serial baseline's loop, with no queue, lock or
+helper. A processor ``Exception`` there raises ParallelExecutionError with
+the prefix that ran; interrupts propagate unchanged.
 
 A helper is started, then counted, under the loop's lock, so a start that
 raises counts nothing. A helper counts itself stopped under the same lock
@@ -310,6 +320,16 @@ class ReadyQueue:
             heapq.heappush(self.ready, j)
 
 
+def _is_chain(preds: list[tuple[int, ...]]) -> bool:
+    """Whether every transaction after the first waits on the one just
+    before it: ``j - 1`` ends ``preds[j]``. Such a DAG has one valid order."""
+    for j in range(1, len(preds)):
+        p = preds[j]
+        if not p or p[-1] != j - 1:
+            return False
+    return True
+
+
 def execute_block_parallel(
     block: Block,
     dag: DependencyDAG,
@@ -320,10 +340,30 @@ def execute_block_parallel(
 ) -> ExecutionReport:
     """Execute every transaction exactly once, conflict-free, in parallel.
 
-    The DAG is only read, so it can be executed again.
+    A DAG that is a chain (each transaction after the first has the one
+    before it as a predecessor) has index order as its only valid order, so
+    it runs that way on the calling thread, with no queue and no helper. A
+    processor ``Exception`` there raises ParallelExecutionError carrying the
+    prefix that ran, as a worker crash does in ``run_scheduled``. Any other
+    DAG goes through a ``ReadyQueue`` on up to ``workers`` threads. The DAG
+    is only read, so it can be executed again.
     """
     if dag.txn_count != block.txn_count:
         raise ValueError("DAG does not match block")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if sim_work_us < 0:
+        raise ValueError("sim_work_us must be >= 0")
+    if _is_chain(dag.predecessor_lists()):
+        report = ExecutionReport()
+        try:
+            _run_in_order(block, store, processor, sim_work_us, report)
+        except Exception as exc:
+            done, n = len(report.schedule), block.txn_count
+            raise ParallelExecutionError(
+                f"worker failed after {done} of {n} commits: {exc!r}", report
+            ) from exc
+        return report
     queue = ReadyQueue(dag, workers)
     return run_scheduled(
         block, store, workers, queue.grant, queue.commit, processor, sim_work_us
@@ -339,16 +379,34 @@ def execute_block_serial(
     """Execute transactions in index order; the reference history."""
     if sim_work_us < 0:
         raise ValueError("sim_work_us must be >= 0")
+    report = ExecutionReport()
+    _run_in_order(block, store, processor, sim_work_us, report)
+    return report
+
+
+def _run_in_order(
+    block: Block,
+    store: StateStore,
+    processor,
+    sim_work_us: int,
+    report: ExecutionReport,
+) -> None:
+    """Run every transaction on the calling thread in index order, filling
+    the empty ``report``; if a sleep or a processor raises, ``report`` holds
+    the prefix that ran before it."""
     processor = processor or families.apply_transaction
     sim_work_s = sim_work_us / 1e6
-    schedule: list[int] = []
+    schedule = report.schedule
     failures = 0
     started = time.perf_counter()
-    for txn in block.transactions:
-        if sim_work_s:
-            time.sleep(sim_work_s)
-        if not processor(txn, store):
-            failures += 1
-        schedule.append(txn.index)
-    wall = time.perf_counter() - started
-    return _report(schedule, failures, wall)
+    try:
+        for txn in block.transactions:
+            if sim_work_s:
+                time.sleep(sim_work_s)
+            if not processor(txn, store):
+                failures += 1
+            schedule.append(txn.index)
+    finally:
+        report.wall_time = time.perf_counter() - started
+        report.txn_successes = len(schedule) - failures
+        report.txn_failures = failures

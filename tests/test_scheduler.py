@@ -443,6 +443,23 @@ def test_parallel_rejects_bad_arguments():
     other = structural_block([(set(), {b"a"}), (set(), {b"b"})])
     with pytest.raises(ValueError):
         execute_block_parallel(other, dag, StateStore(), workers=1)
+    # a chain skips the queue's loop, but not the checks
+    chain = _voting_block(20)
+    calls = []
+
+    def counting(txn, store):
+        calls.append(txn.index)
+        return apply_transaction(txn, store)
+
+    store = StateStore()
+    for kwargs, message in (
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"workers": 2, "sim_work_us": -1}, "sim_work_us must be >= 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            execute_block_parallel(chain, build_dag(chain), store, processor=counting, **kwargs)
+    assert calls == []
+    assert len(store) == 0
 
 
 def _within(seconds, fn):
@@ -465,6 +482,14 @@ def _within(seconds, fn):
 def _voting_block(n):
     # every voting transaction writes the whole registry, so the DAG is a chain
     return generate_block(WorkloadSpec(family="voting", txns_per_block=n, rng_seed=5))
+
+
+def _independent_then_voting(n):
+    """A deposit that conflicts with nothing, then a voting chain of n - 1:
+    two transactions are ready at the start, so the DAG is not a chain and
+    the block goes through the queue."""
+    voting = _voting_block(n - 1)
+    return block_from_ops([wallet_deposit("solo", 1)] + [t.payload for t in voting.transactions])
 
 
 def _run_dag(block, store, workers, **kwargs):
@@ -672,17 +697,105 @@ def test_idle_workers_do_not_poll(execute, monkeypatch):
     assert spy.waited & spy.helpers, "no helper waited"
 
 
-def test_dag_executor_runs_a_chain_alone_without_failed_grants(monkeypatch):
+@pytest.mark.parametrize("sim", [0, 50])
+@pytest.mark.parametrize("workers", [2, 4, 8])
+def test_a_chain_block_runs_in_index_order_without_the_queue(workers, sim, monkeypatch):
     spy = _LoopSpy(monkeypatch)
-    failed, calls = _count_failed_grants(monkeypatch)
+    _, calls = _count_failed_grants(monkeypatch)
     block = _voting_block(40)
     serial_store, store = StateStore(), StateStore()
     execute_block_serial(block, serial_store)
-    report = _run_dag(block, store, 4, sim_work_us=50)
+    report = _run_dag(block, store, workers, sim_work_us=sim)
     assert report.schedule == list(range(block.txn_count))
+    assert report.txn_successes + report.txn_failures == block.txn_count
     assert state_digest(store) == state_digest(serial_store)
-    assert calls == [[i] for i in range(block.txn_count)]
-    assert failed == []
+    assert calls == []
+    assert spy.attempts == []
+
+
+@pytest.mark.parametrize(
+    "specs, chain",
+    [
+        ([], True),
+        ([(set(), {b"a"})], True),
+        ([(set(), {b"a"}), ({b"a"}, {b"b"}), ({b"b"}, set())], True),
+        ([(set(), {b"a"}), (set(), {b"b"})], False),
+        # every transaction after the first has a predecessor, but 2 lacks 1
+        ([(set(), {b"a"}), ({b"a"}, set()), ({b"a"}, set())], False),
+        ([(set(), {b"a"}), ({b"a"}, {b"b"}), ({b"b"}, set()), (set(), {b"c"})], False),
+    ],
+    ids=["empty", "one", "chain", "independent", "fork", "chain-then-independent"],
+)
+def test_only_a_chain_skips_the_queue(specs, chain, monkeypatch):
+    _, calls = _count_failed_grants(monkeypatch)
+    block = structural_block(specs)
+    report = _run_dag(block, StateStore(), 2)
+    assert_exactly_once(report.schedule, block.txn_count)
+    assert (calls == []) == chain
+
+
+def test_dag_executor_runs_a_chain_alone_without_failed_grants(monkeypatch):
+    """A chain behind one independent transaction runs through the loop one
+    grant per transaction, and its tail wakes and starts nobody. The one
+    helper is started because two transactions are ready at the start; it
+    may make the run's only failed grant, when it finds the chain taken."""
+    spy = _LoopSpy(monkeypatch)
+    failed, calls = _count_failed_grants(monkeypatch)
+    block = _independent_then_voting(40)
+    serial_store, store = StateStore(), StateStore()
+    execute_block_serial(block, serial_store)
+    report = _run_dag(block, store, 4, sim_work_us=50)
+    assert sorted(report.schedule) == list(range(block.txn_count))
+    assert [i for i in report.schedule if i] == list(range(1, block.txn_count))
+    assert state_digest(store) == state_digest(serial_store)
+    assert [batch for batch in calls if batch] == [[i] for i in range(block.txn_count)]
+    assert len(failed) <= 1
+    assert len(spy.started) == 1
+    assert spy.helpers_stopped()
+
+
+@pytest.mark.parametrize("k", [0, 5, 17, 39])
+def test_a_crash_mid_chain_is_typed_with_the_prefix_that_ran(k):
+    block = _voting_block(40)
+    outcomes = {}
+
+    def crashing(txn, store):
+        if txn.index == k:
+            raise RuntimeError("processor blew up")
+        outcomes[txn.index] = apply_transaction(txn, store)
+        return outcomes[txn.index]
+
+    with pytest.raises(ParallelExecutionError) as excinfo:
+        _run_dag(block, StateStore(), 4, processor=crashing)
+    error = excinfo.value
+    assert isinstance(error.__cause__, RuntimeError)
+    assert "processor blew up" in str(error)
+    assert error.report.schedule == list(range(k))
+    assert error.report.txn_failures == sum(not outcomes[i] for i in range(k))
+    assert error.report.txn_successes == k - error.report.txn_failures
+    # the serial baseline runs the same loop and lets the error through as it is
+    with pytest.raises(RuntimeError, match="processor blew up") as excinfo:
+        execute_block_serial(block, StateStore(), processor=crashing)
+    assert type(excinfo.value) is RuntimeError
+
+
+@pytest.mark.parametrize("kind", [KeyboardInterrupt, SystemExit])
+def test_an_interrupt_on_the_chain_path_propagates_unchanged(kind, monkeypatch):
+    spy = _LoopSpy(monkeypatch)
+    block = _voting_block(40)
+    interrupt = kind()
+    ran = []
+
+    def interrupted(txn, store):
+        if txn.index == 10:
+            raise interrupt
+        ran.append(txn.index)
+        return apply_transaction(txn, store)
+
+    with pytest.raises(kind) as excinfo:
+        _run_dag(block, StateStore(), 4, processor=interrupted, sim_work_us=50)
+    assert excinfo.value is interrupt
+    assert ran == list(range(10))
     assert spy.attempts == []
 
 
@@ -761,27 +874,33 @@ def test_crash_mid_batch_commits_the_prefix_that_ran():
 
 @EXECUTORS
 def test_a_raising_sleep_reports_exactly_the_transactions_that_ran(execute, monkeypatch):
-    block = structural_block([(set(), {b"a"}), (set(), {b"b"})])
-    completed = []
-    sleeps = []
+    # two independent transactions, then a chain of two, which the DAG
+    # executor runs without the queue
+    for specs in (
+        [(set(), {b"a"}), (set(), {b"b"})],
+        [(set(), {b"a"}), ({b"a"}, set())],
+    ):
+        block = structural_block(specs)
+        completed = []
+        sleeps = []
 
-    def failing(txn, store):
-        completed.append(txn.index)
-        return False
+        def failing(txn, store):
+            completed.append(txn.index)
+            return False
 
-    def sleep(seconds):
-        sleeps.append(seconds)
-        if len(sleeps) == 2:
-            raise RuntimeError("sleep interrupted")
+        def sleep(seconds):
+            sleeps.append(seconds)
+            if len(sleeps) == 2:
+                raise RuntimeError("sleep interrupted")
 
-    fake = types.SimpleNamespace(sleep=sleep, perf_counter=time.perf_counter)
-    monkeypatch.setattr(scheduler, "time", fake)
-    with pytest.raises(ParallelExecutionError) as excinfo:
-        execute(block, StateStore(), 1, processor=failing, sim_work_us=10)
-    report = excinfo.value.report
-    assert report.schedule == completed
-    assert report.txn_successes + report.txn_failures == len(report.schedule)
-    assert report.txn_successes >= 0 and report.txn_failures >= 0
+        fake = types.SimpleNamespace(sleep=sleep, perf_counter=time.perf_counter)
+        monkeypatch.setattr(scheduler, "time", fake)
+        with pytest.raises(ParallelExecutionError) as excinfo:
+            execute(block, StateStore(), 1, processor=failing, sim_work_us=10)
+        report = excinfo.value.report
+        assert report.schedule == completed
+        assert report.txn_successes + report.txn_failures == len(report.schedule)
+        assert report.txn_successes >= 0 and report.txn_failures >= 0
 
 
 @EXECUTORS
@@ -830,7 +949,7 @@ def test_helper_start_returns_before_the_helper_runs():
 def test_failed_grants_do_not_exceed_commits(execute, make, monkeypatch):
     failed, calls = _count_failed_grants(monkeypatch)
     block = {
-        "voting": lambda: _voting_block(60),
+        "voting": lambda: _independent_then_voting(60),
         "wallet": lambda: generate_block(
             WorkloadSpec(family="wallet", txns_per_block=200, dependency_pct=20, rng_seed=4)
         ),
