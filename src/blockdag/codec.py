@@ -175,7 +175,12 @@ def _encode_set(addresses: frozenset[Address]) -> bytes:
 def _set_mismatch(data: bytes, off: int, end: int, index: int, op: _WireOp, derived) -> Exception:
     """Why the set section at ``off`` is not the encoding of the ``derived``
     sets. An address list out of order, repeated or cut short is reported
-    as such; any other difference names the set that is not the op's."""
+    as such; any other difference names the set that is not the op's.
+
+    It is called only when the wire is not that encoding, and a strictly
+    ascending list has only one, so when the read set is the op's the write
+    set is at fault.
+    """
     for kind, want in zip(("read", "write"), derived):
         if off + 2 > end:
             return _truncated(2, off, end)
@@ -189,12 +194,11 @@ def _set_mismatch(data: bytes, off: int, end: int, index: int, op: _WireOp, deri
                     f"transaction {index} {kind} set is not strictly ascending"
                 )
             addresses.append(address)
-        if frozenset(addresses) != want:
+        if kind == "write" or frozenset(addresses) != want:
             return MalformedBlockError(
                 f"transaction {index} {kind} set is not the one its "
                 f"{op.family}/{op.opcode} op declares"
             )
-    return MalformedBlockError(f"transaction {index} sets are not the ones its op declares")
 
 
 def attach_dag(block: Block, dag: DependencyDAG) -> Block:

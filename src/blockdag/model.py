@@ -176,11 +176,16 @@ def state_digest(store: StateStore) -> bytes:
 class ExecutionReport:
     """Outcome of one block run: commit order, outcome counts, wall time.
 
-    It holds no state digest: a caller that compares end states digests the
-    store it passed to the executor (``state_digest``).
+    Only failures are counted; ``txn_successes`` is derived, every
+    committed transaction that did not fail. It holds no state digest: a
+    caller that compares end states digests the store it passed to the
+    executor (``state_digest``).
     """
 
     schedule: list[int] = field(default_factory=list)
     wall_time: float = 0.0
-    txn_successes: int = 0
     txn_failures: int = 0
+
+    @property
+    def txn_successes(self) -> int:
+        return len(self.schedule) - self.txn_failures

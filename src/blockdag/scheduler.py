@@ -54,8 +54,9 @@ The DAG executor's grant (``ReadyQueue.grant``) follows guided
 self-scheduling: up to ceil(ready / workers) of the lowest ready
 transactions, at most ``BATCH_CAP``, so a wide block still spreads over
 every worker. The batch ends early at the first transaction that another
-one waits on, so a chain goes one transaction at a time and a transaction
-that others wait on runs last in its batch. Its commit re-checks only
+one waits on, so a chain inside a wider DAG goes one transaction at a time
+and a transaction that others wait on runs last in its batch; a
+whole-block chain never reaches the queue. Its commit re-checks only
 the transactions that waited on the committed one, each against its own
 predecessor tuple; the heap says in O(1) whether work is left. The
 predecessor-tree baseline (``blockdag.tree``) plugs its per-address grant
@@ -65,7 +66,6 @@ check into the same loop as batches of one and cannot tell.
 from __future__ import annotations
 
 import _thread
-import bisect
 import heapq
 import threading
 import time
@@ -79,20 +79,15 @@ BATCH_CAP = 16
 
 
 class ParallelExecutionError(RuntimeError):
-    """A worker died mid-run; carries whatever was committed before the abort."""
+    """A worker died mid-run; carries whatever was committed before the abort.
 
-    def __init__(self, message: str, report: ExecutionReport) -> None:
-        super().__init__(message)
+    The message counts the commits in ``report`` and names ``cause``."""
+
+    def __init__(self, report: ExecutionReport, txn_count: int, cause: BaseException) -> None:
+        super().__init__(
+            f"worker failed after {len(report.schedule)} of {txn_count} commits: {cause!r}"
+        )
         self.report = report
-
-
-def _report(schedule: list[int], failures: int, wall: float) -> ExecutionReport:
-    return ExecutionReport(
-        schedule=schedule,
-        wall_time=wall,
-        txn_successes=len(schedule) - failures,
-        txn_failures=failures,
-    )
 
 
 def _start_thread(target) -> None:
@@ -221,12 +216,9 @@ def run_scheduled(
         if not isinstance(exc, Exception):
             raise
     wall = time.perf_counter() - started
-    report = _report(schedule, failures, wall)
+    report = ExecutionReport(schedule=schedule, wall_time=wall, txn_failures=failures)
     if errors:
-        raise ParallelExecutionError(
-            f"worker failed after {len(schedule)} of {n} commits: {errors[0]!r}",
-            report,
-        ) from errors[0]
+        raise ParallelExecutionError(report, n, errors[0]) from errors[0]
     return report
 
 
@@ -237,12 +229,13 @@ class ReadyQueue:
     or indegree copy, so the run never changes the DAG and one DAG can be
     executed any number of times. A transaction waits on one uncommitted
     predecessor at a time, its highest first. When that one commits, the
-    rest are checked downwards from it, but only down to ``low``: every
-    index below ``low`` has committed, and bisect skips them. ``upper[j]``
-    is the position in j's tuple of the predecessor j waits on, and only
-    falls, so no predecessor is checked twice for the same transaction, and
-    nothing more than one check per edge is ever spent. A chain link's next
-    predecessor is already below ``low``, so a chain costs no bisect.
+    rest are checked downwards from it, and the walk stops at ``low``:
+    every index below ``low`` has committed. ``upper[j]`` is the position
+    in j's tuple of the predecessor j waits on, and only falls, so no
+    predecessor is checked twice for the same transaction, and nothing more
+    than one check per edge is ever spent. A block whose whole DAG is one
+    chain never reaches the queue: ``execute_block_parallel`` runs it in
+    index order.
 
     A transaction enters the heap at the commit of its last predecessor,
     and the lowest ready indices are granted first, as the tree baseline
@@ -252,7 +245,7 @@ class ReadyQueue:
     hands each of them about an equal share of what is ready.
     """
 
-    def __init__(self, dag: DependencyDAG, workers: int = 1) -> None:
+    def __init__(self, dag: DependencyDAG, workers: int) -> None:
         self.workers = workers
         self.preds = preds = dag.predecessor_lists()
         self.done = bytearray(dag.txn_count)
@@ -274,15 +267,13 @@ class ReadyQueue:
 
         The batch is up to ceil(ready / workers) of the lowest ready
         transactions, at most ``BATCH_CAP``, and ends early at the first one
-        that another transaction waits on. It stays empty when none is ready.
+        that another transaction waits on; one ready transaction is a batch
+        of one. It stays empty when none is ready.
         """
         ready = self.ready
-        size = len(ready)
-        if size < 2:  # a chain's case, kept as cheap as a single pop
-            if size:
-                batch.append(ready.pop())
+        if not ready:
             return False
-        size = (size - 1) // self.workers + 1
+        size = (len(ready) - 1) // self.workers + 1
         if size > BATCH_CAP:
             size = BATCH_CAP
         waiters = self.waiters
@@ -294,7 +285,12 @@ class ReadyQueue:
                 return bool(ready)
 
     def commit(self, index: int) -> None:
-        """Mark a transaction finished and release what it was last to block."""
+        """Mark a transaction finished and release what it was last to block.
+
+        Each transaction that waited on it walks down its own predecessor
+        tuple to the next one not yet done, and waits on that; a walk that
+        reaches ``low`` finds none left, and the transaction is ready.
+        """
         done = self.done
         done[index] = 1
         if index == self.low:
@@ -309,15 +305,14 @@ class ReadyQueue:
         for j in waiting:
             p = preds[j]
             k = upper[j] - 1
-            if k >= 0 and p[k] >= low:
-                floor = bisect.bisect_left(p, low, 0, k)
-                while k >= floor and done[p[k]]:
-                    k -= 1
-                if k >= floor:
+            while k >= 0 and p[k] >= low:
+                if not done[p[k]]:
                     upper[j] = k
                     waiters.setdefault(p[k], []).append(j)
-                    continue
-            heapq.heappush(self.ready, j)
+                    break
+                k -= 1
+            else:
+                heapq.heappush(self.ready, j)
 
 
 def _is_chain(preds: list[tuple[int, ...]]) -> bool:
@@ -359,10 +354,7 @@ def execute_block_parallel(
         try:
             _run_in_order(block, store, processor, sim_work_us, report)
         except Exception as exc:
-            done, n = len(report.schedule), block.txn_count
-            raise ParallelExecutionError(
-                f"worker failed after {done} of {n} commits: {exc!r}", report
-            ) from exc
+            raise ParallelExecutionError(report, block.txn_count, exc) from exc
         return report
     queue = ReadyQueue(dag, workers)
     return run_scheduled(
@@ -408,5 +400,4 @@ def _run_in_order(
             schedule.append(txn.index)
     finally:
         report.wall_time = time.perf_counter() - started
-        report.txn_successes = len(schedule) - failures
         report.txn_failures = failures

@@ -325,6 +325,22 @@ def test_chain_schedules_in_order_for_any_worker_count():
         assert report.schedule == list(range(12))
 
 
+def test_one_worker_runs_every_block_in_index_order():
+    # index order is a topological order of every DAG, and with one worker
+    # the queue already hands it out: each batch is the next run of indices
+    rng = random.Random(23)
+    for trial in range(400):
+        block = random_structural_block(rng) if trial % 2 else random_family_block(rng)
+        dag = build_dag(block)
+        in_order = list(range(block.txn_count))
+        batches = _batches(ReadyQueue(dag, 1))
+        assert [i for batch in batches for i in batch] == in_order
+        report = execute_block_parallel(
+            block, dag, StateStore(), 1, processor=lambda t, s: True
+        )
+        assert report.schedule == in_order
+
+
 def test_independent_txns_any_order_same_digest():
     block = block_from_ops(
         [wallet_deposit(f"acct{i}", 10 * (i + 1)) for i in range(16)]
