@@ -34,8 +34,6 @@ from .tree import (
     TreeRun,
     build_predecessor_tree,
     execute_block_tree,
-    tree_next_txn,
-    tree_predecessors,
 )
 from .validator import Verdict, build_access_index, validate_dag
 from .workload import ConflictMetrics, WorkloadSpec, conflict_metrics, generate_block, generate_blocks
@@ -87,7 +85,5 @@ __all__ = [
     "parse_block",
     "serialize_block",
     "state_digest",
-    "tree_next_txn",
-    "tree_predecessors",
     "validate_dag",
 ]

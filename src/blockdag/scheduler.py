@@ -2,10 +2,13 @@
 
 ``run_scheduled`` runs a block on the calling thread, which is worker 0, and
 on at most ``workers - 1`` helper threads that it starts only when there is
-work for them. All workers share one lock and condition variable. Each time
-a worker takes the lock it commits the batch it ran last and asks a *grant*
-step for the next batch. Committing appends each transaction to the
-schedule and calls a *commit* step that releases what waited on it.
+work for them. It takes a *run* object, which both parallel executors hand
+it: the DAG executor a ``ReadyQueue``, the predecessor-tree baseline a
+``blockdag.tree.TreeRun``. All workers share one lock and condition
+variable. Each time a worker takes the lock it commits the batch it ran
+last and asks the run's ``grant(batch)`` for the next batch. Committing
+appends each transaction to the schedule and calls the run's ``commit(i)``,
+which releases what waited on it.
 Appending before the lock is released is what makes the recorded schedule a
 topological order: nothing that depends on a transaction can be granted
 until that transaction is already in the schedule. A batch holds only
@@ -59,8 +62,8 @@ and a transaction that others wait on runs last in its batch; a
 whole-block chain never reaches the queue. Its commit re-checks only
 the transactions that waited on the committed one, each against its own
 predecessor tuple; the heap says in O(1) whether work is left. The
-predecessor-tree baseline (``blockdag.tree``) plugs its per-address grant
-check into the same loop as batches of one and cannot tell.
+predecessor-tree baseline's grant (``blockdag.tree.TreeRun.grant``) is its
+per-address check, grants batches of one and cannot tell.
 """
 
 from __future__ import annotations
@@ -99,23 +102,24 @@ def run_scheduled(
     block: Block,
     store: StateStore,
     workers: int,
-    grant,
-    commit,
+    run,
     processor=None,
     sim_work_us: int = 0,
 ) -> ExecutionReport:
     """Execute every transaction of the block once on up to ``workers`` threads.
 
-    ``grant(batch)`` appends to the empty list ``batch`` the indices of
-    transactions that may run now, in any order, marking them taken, or
-    leaves it empty when there is none; after a successful grant it returns
-    whether another grant would succeed now, or True when it cannot tell.
-    ``commit(i)`` records that i has finished. Both are only ever called
-    under the loop's one lock. Raises ParallelExecutionError, carrying the
-    partial report, when a processor, a step or a helper's start raises; a
-    crash mid-batch commits the transactions of the batch that ran before
-    it. A ``KeyboardInterrupt`` or ``SystemExit`` on the calling thread
-    propagates unchanged once the helpers have stopped.
+    ``run`` is the per-run scheduling state, a ``ReadyQueue`` or a
+    ``TreeRun``. ``run.grant(batch)`` appends to the empty list ``batch``
+    the indices of transactions that may run now, in any order, marking
+    them taken, or leaves it empty when there is none; after a successful
+    grant it returns whether another grant would succeed now, or True when
+    it cannot tell. ``run.commit(i)`` records that i has finished. Both are
+    only ever called under the loop's one lock. Raises
+    ParallelExecutionError, carrying the partial report, when a processor, a
+    step or a helper's start raises; a crash mid-batch commits the
+    transactions of the batch that ran before it. A ``KeyboardInterrupt``
+    or ``SystemExit`` on the calling thread propagates unchanged once the
+    helpers have stopped.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -123,6 +127,7 @@ def run_scheduled(
         raise ValueError("sim_work_us must be >= 0")
     processor = processor or families.apply_transaction
     sim_work_s = sim_work_us / 1e6
+    grant, commit = run.grant, run.commit
     txns = block.transactions
     n = len(txns)
     lock = threading.Lock()
@@ -356,10 +361,7 @@ def execute_block_parallel(
         except Exception as exc:
             raise ParallelExecutionError(report, block.txn_count, exc) from exc
         return report
-    queue = ReadyQueue(dag, workers)
-    return run_scheduled(
-        block, store, workers, queue.grant, queue.commit, processor, sim_work_us
-    )
+    return run_scheduled(block, store, workers, ReadyQueue(dag, workers), processor, sim_work_us)
 
 
 def execute_block_serial(

@@ -12,11 +12,11 @@ re-checks the completion status of the lower-index entries of each of those
 lists — that per-address bookkeeping, serialized behind one lock, is the
 cost this design pays relative to the DAG scheduler, and it is preserved
 here on purpose. Workers run on the same blocking loop as the DAG executor
-(``blockdag.scheduler.run_scheduled``), with this grant check and
-``TreeRun.mark_done`` as its grant and commit steps, granting batches of
-one. The check cannot tell whether another transaction is grantable without
-a second scan, so after each successful grant the loop wakes a waiter or
-starts a helper.
+(``blockdag.scheduler.run_scheduled``), which takes a ``TreeRun`` as it
+takes the DAG's ``ReadyQueue``: a run object with ``grant(batch)`` and
+``commit(i)``. ``TreeRun.grant`` grants batches of one. It cannot tell
+whether another transaction is grantable without a second scan, so after
+each successful grant the loop wakes a waiter or starts a helper.
 """
 
 from __future__ import annotations
@@ -67,64 +67,56 @@ def build_predecessor_tree(block: Block) -> PredecessorTree:
 
 
 class TreeRun:
-    """Per-run scheduling state: txn status plus per-list done-prefix hints.
+    """Per-run tree scheduling state: the grant and commit steps of the loop.
 
+    It holds each transaction's status and one done-prefix hint per list:
     ``_done_prefix[slot]`` counts how many leading entries of that slot's
-    list are DONE; it only ever advances, which is safe because status
-    transitions are monotonic. A fresh TreeRun makes the tree reusable
-    across runs.
+    list are DONE. A hint only ever advances, which is safe because status
+    transitions are monotonic. The run only reads the tree's ``checks``, so
+    a fresh TreeRun makes the tree reusable across runs.
     """
 
     def __init__(self, tree: PredecessorTree) -> None:
+        self.checks = tree.checks
         self.status = [UNSCHEDULED] * tree.txn_count
-        self.done_count = 0
         self._first_pending = 0
         self._done_prefix = [0] * (2 * len(tree.accessors))
 
-    def mark_done(self, index: int) -> None:
+    def grant(self, batch: list[int]) -> bool:
+        """Append to the empty list ``batch`` the lowest unscheduled
+        transaction whose conflicting predecessors are all done, marking it
+        RUNNING, and return True, since whether another is grantable takes a
+        second scan; leave ``batch`` empty and return False when none is."""
+        status = self.status
+        n = len(status)
+        first = self._first_pending
+        while first < n and status[first] != UNSCHEDULED:
+            first += 1
+        self._first_pending = first
+        checks, done_prefix = self.checks, self._done_prefix
+        for i in range(first, n):
+            if status[i] != UNSCHEDULED:
+                continue
+            # every entry below i in each checked list must be DONE
+            for slot, listed in checks[i]:
+                p = done_prefix[slot]
+                size = len(listed)
+                while p < size and status[listed[p]] == DONE:
+                    p += 1
+                done_prefix[slot] = p
+                if p < size and listed[p] < i:
+                    break
+            else:
+                status[i] = RUNNING
+                batch.append(i)
+                return True
+        return False
+
+    def commit(self, index: int) -> None:
+        """Mark a running transaction DONE."""
         if self.status[index] != RUNNING:
             raise ValueError(f"transaction {index} is not running")
         self.status[index] = DONE
-        self.done_count += 1
-
-
-def _grantable(tree: PredecessorTree, run: TreeRun, index: int) -> bool:
-    # Every entry below index in each checked list must be DONE.
-    status = run.status
-    done_prefix = run._done_prefix
-    for slot, listed in tree.checks[index]:
-        p = done_prefix[slot]
-        size = len(listed)
-        while p < size and status[listed[p]] == DONE:
-            p += 1
-        done_prefix[slot] = p
-        if p < size and listed[p] < index:
-            return False
-    return True
-
-
-def tree_next_txn(tree: PredecessorTree, run: TreeRun) -> int | None:
-    """Grant the lowest-index unscheduled transaction whose conflicting
-    predecessors are all done, marking it RUNNING, or return None when no
-    transaction can be granted now; callers serialize this behind one lock."""
-    n = tree.txn_count
-    status = run.status
-    first = run._first_pending
-    while first < n and status[first] != UNSCHEDULED:
-        first += 1
-    run._first_pending = first
-    for i in range(first, n):
-        if status[i] != UNSCHEDULED:
-            continue
-        if _grantable(tree, run, i):
-            status[i] = RUNNING
-            return i
-    return None
-
-
-def tree_predecessors(tree: PredecessorTree, index: int) -> set[int]:
-    """Lower-index transactions this one must wait for (test/inspection aid)."""
-    return {other for _, listed in tree.checks[index] for other in listed if other < index}
 
 
 def execute_block_tree(
@@ -142,13 +134,4 @@ def execute_block_tree(
     """
     if tree.txn_count != block.txn_count:
         raise ValueError("tree does not match block")
-    run = TreeRun(tree)
-
-    def grant(batch: list[int]) -> bool:
-        index = tree_next_txn(tree, run)
-        if index is None:
-            return False
-        batch.append(index)
-        return True  # cannot tell without a second scan
-
-    return run_scheduled(block, store, workers, grant, run.mark_done, processor, sim_work_us)
+    return run_scheduled(block, store, workers, TreeRun(tree), processor, sim_work_us)

@@ -16,7 +16,7 @@ from blockdag.codec import attach_dag, parse_block, serialize_block, BlockCodecE
 from blockdag.dag import brute_force_dag, build_dag
 from blockdag.model import StateStore, state_digest
 from blockdag.scheduler import execute_block_parallel, execute_block_serial
-from blockdag.tree import build_predecessor_tree, execute_block_tree, tree_predecessors
+from blockdag.tree import build_predecessor_tree, execute_block_tree
 from blockdag.validator import Verdict, validate_dag
 from blockdag.workload import WorkloadSpec, conflict_metrics, generate_block
 
@@ -84,11 +84,7 @@ def test_serializability_and_topological_validity():
         if strategy == "tree":
             tree = build_predecessor_tree(block)
             report = execute_block_tree(block, tree, store, workers=workers)
-            edges = (
-                (p, j)
-                for j in range(block.txn_count)
-                for p in tree_predecessors(tree, j)
-            )
+            edges = brute_force_dag(block).edges()
         else:
             dag = build_dag(block, workers=workers)
             report = execute_block_parallel(block, dag, store, workers=workers)

@@ -10,7 +10,6 @@ import types
 import pytest
 
 from blockdag import scheduler
-from blockdag import tree as tree_module
 from blockdag.codec import attach_dag
 from blockdag.dag import (
     DependencyDAG,
@@ -33,7 +32,7 @@ from blockdag.scheduler import (
     execute_block_parallel,
     execute_block_serial,
 )
-from blockdag.tree import build_predecessor_tree, execute_block_tree
+from blockdag.tree import TreeRun, build_predecessor_tree, execute_block_tree
 from blockdag.workload import WorkloadSpec, generate_block
 
 from _helpers import (
@@ -312,6 +311,30 @@ def test_commit_without_successors_touches_nothing_else():
     assert _grant(queue) is None
     queue.commit(0)
     assert [_grant(queue) for _ in range(2)] == [2, None]
+
+
+class _Counted(tuple):
+    """A predecessor tuple that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        type(self).reads += 1
+        return super().__getitem__(k)
+
+
+def test_commit_reads_each_predecessor_a_bounded_number_of_times(monkeypatch):
+    # m roots and one sink that waits on all of them; committing the roots
+    # highest first makes the sink wait again m - 1 times while low stays 0,
+    # so only upper[j] keeps each walk from starting over at the top
+    m = 60
+    monkeypatch.setattr(_Counted, "reads", 0)
+    queue = _single(DependencyDAG._from_pass([()] * m + [_Counted(range(m))]))
+    assert [_grant(queue) for _ in range(m + 1)] == list(range(m)) + [None]
+    for index in reversed(range(m)):
+        queue.commit(index)
+    assert _grant(queue) == m
+    assert _Counted.reads <= 4 * m
 
 
 def test_chain_schedules_in_order_for_any_worker_count():
@@ -641,28 +664,20 @@ class _LoopSpy:
 
 
 def _count_failed_grants(monkeypatch):
-    """Wrap the grant steps both executors call; returns the list of failed
-    grants and the list of every grant, so a test can tell that the wrapped
-    step ran at all."""
+    """Wrap the grant step of both executors' run objects; returns the list
+    of failed grants and the list of every grant's batch, so a test can tell
+    that the wrapped step ran at all."""
     failed, calls = [], []
-    ready_grant, tree_grant = ReadyQueue.grant, tree_module.tree_next_txn
+    for cls in (ReadyQueue, TreeRun):
 
-    def counted_batch(queue, batch):
-        more = ready_grant(queue, batch)
-        calls.append(list(batch))
-        if not batch:
-            failed.append(None)
-        return more
+        def counted(run, batch, grant=cls.grant):
+            more = grant(run, batch)
+            calls.append(list(batch))
+            if not batch:
+                failed.append(None)
+            return more
 
-    def counted(*args):
-        index = tree_grant(*args)
-        calls.append(index)
-        if index is None:
-            failed.append(index)
-        return index
-
-    monkeypatch.setattr(ReadyQueue, "grant", counted_batch)
-    monkeypatch.setattr(tree_module, "tree_next_txn", counted)
+        monkeypatch.setattr(cls, "grant", counted)
     return failed, calls
 
 

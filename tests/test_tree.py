@@ -13,11 +13,16 @@ from blockdag.tree import (
     TreeRun,
     build_predecessor_tree,
     execute_block_tree,
-    tree_next_txn,
-    tree_predecessors,
 )
 
 from _helpers import random_family_block, random_structural_block, structural_block
+
+
+def _grant(run):
+    """One grant: the granted index, or None; True must mean one was granted."""
+    batch = []
+    assert run.grant(batch) == bool(batch) and len(batch) <= 1
+    return batch[0] if batch else None
 
 
 def test_insert_registers_writer():
@@ -70,60 +75,59 @@ def test_addresses_sharing_a_byte_prefix_never_block_each_other(addresses):
     assert not any(conflicts(txns[i], txns[j]) for i in range(3) for j in range(i + 1, 3))
     tree = build_predecessor_tree(block)
     run = TreeRun(tree)
-    assert [tree_next_txn(tree, run) for _ in range(3)] == [0, 1, 2]
-    assert tree_next_txn(tree, run) is None  # 3 reads b"ab", written by running 1
-    run.mark_done(0)
-    run.mark_done(2)
-    assert tree_next_txn(tree, run) is None
-    run.mark_done(1)
-    assert tree_next_txn(tree, run) == 3
+    assert [_grant(run) for _ in range(3)] == [0, 1, 2]
+    assert _grant(run) is None  # 3 reads b"ab", written by running 1
+    run.commit(0)
+    run.commit(2)
+    assert _grant(run) is None
+    run.commit(1)
+    assert _grant(run) == 3
 
 
 def test_grants_lowest_unscheduled_when_no_conflicts():
     block = structural_block([(set(), {b"a"}), (set(), {b"b"}), (set(), {b"c"})])
     tree = build_predecessor_tree(block)
     run = TreeRun(tree)
-    assert tree_next_txn(tree, run) == 0
+    assert _grant(run) == 0
     assert run.status[0] == RUNNING
-    assert tree_next_txn(tree, run) == 1
+    assert _grant(run) == 1
 
 
 def test_dependent_waits_for_running_predecessor():
     block = structural_block([(set(), {b"A"}), ({b"A"}, set())])
     tree = build_predecessor_tree(block)
     run = TreeRun(tree)
-    assert tree_next_txn(tree, run) == 0
-    assert tree_next_txn(tree, run) is None
-    run.mark_done(0)
-    assert tree_next_txn(tree, run) == 1
+    assert _grant(run) == 0
+    assert _grant(run) is None
+    run.commit(0)
+    assert _grant(run) == 1
 
 
 def test_all_done():
     block = structural_block([(set(), {b"a"})])
     tree = build_predecessor_tree(block)
     run = TreeRun(tree)
-    run_idx = tree_next_txn(tree, run)
-    run.mark_done(run_idx)
-    assert tree_next_txn(tree, run) is None
-    assert run.done_count == block.txn_count
+    run.commit(_grant(run))
+    assert _grant(run) is None
+    assert run.status.count(DONE) == block.txn_count
 
 
 def test_read_read_sharing_does_not_block():
     block = structural_block([({b"A"}, set()), ({b"A"}, set())])
     tree = build_predecessor_tree(block)
     run = TreeRun(tree)
-    assert tree_next_txn(tree, run) == 0
-    assert tree_next_txn(tree, run) == 1
+    assert _grant(run) == 0
+    assert _grant(run) == 1
 
 
 def test_writer_waits_for_earlier_reader():
     block = structural_block([({b"A"}, set()), (set(), {b"A"})])
     tree = build_predecessor_tree(block)
     run = TreeRun(tree)
-    assert tree_next_txn(tree, run) == 0
-    assert tree_next_txn(tree, run) is None
-    run.mark_done(0)
-    assert tree_next_txn(tree, run) == 1
+    assert _grant(run) == 0
+    assert _grant(run) is None
+    run.commit(0)
+    assert _grant(run) == 1
 
 
 def _reference_blocks(rng, count):
@@ -141,8 +145,10 @@ def test_predecessor_relation_matches_reference_dag():
         tree = build_predecessor_tree(block)
         tree_pairs = {
             (i, j)
-            for j in range(block.txn_count)
-            for i in tree_predecessors(tree, j)
+            for j, entry in enumerate(tree.checks)
+            for _, listed in entry
+            for i in listed
+            if i < j
         }
         assert tree_pairs == brute_force_dag(block).edge_set()
 
@@ -159,9 +165,9 @@ def test_grants_match_the_reference_dag_at_every_step():
         tree = build_predecessor_tree(block)
         run = TreeRun(tree)
         running = []
-        while run.done_count < n:
-            if running and (rng.random() < 0.5 or len(running) == n - run.done_count):
-                run.mark_done(running.pop(rng.randrange(len(running))))
+        while (done_count := run.status.count(DONE)) < n:
+            if running and (rng.random() < 0.5 or len(running) == n - done_count):
+                run.commit(running.pop(rng.randrange(len(running))))
                 continue
             done = [s == DONE for s in run.status]
             expected = next(
@@ -172,11 +178,11 @@ def test_grants_match_the_reference_dag_at_every_step():
                 ),
                 None,
             )
-            granted = tree_next_txn(tree, run)
+            granted = _grant(run)
             assert granted == expected
             if granted is None:
                 assert running  # something must be left to finish
-                run.mark_done(running.pop(rng.randrange(len(running))))
+                run.commit(running.pop(rng.randrange(len(running))))
             else:
                 running.append(granted)
 
@@ -202,25 +208,25 @@ def test_tree_is_reusable_across_runs():
     for _ in range(2):
         run = TreeRun(tree)
         order = []
-        while run.done_count < block.txn_count:
-            nxt = tree_next_txn(tree, run)
+        while run.status.count(DONE) < block.txn_count:
+            nxt = _grant(run)
             if nxt is None:
                 # single-threaded drain: finish the oldest running txn
                 running = [i for i, s in enumerate(run.status) if s == RUNNING]
-                run.mark_done(running[0])
+                run.commit(running[0])
                 continue
             order.append(nxt)
-            run.mark_done(nxt)
+            run.commit(nxt)
         grants.append(order)
     assert grants[0] == grants[1]
 
 
-def test_mark_done_requires_running():
+def test_commit_requires_running():
     block = structural_block([(set(), {b"a"})])
     tree = build_predecessor_tree(block)
     run = TreeRun(tree)
     with pytest.raises(ValueError):
-        run.mark_done(0)
+        run.commit(0)
     assert DONE != RUNNING
 
 
