@@ -203,18 +203,14 @@ def _set_mismatch(data: bytes, off: int, end: int, index: int, op: _WireOp, deri
 
 def attach_dag(block: Block, dag: DependencyDAG) -> Block:
     """New block carrying the DAG: per-transaction predecessor lists plus
-    the indegree trailer, both taken from the DAG's kept predecessor tuples."""
+    the indegree trailer, both read from the DAG's ``preds`` in place."""
     if dag.txn_count != block.txn_count:
         raise ValueError("DAG does not match block")
-    preds = dag.predecessor_lists()
     transactions = tuple(
         Transaction(txn.index, txn.read_set, txn.write_set, txn.payload, deps)
-        for txn, deps in zip(block.transactions, preds)
+        for txn, deps in zip(block.transactions, dag.preds)
     )
-    return Block(
-        transactions=transactions,
-        shared_indegree=tuple(map(len, preds)),
-    )
+    return Block(transactions=transactions, shared_indegree=tuple(map(len, dag.preds)))
 
 
 def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:

@@ -14,17 +14,17 @@ validator read its tuples, so building and validating agree on the edge set
 by construction, and the conflict metrics (``workload.conflict_metrics``)
 read its lists.
 
-Every DAG is a ``DependencyDAG``: each transaction's predecessors as an
-ascending tuple, built once and never changed. Those tuples are what the
-wire codec embeds and what the executor reads, so neither has to walk the
-edge relation, and the DAG keeps nothing else. The public constructor sorts,
+Every DAG is a ``DependencyDAG``, whose ``preds`` is a tuple holding each
+transaction's predecessors as an ascending tuple, built once and never
+changed. The wire codec embeds it and the executor reads it in place, so
+neither walks the edge relation or copies it. The public constructor sorts,
 drops repeats and checks that every predecessor is below its transaction;
-``edges()``, the edge count and the indegrees come from the tuples.
+``edges()``, the edge count and the indegrees come from ``preds``.
 ``build_dag`` wraps the pass's tuples as they are
-(``DependencyDAG._from_pass``), ``dag_from_shared`` builds one from a
-shared block's declared dependencies, and ``brute_force_dag`` from
-``conflicts()`` pair by pair; all three must hold identical edge sets and
-indegrees for any block.
+(``DependencyDAG._from_pass``), ``dag_from_shared`` builds one from a shared
+block's declared dependencies, and ``brute_force_dag`` from ``conflicts()``
+pair by pair; all three must hold identical edge sets and indegrees for any
+block.
 """
 
 from __future__ import annotations
@@ -108,13 +108,15 @@ def address_pass(block: Block) -> AccessIndex:
 class DependencyDAG:
     """A DAG kept as predecessor tuples alone.
 
-    ``preds[j]`` holds the indices below j that j waits for, in any order,
-    and a repeat counts once; one that is negative or not below j raises
-    ``ValueError``, so no DAG can make an executor wait for a transaction
-    that never commits. The DAG is built once from them and never changed:
-    ``_preds[j]`` is their ascending tuple without repeats, and indegrees,
-    the edge count and ``edges()`` come from the tuples. Executors only
-    read the DAG, so one DAG can be executed any number of times.
+    The constructor's ``preds[j]`` holds the indices below j that j waits
+    for, in any order, and a repeat counts once; one that is negative or
+    not below j raises ``ValueError``, so no DAG can make an executor wait
+    for a transaction that never commits. The DAG is built once from them
+    and never changed: ``self.preds`` is a tuple whose entry j is their
+    ascending tuple without repeats. Readers take it in place, never a
+    copy, and indegrees, the edge count and ``edges()`` come from it.
+    Executors only read the DAG, so one DAG can be executed any number of
+    times.
 
     ``_from_pass`` is the one other constructor: it wraps ``address_pass``
     tuples without sorting or checking them, since the pass emits only
@@ -123,38 +125,34 @@ class DependencyDAG:
 
     def __init__(self, preds: list) -> None:
         self.txn_count = len(preds)
-        self._preds: list[tuple[int, ...]] = [tuple(sorted(set(p))) if p else () for p in preds]
+        self.preds = tuple(tuple(sorted(set(p))) if p else () for p in preds)
         # each tuple is ascending, so its ends are its minimum and maximum
-        for j, column in enumerate(self._preds):
+        for j, column in enumerate(self.preds):
             if column and (column[0] < 0 or column[-1] >= j):
                 bad = next(i for i in preds[j] if not 0 <= i < j)
                 raise ValueError(f"transaction {j} declares invalid dependency {bad}")
-        self.edge_count = sum(map(len, self._preds))
+        self.edge_count = sum(map(len, self.preds))
 
     @classmethod
     def _from_pass(cls, preds: list[tuple[int, ...]]) -> DependencyDAG:
         """The DAG of ``address_pass`` tuples, kept as they are."""
         dag = cls.__new__(cls)
         dag.txn_count = len(preds)
-        dag._preds = list(preds)
+        dag.preds = tuple(preds)
         dag.edge_count = sum(map(len, preds))
         return dag
 
     def edges(self):
         """Every edge (i, j) once, grouped by j; a walk of the kept tuples."""
-        for j, column in enumerate(self._preds):
+        for j, column in enumerate(self.preds):
             for i in column:
                 yield (i, j)
 
     def edge_set(self) -> set[tuple[int, int]]:
         return set(self.edges())
 
-    def predecessor_lists(self) -> list[tuple[int, ...]]:
-        """Each transaction's predecessors, ascending; no edge walk."""
-        return list(self._preds)
-
     def indegree_snapshot(self) -> list[int]:
-        return list(map(len, self._preds))
+        return list(map(len, self.preds))
 
 
 def build_dag(block: Block, workers: int = 1) -> DependencyDAG:

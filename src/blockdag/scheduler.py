@@ -54,16 +54,17 @@ keyed by thread id, so a later helper reuses one rather than piling up
 more.
 
 The DAG executor's grant (``ReadyQueue.grant``) follows guided
-self-scheduling: up to ceil(ready / workers) of the lowest ready
-transactions, at most ``BATCH_CAP``, so a wide block still spreads over
-every worker. The batch ends early at the first transaction that another
-one waits on, so a chain inside a wider DAG goes one transaction at a time
-and a transaction that others wait on runs last in its batch; a
-whole-block chain never reaches the queue. Its commit re-checks only
-the transactions that waited on the committed one, each against its own
-predecessor tuple; the heap says in O(1) whether work is left. The
-predecessor-tree baseline's grant (``blockdag.tree.TreeRun.grant``) is its
-per-address check, grants batches of one and cannot tell.
+self-scheduling: ceil(ready / workers) of the lowest ready transactions,
+so a wide block still spreads over every worker and each batch shrinks as
+the ready set does. The batch ends early at the first transaction that
+another one waits on, so a chain inside a wider DAG goes one transaction
+at a time and a transaction that others wait on runs last in its batch; a
+whole-block chain never reaches the queue. Its commit re-checks only the
+transactions that waited on the committed one, each against its own
+predecessor tuple in the DAG's ``preds``, read in place; the heap says in
+O(1) whether work is left. The predecessor-tree baseline's grant
+(``blockdag.tree.TreeRun.grant``) is its per-address check, grants batches
+of one and cannot tell.
 """
 
 from __future__ import annotations
@@ -76,9 +77,6 @@ import time
 from . import families
 from .dag import DependencyDAG
 from .model import Block, ExecutionReport, StateStore
-
-# Most transactions one grant hands out; a module constant, never a setting.
-BATCH_CAP = 16
 
 
 class ParallelExecutionError(RuntimeError):
@@ -144,7 +142,6 @@ def run_scheduled(
         nonlocal failures, spawned, waiting, stale
         batch: list[int] = []  # granted, then run, then committed; reused
         bad = 0  # processor failures in the batch
-        index = None
         while True:
             with lock:
                 if batch:
@@ -174,18 +171,18 @@ def run_scheduled(
                     elif spawned < workers - 1:
                         _start_thread(helper)
                         spawned += 1
-            bad = 0
+            bad = ran = 0  # ran: transactions whose processor returned
             try:
                 for index in batch:
                     if sim_work_s:
                         time.sleep(sim_work_s)
                     if not processor(txns[index], store):
                         bad += 1
+                    ran += 1
             except BaseException:
-                # Commit what ran before the transaction that raised; an
-                # interrupt before the first one leaves index outside batch.
+                # Commit what ran before the transaction that raised.
                 with lock:
-                    for index in batch[: batch.index(index) if index in batch else 0]:
+                    for index in batch[:ran]:
                         schedule.append(index)
                         commit(index)
                     failures += bad
@@ -230,16 +227,16 @@ def run_scheduled(
 class ReadyQueue:
     """Per-run DAG scheduling state: the grant and commit steps of the loop.
 
-    It reads the DAG's kept predecessor tuples and keeps no successor lists
-    or indegree copy, so the run never changes the DAG and one DAG can be
-    executed any number of times. A transaction waits on one uncommitted
-    predecessor at a time, its highest first. When that one commits, the
-    rest are checked downwards from it, and the walk stops at ``low``:
-    every index below ``low`` has committed. ``upper[j]`` is the position
-    in j's tuple of the predecessor j waits on, and only falls, so no
-    predecessor is checked twice for the same transaction, and nothing more
-    than one check per edge is ever spent. A block whose whole DAG is one
-    chain never reaches the queue: ``execute_block_parallel`` runs it in
+    It reads the DAG's ``preds`` in place and keeps no successor lists,
+    indegree copy or copy of the tuples, so the run never changes the DAG
+    and one DAG can be executed any number of times. A transaction waits on
+    one uncommitted predecessor at a time, its highest first. When that one
+    commits, the rest are checked downwards from it, and the walk stops at
+    ``low``: every index below ``low`` has committed. ``upper[j]`` is the
+    position in j's tuple of the predecessor j waits on, and only falls, so
+    no predecessor is checked twice for the same transaction, and nothing
+    more than one check per edge is ever spent. A block whose whole DAG is
+    one chain never reaches the queue: ``execute_block_parallel`` runs it in
     index order.
 
     A transaction enters the heap at the commit of its last predecessor,
@@ -252,7 +249,7 @@ class ReadyQueue:
 
     def __init__(self, dag: DependencyDAG, workers: int) -> None:
         self.workers = workers
-        self.preds = preds = dag.predecessor_lists()
+        self.preds = preds = dag.preds
         self.done = bytearray(dag.txn_count)
         self.low = 0
         self.upper = [len(p) - 1 for p in preds]
@@ -270,23 +267,22 @@ class ReadyQueue:
         """Append the next batch to the empty list ``batch`` and return
         whether another grant would succeed now.
 
-        The batch is up to ceil(ready / workers) of the lowest ready
-        transactions, at most ``BATCH_CAP``, and ends early at the first one
-        that another transaction waits on; one ready transaction is a batch
-        of one. It stays empty when none is ready.
+        The batch is ceil(ready / workers) of the lowest ready transactions
+        and ends early at the first one that another transaction waits on;
+        one ready transaction is a batch of one. It stays empty when none
+        is ready.
         """
         ready = self.ready
         if not ready:
             return False
+        # size <= len(ready), so the heap cannot run dry before size does
         size = (len(ready) - 1) // self.workers + 1
-        if size > BATCH_CAP:
-            size = BATCH_CAP
         waiters = self.waiters
         while True:
             index = heapq.heappop(ready)
             batch.append(index)
             size -= 1
-            if not size or not ready or index in waiters:
+            if not size or index in waiters:
                 return bool(ready)
 
     def commit(self, index: int) -> None:
@@ -320,7 +316,7 @@ class ReadyQueue:
                 heapq.heappush(self.ready, j)
 
 
-def _is_chain(preds: list[tuple[int, ...]]) -> bool:
+def _is_chain(preds: tuple[tuple[int, ...], ...]) -> bool:
     """Whether every transaction after the first waits on the one just
     before it: ``j - 1`` ends ``preds[j]``. Such a DAG has one valid order."""
     for j in range(1, len(preds)):
@@ -354,7 +350,7 @@ def execute_block_parallel(
         raise ValueError("workers must be >= 1")
     if sim_work_us < 0:
         raise ValueError("sim_work_us must be >= 0")
-    if _is_chain(dag.predecessor_lists()):
+    if _is_chain(dag.preds):
         report = ExecutionReport()
         try:
             _run_in_order(block, store, processor, sim_work_us, report)

@@ -179,7 +179,7 @@ def test_address_pass_tuples_are_ascending_below_their_transaction():
     ]
     for block in blocks:
         preds = address_pass(block).preds
-        assert preds == brute_force_dag(block).predecessor_lists()
+        assert tuple(preds) == brute_force_dag(block).preds
         for j, column in enumerate(preds):
             assert type(column) is tuple
             assert all(a < b for a, b in zip(column, column[1:]))
@@ -212,7 +212,7 @@ def _fillers(start, stop):
 def test_address_pass_tuples_of_hand_built_blocks(specs, expected):
     block = structural_block(specs)
     assert address_pass(block).preds == expected
-    assert brute_force_dag(block).predecessor_lists() == expected
+    assert brute_force_dag(block).preds == tuple(expected)
 
 
 def test_address_pass_tuples_do_not_depend_on_the_hash_seed():
@@ -254,8 +254,7 @@ def test_indegree_sums_to_edge_count():
         block = random_structural_block(rng, max_n=48)
         dag = build_dag(block, workers=4)
         assert sum(dag.indegree_snapshot()) == dag.edge_count
-        preds = dag.predecessor_lists()
-        assert [len(p) for p in preds] == dag.indegree_snapshot()
+        assert [len(p) for p in dag.preds] == dag.indegree_snapshot()
 
 
 def test_kept_predecessor_tuples_match_the_edge_walk():
@@ -268,13 +267,13 @@ def test_kept_predecessor_tuples_match_the_edge_walk():
         ]
         built = build_dag(block)
         for dag in (built, brute_force_dag(block), dag_from_shared(attach_dag(block, built))):
-            preds = dag.predecessor_lists()
-            assert preds == expected
+            preds = dag.preds
+            assert preds == tuple(expected)
             walked = [[] for _ in txns]
             for i, j in dag.edges():
                 walked[j].append(i)
-            assert preds == [tuple(p) for p in walked]
-            assert all(type(p) is tuple for p in preds)
+            assert preds == tuple(map(tuple, walked))
+            assert type(preds) is tuple and all(type(p) is tuple for p in preds)
             assert [len(p) for p in preds] == dag.indegree_snapshot()
 
 
@@ -290,7 +289,7 @@ def test_constructor_keeps_a_repeated_predecessor_once():
     block = block_from_ops([wallet_deposit("a", 1)] * 3)
     dag = DependencyDAG([(), (0, 0), (1, 0, 1)])
     assert dag.edge_count == 3
-    assert dag.predecessor_lists() == [(), (0,), (0, 1)]
+    assert dag.preds == ((), (0,), (0, 1))
     assert dag.indegree_snapshot() == [0, 1, 2]
     assert list(dag.edges()) == [(0, 1), (0, 2), (1, 2)]
     assert validate_dag(attach_dag(block, dag)) is Verdict.HONEST
@@ -361,7 +360,7 @@ def test_dag_from_shared_deduplicates_and_sorts_declared_lists():
         tuple(len(deps) for deps in declared),
     )
     dag = dag_from_shared(shared)
-    assert dag.predecessor_lists() == [(), (0,), (0, 1), (0, 1, 2)]
+    assert dag.preds == ((), (0,), (0, 1), (0, 1, 2))
     assert dag.indegree_snapshot() == [0, 1, 2, 3]
     assert dag.edge_count == 6
     assert dag.edge_set() == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)}

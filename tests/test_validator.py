@@ -302,4 +302,4 @@ def test_rebuilt_shared_dag_keeps_the_built_tuples():
         block = random_family_block(rng)
         built = build_dag(block)
         rebuilt = dag_from_shared(attach_dag(block, built))
-        assert rebuilt.predecessor_lists() == built.predecessor_lists()
+        assert rebuilt.preds == built.preds
