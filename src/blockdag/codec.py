@@ -19,13 +19,22 @@ CRC-valid body that lies raises a ``BlockCodecError`` subclass, never
 Both directions read the one opcode table, ``families.OP_SCHEMAS``, which
 each ``FamilyOp`` was checked against when it was made. The serializer
 checks the wire's own limits (u16 string lengths and pair counts, u32
-dependencies) and that each transaction's sets are its op's. The parser
-checks each record's opcode, argument count and tags, derives the sets from
-the decoded arguments, and requires the wire's set section to be their
-canonical encoding (addresses strictly ascending) byte for byte: one
-compare, and a slow path that runs only to name what differs. So a block
-that parses carries the sets its ops declare, and re-serializes to the
-bytes it came from.
+dependencies). The parser checks each record's opcode, argument count and
+tags, derives the sets from the decoded arguments, and requires the wire's
+set section to be their canonical encoding (addresses strictly ascending)
+byte for byte: one compare, and a slow path that runs only to name what
+differs. So a block that parses carries the sets its ops declare, and
+re-serializes to the bytes it came from.
+
+Each transaction's sets are derived from its op once, where its block is
+made. ``block_from_ops`` and ``parse_block`` return a *checked* block
+(``Block._checked``), and ``attach_dag`` keeps the mark, since a
+``DependencyDAG`` holds only predecessors below their transaction. The
+serializer trusts a checked block's sets and dependencies. Any other block,
+such as one from ``Block(...)`` or ``dataclasses.replace``, has its sets
+derived again and compared, each declared dependency must be below its
+transaction and each indegree entry below the transaction count, so the
+bytes written always parse.
 """
 
 from __future__ import annotations
@@ -203,14 +212,19 @@ def _set_mismatch(data: bytes, off: int, end: int, index: int, op: _WireOp, deri
 
 def attach_dag(block: Block, dag: DependencyDAG) -> Block:
     """New block carrying the DAG: per-transaction predecessor lists plus
-    the indegree trailer, both read from the DAG's ``preds`` in place."""
+    the indegree trailer, both read from the DAG's ``preds`` in place.
+
+    A checked input gives a checked block: its sets are the input's, and a
+    ``DependencyDAG`` holds only predecessors below their transaction.
+    """
     if dag.txn_count != block.txn_count:
         raise ValueError("DAG does not match block")
     transactions = tuple(
         Transaction(txn.index, txn.read_set, txn.write_set, txn.payload, deps)
         for txn, deps in zip(block.transactions, dag.preds)
     )
-    return Block(transactions=transactions, shared_indegree=tuple(map(len, dag.preds)))
+    make = Block._checked if block._is_checked else Block
+    return make(transactions, tuple(map(len, dag.preds)))
 
 
 def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
@@ -220,14 +234,20 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     the block already has); otherwise the block's own fields are written
     as-is, shared section included only if present. Each op was checked
     against the opcode table when it was made; here every string and pair
-    list must fit its u16 prefix, every transaction must carry the sets its
-    op declares, and every dependency and indegree entry must be a u32, or
-    ``ValueError`` is raised.
+    list must fit its u16 prefix, and every dependency and indegree entry
+    must be a u32, or ``ValueError`` is raised.
+
+    A checked block (from ``block_from_ops``, ``parse_block`` or
+    ``attach_dag`` of a checked block) is trusted to carry its ops' sets,
+    dependencies below each transaction and indegrees below the
+    transaction count, as its maker made sure. Any other block is checked
+    for all three, or ``ValueError`` is raised, so the bytes always parse.
     """
     if block.txn_count > MAX_BLOCK_TXNS:
         raise BlockTooLargeError(f"block has {block.txn_count} txns, cap is {MAX_BLOCK_TXNS}")
     if dag is not None:
         block = attach_dag(block, dag)
+    checked = block._is_checked
     has_dag = block.has_shared_dag
     flags = _FLAG_SHARED_DAG if has_dag else 0
     # total length is patched in once the body is known
@@ -253,12 +273,15 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
                 out += _TAGGED_U16.pack(_ARG_PAIRS, len(arg))
                 for key, value in arg:
                     out += _blob16(key.encode()) + _blob16(value.encode())
-        sets = op.sets(args)
-        if txn.read_set != sets[0] or txn.write_set != sets[1]:
-            raise ValueError(
-                f"transaction {txn.index} sets are not the ones its "
-                f"{op.family}/{op.opcode} op declares"
-            )
+        if checked:
+            sets = (txn.read_set, txn.write_set)
+        else:
+            sets = op.sets(args)
+            if txn.read_set != sets[0] or txn.write_set != sets[1]:
+                raise ValueError(
+                    f"transaction {txn.index} sets are not the ones its "
+                    f"{op.family}/{op.opcode} op declares"
+                )
         section = sections.get(sets)
         if section is None:
             section = sections[sets] = _set_section(*sets)
@@ -272,19 +295,29 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
                     raise ValueError(
                         f"transaction {txn.index} declares dependencies {deps!r}, not all u32"
                     ) from None
+                if not checked and max(deps) >= txn.index:
+                    bad = next(dep for dep in deps if dep >= txn.index)
+                    raise ValueError(
+                        f"transaction {txn.index} declares dependency {bad} not below it"
+                    )
             else:
                 out += _NO_DEPS
     if has_dag:
+        indegree = block.shared_indegree
         try:
-            out += _u32_array(block.txn_count).pack(*block.shared_indegree)
+            out += _u32_array(block.txn_count).pack(*indegree)
         except struct.error:
-            for index, entry in enumerate(block.shared_indegree):
+            for index, entry in enumerate(indegree):
                 try:
                     _U32.pack(entry)
                 except struct.error:
                     raise ValueError(
                         f"indegree {entry!r} for transaction {index} is not a u32"
                     ) from None
+        n = block.txn_count
+        if not checked and indegree and max(indegree) >= n:
+            index = next(i for i, entry in enumerate(indegree) if entry >= n)
+            raise ValueError(f"indegree {indegree[index]} for transaction {index} out of range")
     _U32.pack_into(out, 2, len(out) + 4)
     out += _U32.pack(zlib.crc32(out))
     return bytes(out)
@@ -433,4 +466,4 @@ def parse_block(data: bytes) -> Block:
             )
     if off != end:
         raise MalformedBlockError(f"{end - off} undeclared bytes in body")
-    return Block(transactions=tuple(transactions), shared_indegree=shared_indegree)
+    return Block._checked(tuple(transactions), shared_indegree)

@@ -246,8 +246,9 @@ def make_transaction(index: int, op: FamilyOp) -> Transaction:
 
 
 def block_from_ops(ops) -> Block:
-    """Assemble a block, assigning indices by position."""
-    return Block(tuple(make_transaction(i, op) for i, op in enumerate(ops)))
+    """Assemble a block, assigning indices by position; each transaction's
+    sets come from ``declared_sets``, so the block is a checked one."""
+    return Block._checked(tuple(make_transaction(i, op) for i, op in enumerate(ops)))
 
 
 def _apply_wallet(op: FamilyOp, store: StateStore) -> bool:

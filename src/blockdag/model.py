@@ -90,6 +90,24 @@ class Block:
     transactions: tuple[Transaction, ...]
     shared_indegree: tuple[int, ...] | None = None
 
+    # True only on a block made by ``_checked``: every transaction's sets are
+    # its op's and every declared dependency is below its transaction. It is
+    # not a field, so equality, hashing, repr, ``Block(...)`` and
+    # ``dataclasses.replace`` never see or set it.
+    _is_checked = False
+
+    @classmethod
+    def _checked(
+        cls,
+        transactions: tuple[Transaction, ...],
+        shared_indegree: tuple[int, ...] | None = None,
+    ) -> "Block":
+        """A block whose maker vouches for its sets and dependencies; the
+        serializer trusts them instead of deriving the sets again."""
+        block = cls(transactions, shared_indegree)
+        object.__setattr__(block, "_is_checked", True)
+        return block
+
     def __post_init__(self) -> None:
         shared = self.shared_indegree is not None
         for pos, txn in enumerate(self.transactions):

@@ -48,7 +48,7 @@ from blockdag.tree import build_predecessor_tree, execute_block_tree
 from blockdag.validator import Verdict, validate_dag
 from blockdag.workload import WorkloadSpec, generate_block
 
-from _helpers import random_family_block
+from _helpers import ALL_FAMILIES, random_family_block
 
 
 def _random_shared_block(rng):
@@ -184,9 +184,9 @@ def test_dependency_not_below_index_rejected_on_parse():
     tampered_txns = list(shared.transactions)
     tampered_txns[1] = replace(tampered_txns[1], declared_dependencies=(1,))
     tampered = Block(tuple(tampered_txns), shared.shared_indegree)
-    data = serialize_block(tampered)
+    # serialize_block refuses this block, so only hand-written bytes carry it
     with pytest.raises(MalformedBlockError):
-        parse_block(data)
+        parse_block(_unchecked_wire(tampered))
 
 
 def test_unsupported_version_rejected():
@@ -219,8 +219,10 @@ def test_attach_dag_requires_matching_sizes():
     block = block_from_ops([intkey_set("k", 1)])
     other = block_from_ops([intkey_set("k", 1), intkey_set("j", 2)])
     dag = build_dag(other)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^DAG does not match block$"):
         attach_dag(block, dag)
+    with pytest.raises(ValueError, match="^DAG does not match block$"):
+        serialize_block(block, dag)
 
 
 def test_serialize_with_dag_argument_embeds_it():
@@ -602,6 +604,29 @@ def test_serializer_refuses_a_dependency_or_indegree_outside_u32(deps, indegree,
         serialize_block(_two_deposits(deps, indegree))
 
 
+@pytest.mark.parametrize(
+    "deps, indegree, message",
+    [
+        (((), (1,)), (0, 1), "^transaction 1 declares dependency 1 not below it$"),
+        (((0,), ()), (1, 0), "^transaction 0 declares dependency 0 not below it$"),
+        (((), (0, 7)), (0, 2), "^transaction 1 declares dependency 7 not below it$"),
+        (((), ()), (0, 2), "^indegree 2 for transaction 1 out of range$"),
+    ],
+    ids=["self", "first-on-itself", "ahead", "indegree"],
+)
+def test_serializer_refuses_a_dependency_not_below_its_transaction(deps, indegree, message):
+    # parse_block rejects such a list or indegree, so the serializer must
+    # not write one; an indegree that is in range but wrong still serializes
+    with pytest.raises(ValueError, match=message):
+        serialize_block(_two_deposits(deps, indegree))
+
+
+def test_serializer_writes_a_wrong_indegree_that_is_in_range():
+    # the validator, not the codec, judges an indegree that is in range
+    data = serialize_block(_two_deposits(((), ()), (0, 1)))
+    assert parse_block(data).shared_indegree == (0, 1)
+
+
 def test_serializer_refuses_a_partial_shared_dag():
     # Block itself refuses it, so no partial shared DAG reaches the serializer
     with pytest.raises(ValueError, match="^block carries an indegree but transaction 1 has no"):
@@ -796,3 +821,118 @@ def test_semantic_mutations_are_rejected_or_execute_to_the_serial_digest():
         assert dag == serial and tree == serial, trial
         parsed_count += parsed.transactions != block.transactions
     assert parsed_count > 20 and rejected > 20, (parsed_count, rejected)
+
+
+def _family_blocks():
+    for family in ALL_FAMILIES:
+        spec = WorkloadSpec(family=family, txns_per_block=60, dependency_pct=40, rng_seed=9)
+        yield family, generate_block(spec)
+
+
+def test_blocks_made_from_ops_or_bytes_are_checked_and_copies_are_not():
+    block = block_from_ops([wallet_deposit("a", 1), wallet_transfer("a", "b", 2)])
+    shared = attach_dag(block, build_dag(block))
+    parsed = parse_block(serialize_block(shared))
+    assert block._is_checked and shared._is_checked and parsed._is_checked
+    copies = [
+        Block(block.transactions),
+        replace(block),
+        replace(shared, shared_indegree=shared.shared_indegree),
+        attach_dag(Block(block.transactions), build_dag(block)),
+    ]
+    assert not any(copy._is_checked for copy in copies)
+    # the mark is no field: equality, hashing and repr ignore it
+    for checked, copy in ((block, copies[0]), (shared, copies[2]), (parsed, copies[2])):
+        assert checked == copy and hash(checked) == hash(copy) and repr(checked) == repr(copy)
+
+
+def _swapped_payload(block: Block, index: int, op: FamilyOp) -> Block:
+    txns = list(block.transactions)
+    txns[index] = replace(txns[index], payload=op)
+    return replace(block, transactions=tuple(txns))
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["plain", "shared"])
+def test_a_copy_of_a_checked_block_is_checked_again(shared):
+    ops = [wallet_deposit("a", 5), wallet_transfer("a", "b", 1), wallet_deposit("b", 2)]
+    block = block_from_ops(ops)
+    lies = [
+        (_lying(block, 1, {b"wallet/a"}, {b"wallet/a"}), "1 sets are not the ones its wallet/transfer"),
+        (_swapped_payload(block, 2, wallet_deposit("c", 2)), "2 sets are not the ones its wallet/deposit"),
+        (_swapped_payload(block, 0, wallet_withdraw("a", 5)), None),  # the same sets: no lie
+    ]
+    if shared:
+        # an unchecked block stays unchecked when a DAG is attached to it
+        lies = [(attach_dag(lie, build_dag(block)), message) for lie, message in lies]
+        txns = list(attach_dag(block, build_dag(block)).transactions)
+        txns[2] = replace(txns[2], declared_dependencies=(2,))
+        lies.append((Block(tuple(txns), (0, 1, 1)), "2 declares dependency 2 not below it"))
+    for lie, message in lies:
+        assert not lie._is_checked
+        if message is None:
+            assert parse_block(serialize_block(lie)) == lie
+            continue
+        with pytest.raises(ValueError, match=f"^transaction {message}"):
+            serialize_block(lie)
+        if "sets" in message:
+            with pytest.raises(ValueError, match=f"^transaction {message}"):
+                serialize_block(lie, build_dag(block))
+
+
+def test_checked_and_unchecked_copies_serialize_to_the_same_bytes():
+    for family, block in _family_blocks():
+        dag = build_dag(block)
+        copy = Block(block.transactions)
+        plain = serialize_block(block)
+        assert serialize_block(copy) == plain, family
+        with_dag = serialize_block(block, dag)
+        for form in (
+            serialize_block(copy, dag),
+            serialize_block(attach_dag(block, dag)),
+            serialize_block(attach_dag(copy, dag)),
+        ):
+            assert form == with_dag, family
+
+
+def test_serializing_with_a_dag_equals_serializing_the_attached_block():
+    rng = random.Random(29)
+    for family, block in _family_blocks():
+        n = block.txn_count
+        other = DependencyDAG([rng.sample(range(j), min(j, 2)) for j in range(n)])
+        for dag in (build_dag(block), other):
+            attached = attach_dag(block, dag)
+            assert serialize_block(block, dag) == serialize_block(attached), family
+            # a DAG given replaces the one the block carries
+            assert serialize_block(attached, dag) == serialize_block(attached), family
+            assert serialize_block(attach_dag(block, other), dag) == serialize_block(attached)
+
+
+def test_parsed_blocks_serialize_to_their_bytes():
+    for family, block in _family_blocks():
+        for data in (serialize_block(block), serialize_block(block, build_dag(block))):
+            parsed = parse_block(data)
+            assert parsed._is_checked
+            assert serialize_block(parsed) == data, family
+            assert serialize_block(Block(parsed.transactions, parsed.shared_indegree)) == data
+
+
+def test_serializer_derives_sets_only_for_an_unchecked_block(monkeypatch):
+    calls = []
+
+    def counted(op):
+        def sets(args):
+            calls.append(op.opcode)
+            return op.sets(args)
+
+        return op._replace(sets=sets)
+
+    monkeypatch.setattr(codec, "_WIRE_OPS", {key: counted(op) for key, op in codec._WIRE_OPS.items()})
+    for family, block in _family_blocks():
+        dag = build_dag(block)
+        for checked in (block, attach_dag(block, dag), parse_block(serialize_block(block, dag))):
+            serialize_block(checked)
+            serialize_block(checked, dag)
+        assert calls == [], family
+        serialize_block(Block(block.transactions), dag)
+        assert len(calls) == block.txn_count, family
+        calls.clear()
