@@ -24,7 +24,9 @@ drops repeats and checks that every predecessor is below its transaction;
 (``DependencyDAG._from_pass``), ``dag_from_shared`` builds one from a shared
 block's declared dependencies, and ``brute_force_dag`` from ``conflicts()``
 pair by pair; all three must hold identical edge sets and indegrees for any
-block.
+block. ``dag_from_shared`` wraps the declared tuples as they are too when the
+validator has marked the block (an honest verdict by exact compare with the
+pass's tuples), and sends any other block's lists through the constructor.
 """
 
 from __future__ import annotations
@@ -119,8 +121,9 @@ class DependencyDAG:
     times.
 
     ``_from_pass`` is the one other constructor: it wraps ``address_pass``
-    tuples without sorting or checking them, since the pass emits only
-    ascending, distinct indices below each transaction.
+    tuples, or declared lists proven equal to them, without sorting or
+    checking them, since the pass emits only ascending, distinct indices
+    below each transaction.
     """
 
     def __init__(self, preds: list) -> None:
@@ -135,7 +138,7 @@ class DependencyDAG:
 
     @classmethod
     def _from_pass(cls, preds: list[tuple[int, ...]]) -> DependencyDAG:
-        """The DAG of ``address_pass`` tuples, kept as they are."""
+        """The DAG of ``address_pass`` tuples (or tuples equal to them), kept as they are."""
         dag = cls.__new__(cls)
         dag.txn_count = len(preds)
         dag.preds = tuple(preds)
@@ -183,9 +186,16 @@ def brute_force_dag(block: Block) -> DependencyDAG:
 def dag_from_shared(block: Block) -> DependencyDAG:
     """The DAG embedded in a shared block, from its declared dependencies.
 
-    The lists go to ``DependencyDAG`` as they are: a repeat counts once, and
-    a dependency negative or not below its transaction raises ``ValueError``.
+    A block that ``validate_dag`` found honest by exact compare carries the
+    private ``_canonical_deps`` mark: its lists are the pass's ascending
+    tuples, so they are wrapped in place (``DependencyDAG._from_pass``), with
+    no copy, sort or check. Any other block's lists go to ``DependencyDAG``
+    as they are: a repeat counts once, and a dependency negative or not below
+    its transaction raises ``ValueError``.
     """
     if not block.has_shared_dag:
         raise ValueError("block does not carry a shared DAG")
-    return DependencyDAG([txn.declared_dependencies for txn in block.transactions])
+    deps = [txn.declared_dependencies for txn in block.transactions]
+    if block._canonical_deps:
+        return DependencyDAG._from_pass(deps)
+    return DependencyDAG(deps)

@@ -95,6 +95,11 @@ class Block:
     # not a field, so equality, hashing, repr, ``Block(...)`` and
     # ``dataclasses.replace`` never see or set it.
     _is_checked = False
+    # True only on a block that ``validator.validate_dag`` found honest by
+    # exact compare: every declared list is the ascending tuple of the
+    # block's predecessors, so ``dag_from_shared`` wraps them as they are.
+    # Like ``_is_checked``, it is not a field and no copy carries it.
+    _canonical_deps = False
 
     @classmethod
     def _checked(

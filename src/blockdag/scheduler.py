@@ -73,6 +73,7 @@ import _thread
 import heapq
 import threading
 import time
+from operator import length_hint
 
 from . import families
 from .dag import DependencyDAG
@@ -171,16 +172,18 @@ def run_scheduled(
                     elif spawned < workers - 1:
                         _start_thread(helper)
                         spawned += 1
-            bad = ran = 0  # ran: transactions whose processor returned
+            bad = 0
+            it = iter(batch)
             try:
-                for index in batch:
+                for index in it:
                     if sim_work_s:
                         time.sleep(sim_work_s)
                     if not processor(txns[index], store):
                         bad += 1
-                    ran += 1
             except BaseException:
-                # Commit what ran before the transaction that raised.
+                # Commit what ran before the transaction that raised: the
+                # iterator still holds the ones after it.
+                ran = len(batch) - length_hint(it) - 1
                 with lock:
                     for index in batch[:ran]:
                         schedule.append(index)

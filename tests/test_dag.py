@@ -25,6 +25,7 @@ from blockdag.validator import Verdict, validate_dag
 from blockdag.workload import WorkloadSpec, generate_block
 
 from _helpers import (
+    ALL_FAMILIES,
     is_acyclic,
     random_family_block,
     random_structural_block,
@@ -364,6 +365,9 @@ def test_dag_from_shared_deduplicates_and_sorts_declared_lists():
     assert dag.indegree_snapshot() == [0, 1, 2, 3]
     assert dag.edge_count == 6
     assert dag.edge_set() == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)}
+    # a malicious verdict leaves the lists to be sorted and deduplicated again
+    assert validate_dag(shared) is Verdict.MALICIOUS_EXTRA_EDGE
+    assert dag_from_shared(shared).preds == dag.preds
 
 
 def test_dag_from_shared_rejects_dependency_not_below_index():
@@ -374,8 +378,30 @@ def test_dag_from_shared_rejects_dependency_not_below_index():
         txns[0] = replace(txns[0], declared_dependencies=())
         txns[1] = replace(txns[1], declared_dependencies=())
         shared = Block(tuple(txns), (0, 0, len(deps)))
-        with pytest.raises(ValueError, match=f"transaction 2 declares invalid dependency {bad}$"):
-            dag_from_shared(shared)
+        for _ in range(2):  # before the validator's verdict and after it
+            with pytest.raises(ValueError, match=f"transaction 2 declares invalid dependency {bad}$"):
+                dag_from_shared(shared)
+            assert validate_dag(shared) is Verdict.MALICIOUS_EXTRA_EDGE
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_a_marked_parsed_block_runs_its_declared_tuples(family):
+    spec = WorkloadSpec(family=family, txns_per_block=120, dependency_pct=30, rng_seed=5)
+    block = generate_block(spec)
+    shared = parse_block(serialize_block(block, build_dag(block)))
+    assert validate_dag(shared) is Verdict.HONEST
+    assert shared._canonical_deps is True
+    dag = dag_from_shared(shared)
+    # the declared tuples themselves, with no copy
+    assert all(p is txn.declared_dependencies for p, txn in zip(dag.preds, shared.transactions))
+    assert dag.edge_set() == brute_force_dag(shared).edge_set()
+    assert dag.indegree_snapshot() == list(shared.shared_indegree)
+    serial = StateStore()
+    execute_block_serial(shared, serial)
+    for workers in (1, 2, 4):
+        store = StateStore()
+        execute_block_parallel(shared, dag, store, workers)
+        assert state_digest(store) == state_digest(serial)
 
 
 def test_shared_extra_edge_is_honoured_by_the_executor():

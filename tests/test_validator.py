@@ -268,14 +268,22 @@ def test_permuted_honest_lists_are_honest(with_index):
         permuted = _with_deps(shared, lambda deps: tuple(reversed(deps)))
         assert permuted != shared
         assert _validate(permuted, with_index) is Verdict.HONEST
+        # honest, but its lists are sorted again for the DAG
+        assert dag_from_shared(permuted).preds == build_dag(shared).preds
+
+
+def _a_duplicate(shared, rng=None):
+    """Copy of a shared block whose longest list repeats its first entry in
+    place of its last, so its length still matches the indegree."""
+    j = max(range(shared.txn_count), key=shared.shared_indegree.__getitem__)
+    deps = shared.transactions[j].declared_dependencies
+    return _retamper(shared, {j: (deps[0], *deps[:-1])})
 
 
 @pytest.mark.parametrize("with_index", [False, True])
 def test_a_duplicate_of_the_right_length_is_an_extra_edge(with_index):
     for shared in _dense_shared_blocks(53):
-        j = max(range(shared.txn_count), key=shared.shared_indegree.__getitem__)
-        deps = shared.transactions[j].declared_dependencies
-        bad = _retamper(shared, {j: (deps[0], *deps[:-1])})
+        bad = _a_duplicate(shared)
         assert bad.shared_indegree == shared.shared_indegree
         assert _validate(bad, with_index) is Verdict.MALICIOUS_EXTRA_EDGE
 
@@ -303,3 +311,58 @@ def test_rebuilt_shared_dag_keeps_the_built_tuples():
         built = build_dag(block)
         rebuilt = dag_from_shared(attach_dag(block, built))
         assert rebuilt.preds == built.preds
+
+
+# name: (copy of an honest shared block, its verdict, whether it is marked)
+_MARK_CASES = {
+    "exact": (lambda shared, rng: shared, Verdict.HONEST, True),
+    "permuted": (
+        lambda shared, rng: _with_deps(shared, lambda deps: tuple(reversed(deps))),
+        Verdict.HONEST,
+        False,
+    ),
+    "dependencies-as-lists": (lambda shared, rng: _with_deps(shared, list), Verdict.HONEST, False),
+    "transactions-as-a-list": (
+        lambda shared, rng: Block(list(shared.transactions), shared.shared_indegree),
+        Verdict.HONEST,
+        False,
+    ),
+    "missing-edge": (remove_one_edge, Verdict.MALICIOUS_MISSING_EDGE, False),
+    "extra-edge": (add_spurious_edge, Verdict.MALICIOUS_EXTRA_EDGE, False),
+    "duplicate": (_a_duplicate, Verdict.MALICIOUS_EXTRA_EDGE, False),
+}
+
+
+@pytest.mark.parametrize("with_index", [False, True])
+@pytest.mark.parametrize("case", list(_MARK_CASES))
+def test_only_an_exact_honest_verdict_marks_the_block(case, with_index):
+    make, verdict, marked = _MARK_CASES[case]
+    rng = random.Random(71)
+    checked = 0
+    for shared in _dense_shared_blocks(71, count=6):
+        block = make(shared, rng)
+        if block is None:
+            continue
+        checked += 1
+        assert block._canonical_deps is False
+        assert _validate(block, with_index) is verdict
+        assert block._canonical_deps is marked
+    assert checked >= 3
+
+
+def test_copies_of_a_marked_block_are_unmarked():
+    for shared in _dense_shared_blocks(73, count=4):
+        assert validate_dag(shared) is Verdict.HONEST
+        assert shared._canonical_deps is True
+        kept = dag_from_shared(shared).preds
+        for copy in (
+            Block(shared.transactions, shared.shared_indegree),
+            replace(shared),
+            replace(shared, shared_indegree=tuple(shared.shared_indegree)),
+        ):
+            assert copy == shared and hash(copy) == hash(shared) and repr(copy) == repr(shared)
+            assert copy._canonical_deps is False
+            rebuilt = dag_from_shared(copy).preds
+            assert rebuilt == kept
+            # the copy's lists went through the sorting constructor
+            assert all(p is not deps for p, deps in zip(rebuilt, kept) if p)
