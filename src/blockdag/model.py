@@ -85,7 +85,10 @@ _set_declared_dependencies = Transaction.declared_dependencies.__set__
 class Block:
     """Ordered transaction list, optionally carrying a whole shared DAG:
     every transaction carries ``declared_dependencies`` exactly when
-    ``shared_indegree`` is set, or ``ValueError`` is raised."""
+    ``shared_indegree`` is set, or ``ValueError`` is raised. Both fields are
+    stored as tuples, whatever sequence the caller passed, so a block equals
+    and hashes like any other with the same entries, and no later change to
+    the caller's sequence reaches it."""
 
     transactions: tuple[Transaction, ...]
     shared_indegree: tuple[int, ...] | None = None
@@ -114,7 +117,11 @@ class Block:
         return block
 
     def __post_init__(self) -> None:
+        if type(self.transactions) is not tuple:
+            object.__setattr__(self, "transactions", tuple(self.transactions))
         shared = self.shared_indegree is not None
+        if shared and type(self.shared_indegree) is not tuple:
+            object.__setattr__(self, "shared_indegree", tuple(self.shared_indegree))
         for pos, txn in enumerate(self.transactions):
             if txn.index != pos:
                 raise ValueError(

@@ -13,9 +13,15 @@ Appending before the lock is released is what makes the recorded schedule a
 topological order: nothing that depends on a transaction can be granted
 until that transaction is already in the schedule. A batch holds only
 transactions that were ready together, and ready transactions never
-conflict, so it may run in any order. A transaction's simulated work (a
-sleep) comes before its processor call, so a crash mid-batch, in either,
-commits exactly the prefix that ran before the run fails.
+conflict, so it may run in any order. A crash mid-batch commits exactly the
+prefix of the batch that ran before the run fails.
+
+Every executor checks its options once, in ``_checked_processor``, which
+returns the processor each transaction runs. With ``sim_work_us > 0`` that
+processor sleeps ``sim_work_us / 1e6`` seconds, the transaction's simulated
+work, and then calls the real one, so the sleep runs once per transaction
+on every path, before the processor, and a sleep that raises is a processor
+that raises. The loops only run transactions.
 
 Workers wake and start only for work that is there. A successful grant
 says whether another grant would succeed now; only then, or when it cannot
@@ -26,15 +32,16 @@ a timer, until woken for work, by the end of the run, or by a crash. A
 chain that follows other work therefore runs one transaction at a time
 and wakes no one.
 
-A block whose whole DAG is one chain never reaches the loop. When every
-transaction j >= 1 has j - 1 as the last entry of its ascending
-predecessor tuple, index order is the only valid order, and the loop
-would only run it on the calling thread one grant at a time.
-``execute_block_parallel`` checks this in one walk that stops at the
-first transaction that fails it, and runs such a block through
-``_run_in_order``, the serial baseline's loop, with no queue, lock or
-helper. A processor ``Exception`` there raises ParallelExecutionError with
-the prefix that ran; interrupts propagate unchanged.
+A DAG run goes in index order, without the loop, when index order is the
+only schedule the queue can hand out: with one worker, whose every grant is
+the next run of indices, or when the DAG is one chain (every transaction
+j >= 1 has j - 1 as the last entry of its ascending predecessor tuple),
+which ``execute_block_parallel`` checks in one walk that stops at the
+first transaction that fails it. Such a run goes through ``_run_in_order``,
+the serial baseline's loop, with no queue, lock or helper. A processor
+``Exception`` there raises ParallelExecutionError with the prefix that
+ran; interrupts propagate unchanged. The tree baseline keeps the loop at
+every worker count: its per-address bookkeeping is its cost on purpose.
 
 A helper is started, then counted, under the loop's lock, so a start that
 raises counts nothing. A helper counts itself stopped under the same lock
@@ -54,13 +61,13 @@ keyed by thread id, so a later helper reuses one rather than piling up
 more.
 
 The DAG executor's grant (``ReadyQueue.grant``) follows guided
-self-scheduling: ceil(ready / workers) of the lowest ready transactions,
-so a wide block still spreads over every worker and each batch shrinks as
-the ready set does. The batch ends early at the first transaction that
-another one waits on, so a chain inside a wider DAG goes one transaction
-at a time and a transaction that others wait on runs last in its batch; a
-whole-block chain never reaches the queue. Its commit re-checks only the
-transactions that waited on the committed one, each against its own
+self-scheduling: ceil(ready / workers) of the lowest ready transactions, so
+a wide block still spreads over every worker and each batch shrinks as the
+ready set does. The batch ends early at the first transaction that another
+one waits on, so a chain inside a wider DAG goes one transaction at a time
+and a transaction that others wait on runs last in its batch; a whole-block
+chain and a one-worker run never reach the queue. Its commit re-checks only
+the transactions that waited on the committed one, each against its own
 predecessor tuple in the DAG's ``preds``, read in place; the heap says in
 O(1) whether work is left. The predecessor-tree baseline's grant
 (``blockdag.tree.TreeRun.grant``) is its per-address check, grants batches
@@ -97,35 +104,47 @@ def _start_thread(target) -> None:
     _thread.start_new_thread(target, ())
 
 
-def run_scheduled(
-    block: Block,
-    store: StateStore,
-    workers: int,
-    run,
-    processor=None,
-    sim_work_us: int = 0,
-) -> ExecutionReport:
-    """Execute every transaction of the block once on up to ``workers`` threads.
-
-    ``run`` is the per-run scheduling state, a ``ReadyQueue`` or a
-    ``TreeRun``. ``run.grant(batch)`` appends to the empty list ``batch``
-    the indices of transactions that may run now, in any order, marking
-    them taken, or leaves it empty when there is none; after a successful
-    grant it returns whether another grant would succeed now, or True when
-    it cannot tell. ``run.commit(i)`` records that i has finished. Both are
-    only ever called under the loop's one lock. Raises
-    ParallelExecutionError, carrying the partial report, when a processor, a
-    step or a helper's start raises; a crash mid-batch commits the
-    transactions of the batch that ran before it. A ``KeyboardInterrupt``
-    or ``SystemExit`` on the calling thread propagates unchanged once the
-    helpers have stopped.
-    """
+def _checked_processor(processor, sim_work_us: int, workers: int = 1):
+    """Check an executor's options and return the processor each
+    transaction runs: ``processor``, by default
+    ``families.apply_transaction``, after a sleep of ``sim_work_us / 1e6``
+    seconds when ``sim_work_us > 0``. Raises ``ValueError`` when ``workers``
+    or ``sim_work_us`` is out of range, in that order."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if sim_work_us < 0:
         raise ValueError("sim_work_us must be >= 0")
     processor = processor or families.apply_transaction
-    sim_work_s = sim_work_us / 1e6
+    if not sim_work_us:
+        return processor
+    sleep, seconds = time.sleep, sim_work_us / 1e6
+
+    def simulated(txn, store):
+        sleep(seconds)
+        return processor(txn, store)
+
+    return simulated
+
+
+def run_scheduled(
+    block: Block, store: StateStore, workers: int, run, processor
+) -> ExecutionReport:
+    """Execute every transaction of the block once on up to ``workers`` threads.
+
+    The executors check the options first: ``processor`` is what
+    ``_checked_processor`` returned, simulated work included, and ``run``
+    is the per-run scheduling state, a ``ReadyQueue`` or a ``TreeRun``.
+    ``run.grant(batch)`` appends to the empty list ``batch`` the indices of
+    transactions that may run now, in any order, marking them taken, or
+    leaves it empty when there is none; after a successful grant it returns
+    whether another grant would succeed now, or True when it cannot tell.
+    ``run.commit(i)`` records that i has finished. Both are only ever
+    called under the loop's one lock. Raises ParallelExecutionError,
+    carrying the partial report, when a processor, a step or a helper's
+    start raises; a crash mid-batch commits the transactions of the batch
+    that ran before it. A ``KeyboardInterrupt`` or ``SystemExit`` on the
+    calling thread propagates unchanged once the helpers have stopped.
+    """
     grant, commit = run.grant, run.commit
     txns = block.transactions
     n = len(txns)
@@ -139,17 +158,22 @@ def run_scheduled(
     waiting = 0
     stale = False  # a grant failed and nothing has committed since
 
+    def commit_batch(batch: list[int], bad: int) -> None:
+        """Under the lock: schedule and commit what ran, count its failures."""
+        nonlocal failures
+        for index in batch:
+            schedule.append(index)
+            commit(index)
+        failures += bad
+
     def work() -> None:
-        nonlocal failures, spawned, waiting, stale
+        nonlocal spawned, waiting, stale
         batch: list[int] = []  # granted, then run, then committed; reused
         bad = 0  # processor failures in the batch
         while True:
             with lock:
                 if batch:
-                    for index in batch:
-                        schedule.append(index)
-                        commit(index)
-                    failures += bad
+                    commit_batch(batch, bad)
                     batch.clear()
                     stale = False
                 while True:
@@ -176,19 +200,14 @@ def run_scheduled(
             it = iter(batch)
             try:
                 for index in it:
-                    if sim_work_s:
-                        time.sleep(sim_work_s)
                     if not processor(txns[index], store):
                         bad += 1
             except BaseException:
                 # Commit what ran before the transaction that raised: the
                 # iterator still holds the ones after it.
-                ran = len(batch) - length_hint(it) - 1
+                del batch[len(batch) - length_hint(it) - 1:]
                 with lock:
-                    for index in batch[:ran]:
-                        schedule.append(index)
-                        commit(index)
-                    failures += bad
+                    commit_batch(batch, bad)
                 raise
 
     def fail(exc: BaseException) -> None:
@@ -238,9 +257,9 @@ class ReadyQueue:
     ``low``: every index below ``low`` has committed. ``upper[j]`` is the
     position in j's tuple of the predecessor j waits on, and only falls, so
     no predecessor is checked twice for the same transaction, and nothing
-    more than one check per edge is ever spent. A block whose whole DAG is
-    one chain never reaches the queue: ``execute_block_parallel`` runs it in
-    index order.
+    more than one check per edge is ever spent. A one-worker run and a
+    block whose whole DAG is one chain never reach the queue:
+    ``execute_block_parallel`` runs them in index order.
 
     A transaction enters the heap at the commit of its last predecessor,
     and the lowest ready indices are granted first, as the tree baseline
@@ -339,28 +358,27 @@ def execute_block_parallel(
 ) -> ExecutionReport:
     """Execute every transaction exactly once, conflict-free, in parallel.
 
-    A DAG that is a chain (each transaction after the first has the one
-    before it as a predecessor) has index order as its only valid order, so
-    it runs that way on the calling thread, with no queue and no helper. A
-    processor ``Exception`` there raises ParallelExecutionError carrying the
-    prefix that ran, as a worker crash does in ``run_scheduled``. Any other
-    DAG goes through a ``ReadyQueue`` on up to ``workers`` threads. The DAG
-    is only read, so it can be executed again.
+    With one worker, or a DAG that is a chain (each transaction after the
+    first has the one before it as a predecessor), index order is the only
+    schedule, so the block runs that way on the calling thread, with no
+    queue and no helper. A processor ``Exception`` there raises
+    ParallelExecutionError carrying the prefix that ran, as a worker crash
+    does in ``run_scheduled``. Any other run goes through a ``ReadyQueue``
+    on up to ``workers`` threads. Each transaction's simulated work
+    (``sim_work_us``) sleeps before its processor call. The DAG is only
+    read, so it can be executed again.
     """
     if dag.txn_count != block.txn_count:
         raise ValueError("DAG does not match block")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if sim_work_us < 0:
-        raise ValueError("sim_work_us must be >= 0")
-    if _is_chain(dag.preds):
+    processor = _checked_processor(processor, sim_work_us, workers)
+    if workers == 1 or _is_chain(dag.preds):
         report = ExecutionReport()
         try:
-            _run_in_order(block, store, processor, sim_work_us, report)
+            _run_in_order(block, store, processor, report)
         except Exception as exc:
             raise ParallelExecutionError(report, block.txn_count, exc) from exc
         return report
-    return run_scheduled(block, store, workers, ReadyQueue(dag, workers), processor, sim_work_us)
+    return run_scheduled(block, store, workers, ReadyQueue(dag, workers), processor)
 
 
 def execute_block_serial(
@@ -369,33 +387,23 @@ def execute_block_serial(
     processor=None,
     sim_work_us: int = 0,
 ) -> ExecutionReport:
-    """Execute transactions in index order; the reference history."""
-    if sim_work_us < 0:
-        raise ValueError("sim_work_us must be >= 0")
+    """Execute transactions in index order; the reference history. Each
+    transaction's simulated work (``sim_work_us``) sleeps before its
+    processor call."""
     report = ExecutionReport()
-    _run_in_order(block, store, processor, sim_work_us, report)
+    _run_in_order(block, store, _checked_processor(processor, sim_work_us), report)
     return report
 
 
-def _run_in_order(
-    block: Block,
-    store: StateStore,
-    processor,
-    sim_work_us: int,
-    report: ExecutionReport,
-) -> None:
+def _run_in_order(block: Block, store: StateStore, processor, report: ExecutionReport) -> None:
     """Run every transaction on the calling thread in index order, filling
-    the empty ``report``; if a sleep or a processor raises, ``report`` holds
-    the prefix that ran before it."""
-    processor = processor or families.apply_transaction
-    sim_work_s = sim_work_us / 1e6
+    the empty ``report``; if the processor raises, ``report`` holds the
+    prefix that ran before it."""
     schedule = report.schedule
     failures = 0
     started = time.perf_counter()
     try:
         for txn in block.transactions:
-            if sim_work_s:
-                time.sleep(sim_work_s)
             if not processor(txn, store):
                 failures += 1
             schedule.append(txn.index)

@@ -22,7 +22,7 @@ each successful grant the loop wakes a waiter or starts a helper.
 from __future__ import annotations
 
 from .model import Block, ExecutionReport, StateStore
-from .scheduler import run_scheduled
+from .scheduler import _checked_processor, run_scheduled
 
 UNSCHEDULED = 0
 RUNNING = 1
@@ -127,11 +127,14 @@ def execute_block_tree(
     processor=None,
     sim_work_us: int = 0,
 ) -> ExecutionReport:
-    """Run the block through the predecessor-tree scheduler.
+    """Run the block through the predecessor-tree scheduler, on the loop at
+    every worker count, one worker included.
 
-    Raises ParallelExecutionError, carrying the partial report, when a
-    worker fails.
+    Each transaction's simulated work (``sim_work_us``) sleeps before its
+    processor call. Raises ParallelExecutionError, carrying the partial
+    report, when a worker fails.
     """
     if tree.txn_count != block.txn_count:
         raise ValueError("tree does not match block")
-    return run_scheduled(block, store, workers, TreeRun(tree), processor, sim_work_us)
+    processor = _checked_processor(processor, sim_work_us, workers)
+    return run_scheduled(block, store, workers, TreeRun(tree), processor)

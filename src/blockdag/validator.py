@@ -15,11 +15,10 @@ dependencies:
 An honest block as the builder shares it declares exactly the pass's
 ascending tuples, so its verdict is one list compare. That compare proves
 the declared lists canonical, so the validator marks the block (the private
-``Block._canonical_deps``, set only when its transactions are a tuple) and
-``dag.dag_from_shared`` then wraps the lists instead of sorting them again.
-An honest block whose lists are permuted matches once each list is sorted,
-and is not marked. Any other block is walked transaction by transaction for
-the verdicts below.
+``Block._canonical_deps``) and ``dag.dag_from_shared`` then wraps the lists
+instead of sorting them again. An honest block whose lists are permuted
+matches once each list is sorted, and is not marked. Any other block is
+walked transaction by transaction for the verdicts below.
 
 Verdicts keep a fixed precedence over the whole block: a structural defect
 anywhere is ``MALICIOUS_EXTRA_EDGE``; otherwise a missing edge anywhere is
@@ -61,9 +60,9 @@ def validate_dag(
     object raises ``ValueError``. Without an index, the pass runs here.
     ``workers`` is only range-checked (>= 1) and kept because the benchmark
     passes it; the check runs on the calling thread. An honest verdict by
-    exact compare marks a block whose transactions are a tuple as holding
-    canonical lists (``Block._canonical_deps``), which ``dag_from_shared``
-    reads; no other verdict marks it.
+    exact compare marks the block as holding canonical lists
+    (``Block._canonical_deps``), which ``dag_from_shared`` reads; no other
+    verdict marks it.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -82,10 +81,9 @@ def validate_dag(
     # the declared length, which is every structural check; a declared list
     # that sorts to its tuple is a permutation of it, so honest too.
     if computed == deps_of:
-        # Every list is then an ascending tuple; with a tuple of transactions
-        # nothing can change them, so dag_from_shared may wrap them as they are.
-        if type(block.transactions) is tuple:
-            object.__setattr__(block, "_canonical_deps", True)
+        # Every list is then an ascending tuple in the block's own tuple of
+        # transactions, so dag_from_shared may wrap them as they are.
+        object.__setattr__(block, "_canonical_deps", True)
         return Verdict.HONEST
     if computed == [tuple(sorted(deps)) for deps in deps_of]:
         return Verdict.HONEST

@@ -138,6 +138,12 @@ def test_block_shared_dag_flag():
         shared_indegree=(0,),
     )
     assert shared.has_shared_dag
+    # any sequence is stored as a tuple, so equality and hashing hold
+    for block, copy in (
+        (plain, Block(list(plain.transactions))),
+        (shared, Block(list(shared.transactions), [0])),
+    ):
+        assert copy == block and hash(copy) == hash(block)
 
 
 def test_store_copy_is_independent():

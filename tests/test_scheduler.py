@@ -335,6 +335,16 @@ def test_commit_reads_each_predecessor_a_bounded_number_of_times(monkeypatch):
         queue.commit(index)
     assert _grant(queue) == m
     assert _Counted.reads <= 4 * m
+    # committed lowest first, the roots carry low up to the sink's last
+    # predecessor, so the walk at that commit stops at low at once
+    queue = _single(DependencyDAG._from_pass([()] * m + [_Counted(range(m))]))
+    assert [_grant(queue) for _ in range(m + 1)] == list(range(m)) + [None]
+    for index in range(m - 1):
+        queue.commit(index)
+    monkeypatch.setattr(_Counted, "reads", 0)
+    queue.commit(m - 1)
+    assert _grant(queue) == m
+    assert _Counted.reads <= 2
 
 
 def test_chain_schedules_in_order_for_any_worker_count():
@@ -867,14 +877,26 @@ def test_wide_block_starts_every_helper_and_overlaps_processors(execute, monkeyp
     assert spy.helpers_stopped()
 
 
+@pytest.fixture
+def long_switch_interval():
+    """A helper of a two-worker run first runs when the calling thread
+    blocks, which a processor that never sleeps does only to wait for the
+    helpers at the end of the run: the calling thread runs every batch."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.usefixtures("long_switch_interval")
 def test_crash_mid_batch_commits_the_prefix_that_ran():
     rng = random.Random(157)
     checked = firsts = 0
     for _ in range(30):
         block = random_family_block(rng, n=rng.randrange(20, 120))
         dag = build_dag(block)
-        # with one worker the executor runs the queue's batches in order
-        batches = _batches(ReadyQueue(dag, 1))
+        # the calling thread runs the two-worker queue's batches in order
+        batches = _batches(ReadyQueue(dag, 2))
         wide = [k for k, batch in enumerate(batches) if len(batch) > 1]
         if not wide:
             continue
@@ -892,7 +914,7 @@ def test_crash_mid_batch_commits_the_prefix_that_ran():
             return outcomes[txn.index]
 
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_block_parallel(block, dag, StateStore(), 1, processor=crashing)
+            execute_block_parallel(block, dag, StateStore(), 2, processor=crashing)
         report = excinfo.value.report
         assert report.schedule == [i for batch in batches[:k] for i in batch] + batches[k][:pos]
         assert len(set(report.schedule)) == len(report.schedule)
@@ -906,9 +928,12 @@ def test_crash_mid_batch_commits_the_prefix_that_ran():
 
 
 @EXECUTORS
+@pytest.mark.usefixtures("long_switch_interval")
 def test_a_raising_sleep_reports_exactly_the_transactions_that_ran(execute, monkeypatch):
     # two independent transactions, then a chain of two, which the DAG
-    # executor runs without the queue
+    # executor runs without the queue; so does a one-worker DAG run, so the
+    # DAG executor runs the first block on two workers
+    workers = 2 if execute is _run_dag else 1
     for specs in (
         [(set(), {b"a"}), (set(), {b"b"})],
         [(set(), {b"a"}), ({b"a"}, set())],
@@ -929,11 +954,58 @@ def test_a_raising_sleep_reports_exactly_the_transactions_that_ran(execute, monk
         fake = types.SimpleNamespace(sleep=sleep, perf_counter=time.perf_counter)
         monkeypatch.setattr(scheduler, "time", fake)
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute(block, StateStore(), 1, processor=failing, sim_work_us=10)
+            execute(block, StateStore(), workers, processor=failing, sim_work_us=10)
         report = excinfo.value.report
         assert report.schedule == completed
         assert report.txn_successes + report.txn_failures == len(report.schedule)
         assert report.txn_successes >= 0 and report.txn_failures >= 0
+
+
+@pytest.mark.parametrize("sim", [0, 30])
+@pytest.mark.parametrize(
+    "execute, make, workers",
+    [
+        (_run_serial, _wallet_block, 1),
+        (_run_dag, _voting_block, 2),
+        (_run_dag, _wallet_block, 1),
+        (_run_dag, _wallet_block, 2),
+        (_run_dag, _wallet_block, 4),
+        (_run_tree, _wallet_block, 2),
+    ],
+    ids=["serial", "chain", "wide-1", "wide-2", "wide-4", "tree-2"],
+)
+def test_simulated_work_sleeps_once_before_each_processor_call(
+    execute, make, workers, sim, monkeypatch
+):
+    block = make(60)
+    events = []  # (thread, event), appended as they happen
+    real_sleep = time.sleep
+
+    def sleep(seconds):
+        events.append((threading.get_ident(), ("sleep", seconds)))
+        real_sleep(seconds)
+
+    def recording(txn, store):
+        events.append((threading.get_ident(), ("call", txn.index)))
+        return apply_transaction(txn, store)
+
+    fake = types.SimpleNamespace(sleep=sleep, perf_counter=time.perf_counter)
+    monkeypatch.setattr(scheduler, "time", fake)
+    report = execute(block, StateStore(), workers, processor=recording, sim_work_us=sim)
+    assert_exactly_once(report.schedule, block.txn_count)
+    by_thread = collections.defaultdict(list)
+    for thread, event in events:
+        by_thread[thread].append(event)
+    slept = ("sleep", sim / 1e6)
+    calls = 0
+    for thread_events in by_thread.values():
+        ran = [event for event in thread_events if event[0] == "call"]
+        # on its thread, each call directly follows exactly one sleep, and
+        # at sim 0 nothing sleeps
+        assert thread_events == ([e for call in ran for e in (slept, call)] if sim else ran)
+        calls += len(ran)
+    # so there are as many sleeps as transactions
+    assert calls == block.txn_count
 
 
 @EXECUTORS

@@ -322,10 +322,11 @@ _MARK_CASES = {
         False,
     ),
     "dependencies-as-lists": (lambda shared, rng: _with_deps(shared, list), Verdict.HONEST, False),
+    # the block stores its own tuple, so the exact compare marks it too
     "transactions-as-a-list": (
         lambda shared, rng: Block(list(shared.transactions), shared.shared_indegree),
         Verdict.HONEST,
-        False,
+        True,
     ),
     "missing-edge": (remove_one_edge, Verdict.MALICIOUS_MISSING_EDGE, False),
     "extra-edge": (add_spurious_edge, Verdict.MALICIOUS_EXTRA_EDGE, False),
@@ -348,6 +349,21 @@ def test_only_an_exact_honest_verdict_marks_the_block(case, with_index):
         assert _validate(block, with_index) is verdict
         assert block._canonical_deps is marked
     assert checked >= 3
+
+
+def test_a_marked_block_built_from_lists_does_not_share_them():
+    # the hazard of wrapping a list-built block's lists: the caller changing
+    # its own lists after the verdict
+    for shared in _dense_shared_blocks(79, count=4):
+        txns, indegree = list(shared.transactions), list(shared.shared_indegree)
+        block = Block(txns, indegree)
+        assert validate_dag(block) is Verdict.HONEST and block._canonical_deps
+        kept = dag_from_shared(block).preds
+        txns.reverse()
+        txns[0] = replace(txns[0], declared_dependencies=())
+        indegree.clear()
+        assert block == shared and block.transactions == shared.transactions
+        assert dag_from_shared(block).preds == kept == dag_from_shared(shared).preds
 
 
 def test_copies_of_a_marked_block_are_unmarked():
