@@ -3,6 +3,10 @@
 Addresses are opaque byte strings namespaced by a family prefix. A
 transaction declares the addresses it will read and write up front; nothing
 in the engine ever infers access sets by executing transaction logic.
+
+A run report holds what an executor decides, the commit order and the
+failure count, and nothing the caller can measure itself: callers time
+the executor call and digest the store they passed in.
 """
 
 from __future__ import annotations
@@ -43,9 +47,11 @@ ABSENT = _AbsentType()
 class Transaction:
     """One block entry: position, declared access sets, and family payload.
 
-    ``declared_dependencies`` is the transaction's list of predecessor
+    ``declared_dependencies`` is the transaction's tuple of predecessor
     indices when its block carries a shared dependency DAG, and ``None``
-    otherwise.
+    otherwise. Any other sequence is stored as a tuple, so a transaction
+    equals and hashes like its tuple twin, and no later change to the
+    caller's sequence reaches it.
 
     The fields live in slots. The constructor stores each one through its
     slot descriptor, which skips the frozen ``__setattr__`` that the
@@ -71,6 +77,8 @@ class Transaction:
         _set_read_set(self, read_set)
         _set_write_set(self, write_set)
         _set_payload(self, payload)
+        if declared_dependencies is not None and type(declared_dependencies) is not tuple:
+            declared_dependencies = tuple(declared_dependencies)
         _set_declared_dependencies(self, declared_dependencies)
 
 
@@ -204,16 +212,15 @@ def state_digest(store: StateStore) -> bytes:
 
 @dataclass
 class ExecutionReport:
-    """Outcome of one block run: commit order, outcome counts, wall time.
+    """Outcome of one block run: the commit order and the failure count.
 
     Only failures are counted; ``txn_successes`` is derived, every
-    committed transaction that did not fail. It holds no state digest: a
-    caller that compares end states digests the store it passed to the
-    executor (``state_digest``).
+    committed transaction that did not fail. It holds no wall time and no
+    state digest: a caller times the executor call itself and digests the
+    store it passed in (``state_digest``).
     """
 
     schedule: list[int] = field(default_factory=list)
-    wall_time: float = 0.0
     txn_failures: int = 0
 
     @property

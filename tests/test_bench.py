@@ -1,6 +1,7 @@
 import errno
 import io
 import re
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from blockdag.bench import (
     rows_to_csv,
     run_experiment,
 )
-from blockdag import cli
+from blockdag import cli, scheduler, tree
 from blockdag.cli import cli_main
 from blockdag.codec import attach_dag, serialize_block
 from blockdag.dag import address_pass, build_dag
@@ -61,6 +62,34 @@ def test_rows_carry_metrics_and_timings():
         assert row["verdict"] == "-"
     serial_rows = [r for r in rows if r["strategy"] == "serial"]
     assert all(float(r["ds_build_ms"]) == 0.0 for r in serial_rows)
+
+
+@pytest.mark.parametrize(
+    "strategy, module, name",
+    [
+        ("adj-dag", scheduler, "ReadyQueue"),
+        ("smart-validate", scheduler, "ReadyQueue"),
+        ("tree", tree, "TreeRun"),
+    ],
+)
+def test_mean_ms_includes_the_executors_own_set_up(strategy, module, name, monkeypatch):
+    # the run object each executor builds takes 20 ms to make; the
+    # executor call is timed around the call, so mean_ms holds it
+    real = getattr(module, name)
+
+    class Slow(real):
+        def __init__(self, *args):
+            time.sleep(0.02)
+            super().__init__(*args)
+
+    monkeypatch.setattr(module, name, Slow)
+    # dependency 0: no edges, so not a chain, and the queue is built
+    plan = _small_plan(
+        values=(40,), num_blocks=1, dependency_pct=0, strategies=(strategy,), repetitions=1
+    )
+    (row,) = run_experiment(plan)
+    assert float(row["mean_ms"]) >= 20
+    assert float(row["ds_build_ms"]) < 20
 
 
 def test_smart_validate_rows_report_honest():

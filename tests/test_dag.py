@@ -216,6 +216,24 @@ def test_address_pass_tuples_of_hand_built_blocks(specs, expected):
     assert brute_force_dag(block).preds == tuple(expected)
 
 
+def test_address_pass_skips_the_writers_of_an_address_it_also_writes(monkeypatch):
+    # a cost check: a transaction that reads and writes A takes A's
+    # accessors alone, which already hold its writers; reading the writers
+    # too would give two unequal lists and one sorted union
+    import blockdag.dag as dag_mod
+
+    unions = []
+
+    def counted(*args, **kwargs):
+        unions.append(args)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(dag_mod, "sorted", counted, raising=False)
+    block = structural_block([({b"A"}, {b"A"}), ({b"A"}, set()), ({b"A"}, {b"A"})])
+    assert address_pass(block).preds == [(), (0,), (0, 1)]
+    assert unions == []
+
+
 def test_address_pass_tuples_do_not_depend_on_the_hash_seed():
     # Address sets of bytes iterate in an order that follows the hash seed.
     script = (

@@ -139,9 +139,11 @@ def test_block_shared_dag_flag():
     )
     assert shared.has_shared_dag
     # any sequence is stored as a tuple, so equality and hashing hold
+    listed = dataclasses.replace(shared.transactions[0], declared_dependencies=[])
     for block, copy in (
         (plain, Block(list(plain.transactions))),
         (shared, Block(list(shared.transactions), [0])),
+        (shared, Block([listed], [0])),
     ):
         assert copy == block and hash(copy) == hash(block)
 
@@ -219,3 +221,22 @@ def test_transaction_dependencies_default_to_none():
         Transaction(0, keys, keys)
     with pytest.raises(TypeError):
         FamilyOp("intkey", "set")
+
+
+def test_transaction_stores_its_dependencies_as_a_tuple():
+    op = FamilyOp("wallet", "create", ("a",))
+    keys = frozenset({b"wallet/a"})
+    twin = Transaction(1, keys, keys, op, (0,))
+    kept = (0,)
+    assert Transaction(1, keys, keys, op, kept).declared_dependencies is kept
+    for deps in ([0], range(1), iter([0])):
+        made = Transaction(1, keys, keys, op, deps)
+        assert type(made.declared_dependencies) is tuple
+        assert made == twin and hash(made) == hash(twin) and repr(made) == repr(twin)
+    assert dataclasses.replace(twin, declared_dependencies=[0]) == twin
+    # a later change to the caller's list does not reach the transaction
+    listed = [0]
+    made = Transaction(1, keys, keys, op, listed)
+    listed.append(7)
+    assert made == twin
+

@@ -951,7 +951,7 @@ def test_a_raising_sleep_reports_exactly_the_transactions_that_ran(execute, monk
             if len(sleeps) == 2:
                 raise RuntimeError("sleep interrupted")
 
-        fake = types.SimpleNamespace(sleep=sleep, perf_counter=time.perf_counter)
+        fake = types.SimpleNamespace(sleep=sleep)
         monkeypatch.setattr(scheduler, "time", fake)
         with pytest.raises(ParallelExecutionError) as excinfo:
             execute(block, StateStore(), workers, processor=failing, sim_work_us=10)
@@ -989,7 +989,7 @@ def test_simulated_work_sleeps_once_before_each_processor_call(
         events.append((threading.get_ident(), ("call", txn.index)))
         return apply_transaction(txn, store)
 
-    fake = types.SimpleNamespace(sleep=sleep, perf_counter=time.perf_counter)
+    fake = types.SimpleNamespace(sleep=sleep)
     monkeypatch.setattr(scheduler, "time", fake)
     report = execute(block, StateStore(), workers, processor=recording, sim_work_us=sim)
     assert_exactly_once(report.schedule, block.txn_count)

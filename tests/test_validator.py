@@ -298,9 +298,12 @@ def test_a_dropped_edge_is_a_missing_edge(with_index):
 
 @pytest.mark.parametrize("with_index", [False, True])
 def test_dependencies_given_as_lists_are_honest(with_index):
+    # each transaction stores its lists as tuples, so the copy is the
+    # block's tuple twin
     for shared in [_shared(structural_block([])), *_dense_shared_blocks(61)]:
         as_lists = _with_deps(shared, list)
-        assert all(type(t.declared_dependencies) is list for t in as_lists.transactions)
+        assert all(type(t.declared_dependencies) is tuple for t in as_lists.transactions)
+        assert as_lists == shared and hash(as_lists) == hash(shared)
         assert _validate(as_lists, with_index) is Verdict.HONEST
 
 
@@ -321,8 +324,9 @@ _MARK_CASES = {
         Verdict.HONEST,
         False,
     ),
-    "dependencies-as-lists": (lambda shared, rng: _with_deps(shared, list), Verdict.HONEST, False),
-    # the block stores its own tuple, so the exact compare marks it too
+    # the transactions and the block store their own tuples, so the exact
+    # compare marks these too
+    "dependencies-as-lists": (lambda shared, rng: _with_deps(shared, list), Verdict.HONEST, True),
     "transactions-as-a-list": (
         lambda shared, rng: Block(list(shared.transactions), shared.shared_indegree),
         Verdict.HONEST,
@@ -363,6 +367,24 @@ def test_a_marked_block_built_from_lists_does_not_share_them():
         txns[0] = replace(txns[0], declared_dependencies=())
         indegree.clear()
         assert block == shared and block.transactions == shared.transactions
+        assert dag_from_shared(block).preds == kept == dag_from_shared(shared).preds
+
+
+def test_a_marked_block_built_from_dependency_lists_does_not_share_them():
+    # the same hazard one level down: the caller changing the dependency
+    # lists it built the transactions from, after the verdict
+    for shared in _dense_shared_blocks(83, count=4):
+        lists = [list(t.declared_dependencies) for t in shared.transactions]
+        block = Block(
+            [replace(t, declared_dependencies=deps) for t, deps in zip(shared.transactions, lists)],
+            shared.shared_indegree,
+        )
+        assert validate_dag(block) is Verdict.HONEST and block._canonical_deps
+        kept = dag_from_shared(block).preds
+        for deps in lists:
+            deps.reverse()
+            deps.append(len(lists))
+        assert block == shared and hash(block) == hash(shared)
         assert dag_from_shared(block).preds == kept == dag_from_shared(shared).preds
 
 
