@@ -1,10 +1,10 @@
 """Block execution: one blocking worker loop plus the serial baseline.
 
 ``run_scheduled`` runs a block on the calling thread, which is worker 0, and
-on at most ``workers - 1`` helper threads that it starts only when there is
-work for them. It takes a *run* object, which both parallel executors hand
-it: the DAG executor a ``ReadyQueue``, the predecessor-tree baseline a
-``blockdag.tree.TreeRun``. All workers share one lock and condition
+on at most ``workers - 1`` helper threads. It takes a *run* object: the
+predecessor-tree baseline hands it a ``blockdag.tree.TreeRun``, and the DAG
+executor a way to build a ``ReadyQueue`` once a helper has arrived (the
+in-order head, below). All workers share one lock and condition
 variable. Each time a worker takes the lock it commits the batch it ran
 last and asks the run's ``grant(batch)`` for the next batch. Committing
 appends each transaction to the schedule and calls the run's ``commit(i)``,
@@ -26,25 +26,50 @@ executor returns the commit order and the failure count, and a caller that
 wants a run's wall time takes it around the executor call, which then
 includes the executor's checks and the queue or tree run it builds.
 
-Workers wake and start only for work that is there. A successful grant
-says whether another grant would succeed now; only then, or when it cannot
-tell, is a waiting worker woken or, with none waiting, a helper started. A
-failed grant stays failed until the next commit, so after one no worker
-grants again before a commit; it waits on the condition instead, never on
-a timer, until woken for work, by the end of the run, or by a crash. A
-chain that follows other work therefore runs one transaction at a time
-and wakes no one.
+Past the head's one helper (below), workers wake and start only for work
+that is there. A successful grant says whether another grant would succeed
+now; only then, or when it cannot tell, is a waiting worker woken or, with
+none waiting, a helper started. A failed grant stays failed until the next
+commit, so after one no worker grants again before a commit; it waits on
+the condition instead, never on a timer, until woken for work, by the end
+of the run, or by a crash. A chain that follows other work therefore runs
+one transaction at a time and wakes no one.
 
-A DAG run goes in index order, without the loop, when index order is the
-only schedule the queue can hand out: with one worker, whose every grant is
-the next run of indices, or when the DAG is one chain (every transaction
-j >= 1 has j - 1 as the last entry of its ascending predecessor tuple),
-which ``execute_block_parallel`` checks in one walk that stops at the
-first transaction that fails it. Such a run goes through ``_run_in_order``,
-the serial baseline's loop, with no queue, lock or helper. A processor
-``Exception`` there raises ParallelExecutionError with the prefix that
-ran; interrupts propagate unchanged. The tree baseline keeps the loop at
-every worker count: its per-address bookkeeping is its cost on purpose.
+A DAG run on two or more workers, of a block that is not one chain, starts
+with an in-order head, after Cilk-5's work-first principle (Frigo,
+Leiserson & Randall, PLDI 1998): scheduling costs fall where a second
+worker takes work, not on the work itself. The calling thread starts one
+helper and then runs the block in index order, with no queue, no lock and
+no commit step, checking once per transaction whether the helper has
+arrived. Index order is always a valid schedule, since each predecessor is
+below its transaction. A helper that first gets the interpreter takes the
+lock, finds nothing to grant (the loop's ``stale`` flag starts set) and
+waits on the condition, counted in ``waiting``: that count is the arrival
+flag. The calling thread finishes its current transaction, then, under the
+lock, hands over: it builds ``ReadyQueue(dag, workers, start)``, every
+index below ``start`` already committed, clears ``stale``, and the loop
+runs from there. The head reads ``waiting`` without the lock. That is safe:
+a stale read costs one more transaction in index order, and a helper that
+has arrived does nothing but wait until the handover. A helper that first
+runs after the last transaction finds the run over and stops, so no queue
+is built. At sim 0 a helper gets the interpreter only when the calling
+thread blocks, which it does only to wait for the helper at the end: the
+run costs serial plus one helper start and join. With simulated work the
+helper arrives during the first sleep, and the loop overlaps the rest of
+the sleeps. A processor ``Exception`` in the head raises
+ParallelExecutionError with the prefix that ran; interrupts propagate
+unchanged.
+
+A one-worker run and a DAG that is one chain (every transaction j >= 1 has
+j - 1 as the last entry of its ascending predecessor tuple, which
+``execute_block_parallel`` checks in one walk that stops at the first
+transaction that fails it) have only index order to run. They skip the
+loop altogether: ``_run_in_order``, the serial baseline's loop, runs them
+with no lock, condition or helper, whose set-up alone would cost a short
+chain about a tenth of its run. A processor ``Exception`` there raises
+ParallelExecutionError with the prefix that ran, as in the head. The tree
+baseline runs the loop from its first transaction at every worker count:
+its per-address bookkeeping is its cost on purpose.
 
 A helper is started, then counted, under the loop's lock, so a start that
 raises counts nothing. A helper counts itself stopped under the same lock
@@ -69,10 +94,10 @@ a wide block still spreads over every worker and each batch shrinks as the
 ready set does. The batch ends early at the first transaction that another
 one waits on, so a chain inside a wider DAG goes one transaction at a time
 and a transaction that others wait on runs last in its batch; a whole-block
-chain and a one-worker run never reach the queue. Its commit re-checks only
-the transactions that waited on the committed one, each against its own
-predecessor tuple in the DAG's ``preds``, read in place; the heap says in
-O(1) whether work is left. The predecessor-tree baseline's grant
+chain, a one-worker run and a head that reaches the end never build the
+queue. Its commit re-checks only the transactions that waited on the
+committed one, each against its own predecessor tuple in the DAG's
+``preds``, read in place; the heap says in O(1) whether work is left. The predecessor-tree baseline's grant
 (``blockdag.tree.TreeRun.grant``) is its per-address check, grants batches
 of one and cannot tell.
 """
@@ -83,6 +108,8 @@ import _thread
 import heapq
 import threading
 import time
+from functools import partial
+from itertools import islice
 from operator import length_hint
 
 from . import families
@@ -135,8 +162,13 @@ def run_scheduled(
     """Execute every transaction of the block once on up to ``workers`` threads.
 
     The executors check the options first: ``processor`` is what
-    ``_checked_processor`` returned, simulated work included, and ``run``
-    is the per-run scheduling state, a ``ReadyQueue`` or a ``TreeRun``.
+    ``_checked_processor`` returned, simulated work included. ``run`` is
+    the per-run scheduling state, a ``TreeRun``, which the loop uses from
+    the first transaction; or a function ``run(start)`` that builds it
+    once the transactions below ``start`` have committed, as the DAG
+    executor passes for a ``ReadyQueue``. With a function, the calling
+    thread first runs the in-order head (see the module docstring) and
+    calls it at the handover, if the head stops before the block ends.
     ``run.grant(batch)`` appends to the empty list ``batch`` the indices of
     transactions that may run now, in any order, marking them taken, or
     leaves it empty when there is none; after a successful grant it returns
@@ -145,10 +177,14 @@ def run_scheduled(
     called under the loop's one lock. Raises ParallelExecutionError,
     carrying the partial report, when a processor, a step or a helper's
     start raises; a crash mid-batch commits the transactions of the batch
-    that ran before it. A ``KeyboardInterrupt`` or ``SystemExit`` on the
-    calling thread propagates unchanged once the helpers have stopped.
+    that ran before it, and a crash in the head the transactions below it.
+    A ``KeyboardInterrupt`` or ``SystemExit`` on the calling thread
+    propagates unchanged once the helpers have stopped.
     """
-    grant, commit = run.grant, run.commit
+    if callable(run):
+        make_run, grant, commit = run, None, None
+    else:
+        make_run, grant, commit = None, run.grant, run.commit
     txns = block.transactions
     n = len(txns)
     lock = threading.Lock()
@@ -158,8 +194,10 @@ def run_scheduled(
     errors: list[BaseException] = []
     spawned = 0  # helpers started; at most workers - 1
     stopped = 0  # helpers whose loop has returned or failed
-    waiting = 0
-    stale = False  # a grant failed and nothing has committed since
+    waiting = 0  # workers waiting on the condition; in the head, the arrival flag
+    # a grant failed and nothing has committed since; in the head there is
+    # no run to grant from until the handover
+    stale = make_run is not None
 
     def commit_batch(batch: list[int], bad: int) -> None:
         """Under the lock: schedule and commit what ran, count its failures."""
@@ -234,6 +272,31 @@ def run_scheduled(
                 cond.wait()
 
     try:
+        if make_run:
+            bad = 0
+            try:
+                if workers > 1:
+                    with lock:
+                        _start_thread(helper)
+                        spawned += 1
+                for txn in txns:
+                    # No lock: a stale read of the flag costs one more
+                    # transaction in index order, and until the handover a
+                    # helper only waits, reading the schedule only for its
+                    # length, to see whether the run is over.
+                    if waiting:
+                        break
+                    if not processor(txn, store):
+                        bad += 1
+                    schedule.append(txn.index)
+            finally:
+                failures += bad
+            start = len(schedule)
+            if start < n:
+                with lock:
+                    run = make_run(start)
+                    grant, commit = run.grant, run.commit
+                    stale = False
         work()
         join_helpers()
     except BaseException as exc:
@@ -258,9 +321,16 @@ class ReadyQueue:
     ``low``: every index below ``low`` has committed. ``upper[j]`` is the
     position in j's tuple of the predecessor j waits on, and only falls, so
     no predecessor is checked twice for the same transaction, and nothing
-    more than one check per edge is ever spent. A one-worker run and a
-    block whose whole DAG is one chain never reach the queue:
-    ``execute_block_parallel`` runs them in index order.
+    more than one check per edge is ever spent.
+
+    The queue starts where the in-order head stopped: every index below
+    ``start`` has committed, so ``low`` starts there and no predecessor
+    below it is ever checked. A transaction from ``start`` on is ready
+    when all its predecessors are below ``start``, and otherwise waits on
+    its highest one. ``execute_block_parallel`` builds the queue only at
+    the handover, once a helper has arrived; a one-worker run, a block
+    whose whole DAG is one chain, and a head that runs to the end never
+    build it.
 
     A transaction enters the heap at the commit of its last predecessor,
     and the lowest ready indices are granted first, as the tree baseline
@@ -270,17 +340,19 @@ class ReadyQueue:
     hands each of them about an equal share of what is ready.
     """
 
-    def __init__(self, dag: DependencyDAG, workers: int) -> None:
+    def __init__(self, dag: DependencyDAG, workers: int, start: int = 0) -> None:
         self.workers = workers
         self.preds = preds = dag.preds
-        self.done = bytearray(dag.txn_count)
-        self.low = 0
+        n = dag.txn_count
+        self.done = done = bytearray(n)
+        done[:start] = b"\x01" * start
+        self.low = start
         self.upper = [len(p) - 1 for p in preds]
         # index -> the transactions waiting for it to commit
         self.waiters: dict[int, list[int]] = {}
         ready = []
-        for j, p in enumerate(preds):
-            if p:
+        for j, p in enumerate(islice(preds, start, None), start):
+            if p and p[-1] >= start:
                 self.waiters.setdefault(p[-1], []).append(j)
             else:
                 ready.append(j)
@@ -362,10 +434,11 @@ def execute_block_parallel(
     With one worker, or a DAG that is a chain (each transaction after the
     first has the one before it as a predecessor), index order is the only
     schedule, so the block runs that way on the calling thread, with no
-    queue and no helper. A processor ``Exception`` there raises
-    ParallelExecutionError carrying the prefix that ran, as a worker crash
-    does in ``run_scheduled``. Any other run goes through a ``ReadyQueue``
-    on up to ``workers`` threads. Each transaction's simulated work
+    queue and no helper. Any other run starts one helper and runs the
+    block in index order until the helper arrives; then a ``ReadyQueue``
+    built from that index on schedules the rest on up to ``workers``
+    threads. A processor ``Exception`` raises ParallelExecutionError
+    carrying what committed before it. Each transaction's simulated work
     (``sim_work_us``) sleeps before its processor call. The DAG is only
     read, so it can be executed again.
     """
@@ -379,7 +452,7 @@ def execute_block_parallel(
         except Exception as exc:
             raise ParallelExecutionError(report, block.txn_count, exc) from exc
         return report
-    return run_scheduled(block, store, workers, ReadyQueue(dag, workers), processor)
+    return run_scheduled(block, store, workers, partial(ReadyQueue, dag, workers), processor)
 
 
 def execute_block_serial(

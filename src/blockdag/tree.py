@@ -12,9 +12,10 @@ re-checks the completion status of the lower-index entries of each of those
 lists — that per-address bookkeeping, serialized behind one lock, is the
 cost this design pays relative to the DAG scheduler, and it is preserved
 here on purpose. Workers run on the same blocking loop as the DAG executor
-(``blockdag.scheduler.run_scheduled``), which takes a ``TreeRun`` as it
-takes the DAG's ``ReadyQueue``: a run object with ``grant(batch)`` and
-``commit(i)``. ``TreeRun.grant`` grants batches of one. It cannot tell
+(``blockdag.scheduler.run_scheduled``), which takes a ``TreeRun`` as a run
+object with ``grant(batch)`` and ``commit(i)``, the steps of the DAG's
+``ReadyQueue``, and uses it from the first transaction: the tree has no
+in-order head. ``TreeRun.grant`` grants batches of one. It cannot tell
 whether another transaction is grantable without a second scan, so after
 each successful grant the loop wakes a waiter or starts a helper.
 """

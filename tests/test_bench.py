@@ -73,23 +73,31 @@ def test_rows_carry_metrics_and_timings():
     ],
 )
 def test_mean_ms_includes_the_executors_own_set_up(strategy, module, name, monkeypatch):
-    # the run object each executor builds takes 20 ms to make; the
+    # the run object each executor builds takes 200 ms to make; the
     # executor call is timed around the call, so mean_ms holds it
     real = getattr(module, name)
 
     class Slow(real):
         def __init__(self, *args):
-            time.sleep(0.02)
+            time.sleep(0.2)
             super().__init__(*args)
 
     monkeypatch.setattr(module, name, Slow)
-    # dependency 0: no edges, so not a chain, and the queue is built
+    # dependency 0: no edges, so not a chain. The DAG executor builds its
+    # queue once its helper arrives, which it does while the calling thread
+    # sleeps through a transaction's simulated work; all 40 sleeps together
+    # take about 40 ms, far below the 200 ms that mean_ms must hold
     plan = _small_plan(
-        values=(40,), num_blocks=1, dependency_pct=0, strategies=(strategy,), repetitions=1
+        values=(40,),
+        num_blocks=1,
+        dependency_pct=0,
+        strategies=(strategy,),
+        repetitions=1,
+        sim_work_us=1000,
     )
     (row,) = run_experiment(plan)
-    assert float(row["mean_ms"]) >= 20
-    assert float(row["ds_build_ms"]) < 20
+    assert float(row["mean_ms"]) >= 200
+    assert float(row["ds_build_ms"]) < 200
 
 
 def test_smart_validate_rows_report_honest():

@@ -220,6 +220,41 @@ def test_a_chain_is_granted_one_transaction_at_a_time():
         assert _batches(ReadyQueue(build_dag(block), workers)) == [[i] for i in range(30)]
 
 
+def test_a_queue_from_start_holds_what_the_committed_prefix_released():
+    """``ReadyQueue(dag, workers, start)`` treats every index below start as
+    committed: exactly the transactions whose predecessors are all below
+    start are ready, every other one waits on its highest predecessor, and
+    draining it in any interleaving of grants and commits gives an
+    exactly-once, topological order of the rest."""
+    rng = random.Random(179)
+    blocks = [random_structural_block(rng, max_n=30) for _ in range(15)]
+    blocks += [random_family_block(rng, n=40) for _ in range(10)]
+    for block in blocks:
+        dag = build_dag(block)
+        preds, n = dag.preds, dag.txn_count
+        for start in range(n + 1):
+            queue = ReadyQueue(dag, rng.randint(1, 4), start)
+            assert queue.ready == [j for j in range(start, n) if all(p < start for p in preds[j])]
+            waits_on = {j: index for index, waiting in queue.waiters.items() for j in waiting}
+            assert sum(map(len, queue.waiters.values())) == len(waits_on)
+            assert waits_on == {j: preds[j][-1] for j in range(start, n) if preds[j] and preds[j][-1] >= start}
+            order, running = list(range(start)), []
+            while True:
+                if running and (rng.random() < 0.5 or not queue.ready):
+                    index = running.pop(rng.randrange(len(running)))
+                    order.append(index)
+                    queue.commit(index)
+                    continue
+                batch: list[int] = []
+                queue.grant(batch)
+                if not batch:
+                    break
+                running += batch
+            assert running == []
+            assert_exactly_once(order, n)
+            assert_topological(order, dag.edges())
+
+
 def _waves(queue):
     """Grant until nothing is ready, commit that wave, repeat."""
     waves = []
@@ -672,6 +707,42 @@ class _LoopSpy:
         """Every started helper ran and its loop returned before the run did."""
         return len(self.started) == len(self.helpers) and self.returned == self.helpers
 
+    def reset(self):
+        """Forget every record, before the next run."""
+        for records in (self.attempts, self.started, self.helpers, self.returned, self.waited):
+            records.clear()
+
+
+def _arrives_at(spy, k, processor=apply_transaction):
+    """``processor``, except that at transaction ``k`` it first waits until a
+    helper waits on the loop's condition, if one was started: a helper that
+    has arrived. Under a long switch interval a helper first runs when the
+    calling thread blocks, so the in-order head hands over right after k."""
+
+    def arriving(txn, store):
+        if txn.index == k and spy.started:
+            deadline = time.monotonic() + 10
+            while not spy.waited & spy.helpers:
+                assert time.monotonic() < deadline, "no helper arrived"
+                time.sleep(0.001)
+        return processor(txn, store)
+
+    return arriving
+
+
+def _record_queue_starts(monkeypatch):
+    """Replace the scheduler's ReadyQueue with a subclass; returns the list
+    of the ``start`` of every queue built through it."""
+    starts = []
+
+    class Recorded(ReadyQueue):
+        def __init__(self, dag, workers, start=0):
+            starts.append(start)
+            super().__init__(dag, workers, start)
+
+    monkeypatch.setattr(scheduler, "ReadyQueue", Recorded)
+    return starts
+
 
 def _count_failed_grants(monkeypatch):
     """Wrap the grant step of both executors' run objects; returns the list
@@ -768,29 +839,36 @@ def test_a_chain_block_runs_in_index_order_without_the_queue(workers, sim, monke
     ids=["empty", "one", "chain", "independent", "fork", "chain-then-independent"],
 )
 def test_only_a_chain_skips_the_queue(specs, chain, monkeypatch):
+    """Only a chain starts no helper; every other block starts one, and once
+    it arrives (here during transaction 0) the rest goes through the queue."""
+    spy = _LoopSpy(monkeypatch)
     _, calls = _count_failed_grants(monkeypatch)
     block = structural_block(specs)
-    report = _run_dag(block, StateStore(), 2)
+    report = _run_dag(block, StateStore(), 2, processor=_arrives_at(spy, 0))
     assert_exactly_once(report.schedule, block.txn_count)
     assert (calls == []) == chain
+    assert (spy.attempts == []) == chain
+    assert spy.helpers_stopped()
 
 
+@pytest.mark.usefixtures("long_switch_interval")
 def test_dag_executor_runs_a_chain_alone_without_failed_grants(monkeypatch):
-    """A chain behind one independent transaction runs through the loop one
-    grant per transaction, and its tail wakes and starts nobody. The one
-    helper is started because two transactions are ready at the start; it
-    may make the run's only failed grant, when it finds the chain taken."""
+    """A chain behind one independent transaction, with the helper arriving
+    during transaction 0: the queue starts at 1 and runs the chain one grant
+    per transaction, and its tail wakes and starts nobody, so the helper
+    waits from its arrival to the end of the run and grants nothing."""
     spy = _LoopSpy(monkeypatch)
     failed, calls = _count_failed_grants(monkeypatch)
+    starts = _record_queue_starts(monkeypatch)
     block = _independent_then_voting(40)
     serial_store, store = StateStore(), StateStore()
     execute_block_serial(block, serial_store)
-    report = _run_dag(block, store, 4, sim_work_us=50)
-    assert sorted(report.schedule) == list(range(block.txn_count))
-    assert [i for i in report.schedule if i] == list(range(1, block.txn_count))
+    report = _run_dag(block, store, 4, processor=_arrives_at(spy, 0), sim_work_us=50)
+    assert report.schedule == list(range(block.txn_count))
     assert state_digest(store) == state_digest(serial_store)
-    assert [batch for batch in calls if batch] == [[i] for i in range(block.txn_count)]
-    assert len(failed) <= 1
+    assert starts == [1]
+    assert [batch for batch in calls if batch] == [[i] for i in range(1, block.txn_count)]
+    assert failed == []
     assert len(spy.started) == 1
     assert spy.helpers_stopped()
 
@@ -879,9 +957,10 @@ def test_wide_block_starts_every_helper_and_overlaps_processors(execute, monkeyp
 
 @pytest.fixture
 def long_switch_interval():
-    """A helper of a two-worker run first runs when the calling thread
-    blocks, which a processor that never sleeps does only to wait for the
-    helpers at the end of the run: the calling thread runs every batch."""
+    """A helper first runs when the calling thread blocks, which a processor
+    that never sleeps does only to wait for the helpers at the end of the
+    run: the calling thread runs the whole block in index order, and after
+    a handover every batch."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1.0)
     yield
@@ -889,20 +968,22 @@ def long_switch_interval():
 
 
 @pytest.mark.usefixtures("long_switch_interval")
-def test_crash_mid_batch_commits_the_prefix_that_ran():
+def test_crash_mid_batch_commits_the_prefix_that_ran(monkeypatch):
+    spy = _LoopSpy(monkeypatch)
     rng = random.Random(157)
     checked = firsts = 0
     for _ in range(30):
         block = random_family_block(rng, n=rng.randrange(20, 120))
         dag = build_dag(block)
-        # the calling thread runs the two-worker queue's batches in order
-        batches = _batches(ReadyQueue(dag, 2))
+        # the helper arrives during transaction 0 and waits; the calling
+        # thread runs the two-worker queue's batches from 1 on, in order
+        batches = _batches(ReadyQueue(dag, 2, 1))
         wide = [k for k, batch in enumerate(batches) if len(batch) > 1]
         if not wide:
             continue
         k = rng.choice(wide)
-        # position 0 of a later batch: nothing of that batch ran
-        pos = rng.randrange(0 if k else 1, len(batches[k]))
+        # position 0 of a batch: nothing of that batch ran
+        pos = rng.randrange(len(batches[k]))
         firsts += not pos
         crash_at = batches[k][pos]
         outcomes = {}
@@ -913,26 +994,122 @@ def test_crash_mid_batch_commits_the_prefix_that_ran():
             outcomes[txn.index] = apply_transaction(txn, store)
             return outcomes[txn.index]
 
+        spy.reset()
         with pytest.raises(ParallelExecutionError) as excinfo:
-            execute_block_parallel(block, dag, StateStore(), 2, processor=crashing)
+            execute_block_parallel(
+                block, dag, StateStore(), 2, processor=_arrives_at(spy, 0, crashing)
+            )
         report = excinfo.value.report
-        assert report.schedule == [i for batch in batches[:k] for i in batch] + batches[k][:pos]
+        expected = [0] + [i for batch in batches[:k] for i in batch] + batches[k][:pos]
+        assert report.schedule == expected
         assert len(set(report.schedule)) == len(report.schedule)
         position = {index: p for p, index in enumerate(report.schedule)}
         for i, j in dag.edges():
             if j in position:
                 assert i in position and position[i] < position[j]
         assert report.txn_failures == sum(not outcomes[i] for i in report.schedule)
+        assert spy.helpers_stopped()
         checked += 1
     assert checked >= 10 and firsts >= 2
+
+
+def _wide_blocks(rng, count, n):
+    """``count`` random family blocks of ``n`` transactions that are not one chain."""
+    blocks = []
+    while len(blocks) < count:
+        block = random_family_block(rng, n=n)
+        if not scheduler._is_chain(build_dag(block).preds):
+            blocks.append(block)
+    return blocks
+
+
+@pytest.mark.usefixtures("long_switch_interval")
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_helper_arriving_during_k_takes_over_after_k(workers, monkeypatch):
+    spy = _LoopSpy(monkeypatch)
+    starts = _record_queue_starts(monkeypatch)
+    for block in _wide_blocks(random.Random(167 + workers), 3, 24):
+        dag = build_dag(block)
+        n = block.txn_count
+        serial_store = StateStore()
+        execute_block_serial(block, serial_store)
+        for k in range(n):
+            spy.reset()
+            starts.clear()
+            store = StateStore()
+            report = _run_dag(block, store, workers, processor=_arrives_at(spy, k))
+            assert report.schedule[: k + 1] == list(range(k + 1))
+            assert_exactly_once(report.schedule, n)
+            assert_topological(report.schedule, dag.edges())
+            assert state_digest(store) == state_digest(serial_store)
+            # the queue starts where the head stopped; after the last
+            # transaction there is nothing left to hand over
+            assert starts == ([k + 1] if k + 1 < n else [])
+            assert spy.helpers_stopped()
+
+
+@pytest.mark.usefixtures("long_switch_interval")
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_crash_in_the_in_order_head_is_typed_with_the_prefix_below_it(workers, monkeypatch):
+    spy = _LoopSpy(monkeypatch)
+    starts = _record_queue_starts(monkeypatch)
+    (block,) = _wide_blocks(random.Random(173 + workers), 1, 30)
+    for k in range(block.txn_count):
+        outcomes = {}
+        interrupt = KeyboardInterrupt()
+
+        def crashing(txn, store, error=None):
+            if txn.index == k:
+                raise error or RuntimeError("processor blew up")
+            outcomes[txn.index] = apply_transaction(txn, store)
+            return outcomes[txn.index]
+
+        spy.reset()
+        with pytest.raises(ParallelExecutionError) as excinfo:
+            _run_dag(block, StateStore(), workers, processor=crashing)
+        error = excinfo.value
+        assert isinstance(error.__cause__, RuntimeError)
+        assert error.report.schedule == list(range(k))
+        assert error.report.txn_failures == sum(not outcomes[i] for i in range(k))
+        assert len(spy.started) == 1 and spy.helpers_stopped()
+
+        spy.reset()
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            _run_dag(
+                block, StateStore(), workers,
+                processor=lambda txn, store: crashing(txn, store, interrupt),
+            )
+        assert excinfo.value is interrupt
+        assert len(spy.started) == 1 and spy.helpers_stopped()
+    assert starts == []
+
+
+@pytest.mark.usefixtures("long_switch_interval")
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_wide_block_at_sim_zero_builds_no_queue_and_starts_one_helper(workers, monkeypatch):
+    """At sim 0 the helper first runs when the calling thread waits for it
+    at the end, so the run costs serial plus one helper start and join: no
+    queue is built and nothing is granted."""
+    spy = _LoopSpy(monkeypatch)
+    starts = _record_queue_starts(monkeypatch)
+    _, calls = _count_failed_grants(monkeypatch)
+    block = generate_block(
+        WorkloadSpec(family="wallet", txns_per_block=1000, dependency_pct=20, rng_seed=1)
+    )
+    report = _run_dag(block, StateStore(), workers)
+    assert report.schedule == list(range(block.txn_count))
+    assert starts == []
+    assert calls == []
+    assert len(spy.attempts) == len(spy.started) == 1
+    assert spy.helpers_stopped()
 
 
 @EXECUTORS
 @pytest.mark.usefixtures("long_switch_interval")
 def test_a_raising_sleep_reports_exactly_the_transactions_that_ran(execute, monkeypatch):
-    # two independent transactions, then a chain of two, which the DAG
-    # executor runs without the queue; so does a one-worker DAG run, so the
-    # DAG executor runs the first block on two workers
+    # two independent transactions, then a chain of two; the DAG executor
+    # runs the first block on two workers, in the in-order head, since the
+    # fake sleep never blocks, and the chain in index order with no helper
     workers = 2 if execute is _run_dag else 1
     for specs in (
         [(set(), {b"a"}), (set(), {b"b"})],
