@@ -22,9 +22,22 @@ checks the wire's own limits (u16 string lengths and pair counts, u32
 dependencies). The parser checks each record's opcode, argument count and
 tags, derives the sets from the decoded arguments, and requires the wire's
 set section to be their canonical encoding (addresses strictly ascending)
-byte for byte: one compare, and a slow path that runs only to name what
-differs. So a block that parses carries the sets its ops declare, and
+byte for byte. Each check is one fast step, with a slow path that runs
+only to name what is wrong: a record's three head bytes (family tag,
+opcode tag, argument count) are one dict lookup, and the set section is
+one compare. So a block that parses carries the sets its ops declare, and
 re-serializes to the bytes it came from.
+
+The per-record work is kept to the floor in both directions. An op whose
+read set is its write set object and holds one address (every op but a
+wallet transfer, a voting op or an insurance read) has its section packed
+directly: one ``struct`` call, written twice. Any other pair of sets is
+encoded once per call (a memo dropped when the call returns) and still
+compared for every record. ``parse_block`` builds each ``Transaction``
+and ``FamilyOp``, and ``attach_dag`` each ``Transaction``, slot by slot
+with ``object.__new__`` and the classes' slot setters, skipping their
+constructors' calls and checks: every field they store is one those checks
+would pass.
 
 Each transaction's sets are derived from its op once, where its block is
 made. ``block_from_ops`` and ``parse_block`` return a *checked* block
@@ -45,8 +58,26 @@ import zlib
 from typing import Callable, NamedTuple
 
 from .dag import DependencyDAG
-from .model import Address, Block, Transaction
-from .families import OP_SCHEMAS, PAIRS, STR, U64, FamilyOp
+from .model import (
+    Address,
+    Block,
+    Transaction,
+    _set_declared_dependencies,
+    _set_index,
+    _set_payload,
+    _set_read_set,
+    _set_write_set,
+)
+from .families import (
+    OP_SCHEMAS,
+    PAIRS,
+    STR,
+    U64,
+    FamilyOp,
+    _set_args,
+    _set_family,
+    _set_opcode,
+)
 
 WIRE_VERSION = 1
 _FLAG_SHARED_DAG = 0x01
@@ -101,11 +132,14 @@ _WIRE_OPS = {
     for opcode, tag in table.items()
     for schema in (OP_SCHEMAS[family, opcode],)
 }
+_OPS_BY_HEAD = {op.head: op for op in _WIRE_OPS.values()}
 _OPS_BY_TAG = {
     _FAMILY_TAGS[family]: {op.head[1]: op for op in _WIRE_OPS.values() if op.family == family}
     for family in _OPCODE_TAGS
 }
-_op = FamilyOp._unchecked  # parse_block checks each record as it decodes it
+# parse_block has checked each record as it decoded it, and attach_dag
+# copies a block's own objects, so both build records slot by slot
+_new = object.__new__
 
 
 class BlockCodecError(Exception):
@@ -174,11 +208,33 @@ def _set_section(read_set: frozenset[Address], write_set: frozenset[Address]) ->
 
 def _encode_set(addresses: frozenset[Address]) -> bytes:
     """A set's one encoding: u16 count, then each address ascending."""
-    if len(addresses) == 1:  # most ops touch one address
-        (address,) = addresses
-        if len(address) <= 0xFFFF:
-            return _SET_OF_ONE.pack(1, len(address)) + address
     return _U16.pack(len(addresses)) + b"".join(map(_blob16, sorted(addresses)))
+
+
+def _bad_head(data: bytes, off: int, end: int, index: int) -> BlockCodecError:
+    """Why the record head at ``off`` names no op: a head cut short, an
+    unknown family or opcode tag, or an argument count the op does not take.
+
+    It is called only when the three bytes at ``off`` are not one op's
+    ``head`` or run past the body, and checks them in the order they are
+    read: both tags, then the argument count.
+    """
+    if off + 2 > end:
+        return _truncated(2, off, end)
+    family_ops = _OPS_BY_TAG.get(data[off])
+    if family_ops is None:
+        return MalformedBlockError(f"unknown family tag {data[off]}")
+    op = family_ops.get(data[off + 1])
+    if op is None:
+        return MalformedBlockError(
+            f"unknown {_FAMILY_NAMES[data[off]]} opcode tag {data[off + 1]}"
+        )
+    if off + 2 >= end:
+        return _truncated(1, off + 2, end)
+    return MalformedBlockError(
+        f"transaction {index} {op.family}/{op.opcode} has {data[off + 2]} arguments, "
+        f"expected {len(op.arg_tags)}"
+    )
 
 
 def _set_mismatch(data: bytes, off: int, end: int, index: int, op: _WireOp, derived) -> Exception:
@@ -219,12 +275,17 @@ def attach_dag(block: Block, dag: DependencyDAG) -> Block:
     """
     if dag.txn_count != block.txn_count:
         raise ValueError("DAG does not match block")
-    transactions = tuple(
-        Transaction(txn.index, txn.read_set, txn.write_set, txn.payload, deps)
-        for txn, deps in zip(block.transactions, dag.preds)
-    )
+    transactions = []
+    for txn, deps in zip(block.transactions, dag.preds):
+        copy = _new(Transaction)
+        _set_index(copy, txn.index)
+        _set_read_set(copy, txn.read_set)
+        _set_write_set(copy, txn.write_set)
+        _set_payload(copy, txn.payload)
+        _set_declared_dependencies(copy, deps)
+        transactions.append(copy)
     make = Block._checked if block._is_checked else Block
-    return make(transactions, tuple(map(len, dag.preds)))
+    return make(tuple(transactions), tuple(map(len, dag.preds)))
 
 
 def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
@@ -274,18 +335,28 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
                 for key, value in arg:
                     out += _blob16(key.encode()) + _blob16(value.encode())
         if checked:
-            sets = (txn.read_set, txn.write_set)
+            read_set = txn.read_set
+            write_set = txn.write_set
         else:
-            sets = op.sets(args)
-            if txn.read_set != sets[0] or txn.write_set != sets[1]:
+            read_set, write_set = op.sets(args)
+            if txn.read_set != read_set or txn.write_set != write_set:
                 raise ValueError(
                     f"transaction {txn.index} sets are not the ones its "
                     f"{op.family}/{op.opcode} op declares"
                 )
-        section = sections.get(sets)
-        if section is None:
-            section = sections[sets] = _set_section(*sets)
-        out += section
+        if read_set is write_set and len(read_set) == 1:
+            (address,) = read_set
+            if len(address) > 0xFFFF:
+                raise ValueError("field too long for u16 length prefix")
+            section = _SET_OF_ONE.pack(1, len(address)) + address
+            out += section
+            out += section
+        else:
+            sets = (read_set, write_set)
+            section = sections.get(sets)
+            if section is None:
+                section = sections[sets] = _set_section(*sets)
+            out += section
         if has_dag:
             deps = txn.declared_dependencies
             if deps:
@@ -332,6 +403,7 @@ def parse_block(data: bytes) -> Block:
     from the arguments, and the wire's set section must be their canonical
     encoding byte for byte, so the block carries the sets its ops declare.
     """
+    data = bytes(data)  # the head lookup hashes slices; a bytes object is not copied
     if len(data) < _MIN_SIZE:
         raise TruncatedBlockError(f"{len(data)} bytes is below the minimum of {_MIN_SIZE}")
     declared_total = _U32.unpack_from(data, 2)[0]
@@ -356,26 +428,10 @@ def parse_block(data: bytes) -> Block:
     transactions = []
     sections = {}  # (read set, write set) -> its canonical section
     for index in range(txn_count):
-        if off + 2 > end:
-            raise _truncated(2, off, end)
-        family_ops = _OPS_BY_TAG.get(data[off])
-        if family_ops is None:
-            raise MalformedBlockError(f"unknown family tag {data[off]}")
-        op = family_ops.get(data[off + 1])
-        if op is None:
-            raise MalformedBlockError(
-                f"unknown {_FAMILY_NAMES[data[off]]} opcode tag {data[off + 1]}"
-            )
-        off += 2
-        if off >= end:
-            raise _truncated(1, off, end)
-        argc = data[off]
-        off += 1
-        if argc != len(op.arg_tags):
-            raise MalformedBlockError(
-                f"transaction {index} {op.family}/{op.opcode} has {argc} arguments, "
-                f"expected {len(op.arg_tags)}"
-            )
+        op = _OPS_BY_HEAD.get(data[off : off + 3])
+        if op is None or off + 3 > end:
+            raise _bad_head(data, off, end, index)
+        off += 3
         args = []
         for want in op.arg_tags:
             if off >= end:
@@ -420,12 +476,20 @@ def parse_block(data: bytes) -> Block:
                 args.append(tuple(pairs))
         args = tuple(args)
         sets = op.sets(args)
-        section = sections.get(sets)
-        if section is None:
-            try:
-                section = sections[sets] = _set_section(*sets)
-            except ValueError:  # an address too long for its u16 prefix: no encoding
-                raise _set_mismatch(data, off, end, index, op, sets) from None
+        read_set, write_set = sets
+        if read_set is write_set and len(read_set) == 1:
+            (address,) = read_set
+            if len(address) > 0xFFFF:  # too long for its u16 prefix: no encoding
+                raise _set_mismatch(data, off, end, index, op, sets)
+            section = _SET_OF_ONE.pack(1, len(address)) + address
+            section += section
+        else:
+            section = sections.get(sets)
+            if section is None:
+                try:
+                    section = sections[sets] = _set_section(*sets)
+                except ValueError:  # an address too long for its u16 prefix: no encoding
+                    raise _set_mismatch(data, off, end, index, op, sets) from None
         if not data.startswith(section, off, end):
             raise _set_mismatch(data, off, end, index, op, sets)
         off += len(section)
@@ -448,9 +512,17 @@ def parse_block(data: bytes) -> Block:
                     )
             else:
                 deps = ()
-        transactions.append(
-            Transaction(index, sets[0], sets[1], _op(op.family, op.opcode, args), deps)
-        )
+        payload = _new(FamilyOp)
+        _set_family(payload, op.family)
+        _set_opcode(payload, op.opcode)
+        _set_args(payload, args)
+        txn = _new(Transaction)
+        _set_index(txn, index)
+        _set_read_set(txn, read_set)
+        _set_write_set(txn, write_set)
+        _set_payload(txn, payload)
+        _set_declared_dependencies(txn, deps)
+        transactions.append(txn)
     shared_indegree = None
     if has_dag:
         size = 4 * txn_count

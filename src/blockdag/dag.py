@@ -68,7 +68,9 @@ def address_pass(block: Block) -> AccessIndex:
     to each transaction's predecessors. A read waits for every prior writer
     and a write for every prior reader or writer, which is exactly
     conflicts(). An address's accessors include its writers, so the writers
-    are read only for addresses the transaction reads but does not write.
+    are read only for addresses the transaction reads but does not write,
+    and not at all when its read set is its write set object (most ops), which
+    also skips the union of the two.
     A transaction is registered only after its predecessors are taken, so it
     is never its own predecessor. Every per-address list is strictly
     ascending, so when all the lists a transaction reads are equal (a voting
@@ -83,12 +85,15 @@ def address_pass(block: Block) -> AccessIndex:
     out: list[tuple[int, ...]] = []
     for j, txn in enumerate(block.transactions):
         lists: list[list[int]] = []
+        read_set = txn.read_set
         write_set = txn.write_set
-        for address in txn.read_set:
-            if address not in write_set:
-                prior = writers.get(address)
-                if prior:
-                    lists.append(prior)
+        same = read_set is write_set
+        if not same:
+            for address in read_set:
+                if address not in write_set:
+                    prior = writers.get(address)
+                    if prior:
+                        lists.append(prior)
         for address in write_set:
             prior = accessors.get(address)
             if prior:
@@ -100,10 +105,18 @@ def address_pass(block: Block) -> AccessIndex:
             out.append(tuple(lists[0]))
         else:
             out.append(tuple(sorted(set().union(*lists))))
-        for address in txn.read_set | write_set:
-            accessors.setdefault(address, []).append(j)
+        for address in write_set if same else read_set | write_set:
+            prior = accessors.get(address)
+            if prior is None:
+                accessors[address] = [j]
+            else:
+                prior.append(j)
         for address in write_set:
-            writers.setdefault(address, []).append(j)
+            prior = writers.get(address)
+            if prior is None:
+                writers[address] = [j]
+            else:
+                prior.append(j)
     return AccessIndex(block, out, writers, accessors)
 
 

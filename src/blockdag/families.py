@@ -42,9 +42,9 @@ class FamilyOp:
 
     The constructor raises ``ValueError`` for an op not in ``OP_SCHEMAS`` or
     for arguments that are not a tuple of the kinds it gives. ``_unchecked``
-    skips that, for the parser, which has checked and decoded each argument.
-    Slot-backed like ``model.Transaction``: each field is stored through its
-    slot descriptor.
+    skips that; the parser, which has checked and decoded each argument,
+    does the same inline. Slot-backed like ``model.Transaction``: each field
+    is stored through its slot descriptor.
     """
 
     family: str

@@ -57,6 +57,10 @@ class Transaction:
     slot descriptor, which skips the frozen ``__setattr__`` that the
     generated ``__init__`` goes through once per field; equality, hashing,
     ``repr``, ``dataclasses.replace`` and frozenness are the dataclass's.
+    The one exception to the constructor is the codec: ``parse_block`` and
+    ``attach_dag`` build each transaction inline, with ``object.__new__``
+    and the same slot setters, and hand it only tuples, ``()`` or ``None``
+    as dependencies, which already meet the tuple rule.
     """
 
     index: int

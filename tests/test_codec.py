@@ -82,6 +82,12 @@ def test_round_trip_shared_block():
         assert parsed.has_shared_dag
 
 
+def test_a_bytearray_parses_like_its_bytes():
+    block = _random_shared_block(random.Random(4))
+    data = serialize_block(block)
+    assert parse_block(bytearray(data)) == parse_block(data) == block
+
+
 def test_round_trip_preserves_indices_and_sets():
     rng = random.Random(7)
     block = random_family_block(rng)
@@ -646,6 +652,106 @@ def test_parse_checks_argument_count_and_tags():
     wrong_kind = FamilyOp._unchecked("wallet", "deposit", (("f", "v"), 5))
     with pytest.raises(MalformedBlockError, match="argument 0 is pairs, expected str"):
         parse_block(_unchecked_wire(Block((Transaction(0, frozenset(), frozenset(), wrong_kind),))))
+
+
+_ONE_OF_EACH_OP = [
+    wallet_create("a"),
+    wallet_deposit("a", 1),
+    wallet_withdraw("a", 1),
+    wallet_transfer("a", "b", 1),
+    intkey_set("k", 1),
+    intkey_inc("k", 1),
+    intkey_dec("k", 1),
+    voting_create_party("p"),
+    voting_add_voter("v"),
+    voting_vote("v", "p"),
+    insurance_create("r", {"f": "v"}),
+    insurance_update("r", {"f": "v"}),
+    insurance_read("r"),
+]
+
+
+def _second_record_head(op) -> tuple[bytearray, int]:
+    """The bytes of ``[wallet_create("a"), op]`` and where op's record starts."""
+    first = serialize_block(block_from_ops([wallet_create("a")]))
+    return bytearray(serialize_block(block_from_ops([wallet_create("a"), op]))), len(first) - 4
+
+
+def _head_cut_after(name: str, head: bytes) -> tuple[bytes, int]:
+    """A body that declares two records and ends ``head`` bytes into the
+    second, which follows ``wallet_create(name)``; and where that head starts."""
+    body = bytearray(serialize_block(block_from_ops([wallet_create(name)]))[:-4])
+    struct.pack_into("<I", body, 6, 2)
+    return _restamp(body + head + bytes(4)), len(body)
+
+
+def _bad_heads():
+    """(case, [(bytes, error type, exact message), ...]) for each way a
+    record head can fail, every case on the second record."""
+    cases = {}
+    data, at = _second_record_head(wallet_deposit("a", 1))
+    rows = []
+    for tag in range(len(codec._FAMILY_TAGS), 256):
+        data[at] = tag
+        rows.append((_restamp(data), MalformedBlockError, f"unknown family tag {tag}"))
+    cases["unknown-family-tag"] = rows
+    for family, table in codec._OPCODE_TAGS.items():
+        op = next(op for op in _ONE_OF_EACH_OP if op.family == family)
+        data, at = _second_record_head(op)
+        rows = []
+        for tag in range(len(table), 256):
+            data[at + 1] = tag
+            rows.append((_restamp(data), MalformedBlockError, f"unknown {family} opcode tag {tag}"))
+        cases[f"unknown-{family}-opcode-tag"] = rows
+    for name, step in (("low", -1), ("high", 1)):
+        rows = []
+        for op in _ONE_OF_EACH_OP:
+            data, at = _second_record_head(op)
+            want = len(op.args)
+            data[at + 2] = want + step
+            message = (
+                f"transaction 1 {op.family}/{op.opcode} has {want + step} arguments, "
+                f"expected {want}"
+            )
+            rows.append((_restamp(data), MalformedBlockError, message))
+        cases[f"argc-one-{name}"] = rows
+    # cut after 1 and after 2 bytes of a wallet/deposit head; the names
+    # "a7383" and "a76" make the checksum's first bytes complete a valid
+    # wallet head ((0, 0, 1), then (0, 1, 2)), so a lookup that read past
+    # the body would find an op instead of reporting the cut
+    cuts = [("a", b"\x00"), ("a7383", b"\x00"), ("a", b"\x00\x01"), ("a76", b"\x00\x01")]
+    for name, head in cuts:
+        data, at = _head_cut_after(name, head)
+        # the family and opcode tags are read as two bytes, then argc as one
+        message = (
+            f"needed 2 bytes at offset {at}, have 1"
+            if len(head) == 1
+            else f"needed 1 bytes at offset {at + 2}, have 0"
+        )
+        rows = cases.setdefault(f"head-cut-after-{len(head)}", [])
+        rows.append((data, TruncatedBlockError, message))
+    return cases
+
+
+_BAD_HEADS = _bad_heads()
+
+
+def test_a_checksum_can_complete_a_cut_head():
+    # the premise of the cut cases above: past the body, the bytes read as a head
+    completed = [("a7383", b"\x00", b"\x00\x00\x01"), ("a76", b"\x00\x01", b"\x00\x01\x02")]
+    for name, head, full in completed:
+        data, at = _head_cut_after(name, head)
+        assert data[at : at + 3] == full
+        assert any(op.head == full for op in codec._WIRE_OPS.values())
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_HEADS))
+def test_a_bad_record_head_keeps_its_error_and_message(case):
+    for data, error, message in _BAD_HEADS[case]:
+        with pytest.raises(BlockCodecError) as caught:
+            parse_block(data)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
 
 def test_unencodable_derived_address_is_malformed_not_a_crash():
