@@ -10,11 +10,16 @@ silently different block. Full byte layout: docs/wire-format.md.
 
 Both directions are one loop over a local offset with precompiled
 ``struct.Struct`` objects: a dependency list and the indegree trailer are
-each packed or unpacked in a single call, and their range checks are one
-``max()``. Every count read off the wire is checked against the bytes left
-before it is used, and strings that are not UTF-8 are malformed, so a
-CRC-valid body that lies raises a ``BlockCodecError`` subclass, never
-``struct.error``, ``IndexError``, ``MemoryError`` or ``UnicodeDecodeError``.
+each packed or unpacked in a single call. A list is packed from its own
+tuple, its count apart, so it is not copied. The parser range-checks each
+dependency list by its largest entry, ``sorted(deps)[-1]``, whose compares
+stay in C: an honest list is ascending, one run for ``sorted`` to find,
+while ``max()`` goes through rich compares at about twice the cost. The
+indegree trailer is in no order and keeps ``max()``. Every count read off
+the wire is checked against the bytes left before it is used, and strings
+that are not UTF-8 are malformed, so a CRC-valid body that lies raises a
+``BlockCodecError`` subclass, never ``struct.error``, ``IndexError``,
+``MemoryError`` or ``UnicodeDecodeError``.
 
 Both directions read the one opcode table, ``families.OP_SCHEMAS``, which
 each ``FamilyOp`` was checked against when it was made. The serializer
@@ -164,7 +169,16 @@ class BlockTooLargeError(BlockCodecError):
 
 @functools.lru_cache(maxsize=1024)
 def _u32_array(count: int) -> struct.Struct:
-    """Packs or unpacks ``count`` consecutive u32 values in one call."""
+    """Packs or unpacks ``count`` consecutive u32 values in one call.
+
+    A block with more than 1 024 distinct list lengths (a chain longer than
+    1 024 transactions) compiles each of them again on every call, since an
+    LRU cache misses every key of an ascending run longer than itself; that
+    is under 1% of a parse at the block cap. Room for every count up to
+    ``MAX_BLOCK_TXNS`` would hold about 1 MB of ``Struct`` objects for the
+    life of the process, and a fresh process compiles every count of its
+    first block either way.
+    """
     return struct.Struct(f"<{count}I")
 
 
@@ -360,8 +374,9 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
         if has_dag:
             deps = txn.declared_dependencies
             if deps:
+                out += _U32.pack(len(deps))
                 try:
-                    out += _u32_array(len(deps) + 1).pack(len(deps), *deps)
+                    out += _u32_array(len(deps)).pack(*deps)
                 except struct.error:
                     raise ValueError(
                         f"transaction {txn.index} declares dependencies {deps!r}, not all u32"
@@ -414,7 +429,7 @@ def parse_block(data: bytes) -> Block:
     if len(data) > declared_total:
         raise MalformedBlockError("trailing bytes after declared length")
     end = len(data) - 4
-    if zlib.crc32(data[:end]) != _U32.unpack_from(data, end)[0]:
+    if zlib.crc32(memoryview(data)[:end]) != _U32.unpack_from(data, end)[0]:
         raise ChecksumMismatchError("checksum mismatch")
     version, flags, _, txn_count = _HEADER.unpack_from(data)
     if version != WIRE_VERSION:
@@ -505,7 +520,7 @@ def parse_block(data: bytes) -> Block:
                     raise _truncated(size, off, end)
                 deps = _u32_array(dep_count).unpack_from(data, off)
                 off += size
-                if max(deps) >= index:
+                if sorted(deps)[-1] >= index:
                     bad = next(dep for dep in deps if dep >= index)
                     raise MalformedBlockError(
                         f"transaction {index} declares dependency {bad} not below it"

@@ -195,6 +195,43 @@ def test_dependency_not_below_index_rejected_on_parse():
         parse_block(_unchecked_wire(tampered))
 
 
+@pytest.mark.parametrize(
+    "deps, bad",
+    [
+        ((5, 0, 1), 5),
+        ((0, 5, 1), 5),
+        ((2, 0, 5), 5),
+        ((1, 3, 0), 3),
+        ((4, 0, 5), 4),
+    ],
+    ids=["first", "middle", "last", "self-in-the-middle", "first-of-two"],
+)
+def test_a_forward_dependency_anywhere_in_a_list_is_malformed(deps, bad):
+    # the lists are not ascending, so neither their first nor their last
+    # entry stands for the largest, and the error names the first bad one
+    block = block_from_ops([intkey_set(f"k{i}", i) for i in range(6)])
+    shared = attach_dag(block, build_dag(block))
+    txns = list(shared.transactions)
+    txns[3] = replace(txns[3], declared_dependencies=deps)
+    tampered = Block(tuple(txns), (0, 0, 0, 3, 0, 0))
+    with pytest.raises(
+        MalformedBlockError, match=f"^transaction 3 declares dependency {bad} not below it$"
+    ):
+        parse_block(_unchecked_wire(tampered))
+
+
+def test_lists_longer_than_1024_round_trip():
+    # a voting block is one chain, so its last lists hold more than 1 024
+    # dependencies, most of them above 256
+    block = generate_block(WorkloadSpec(family="voting", txns_per_block=1100, rng_seed=1))
+    dag = build_dag(block)
+    assert max(map(len, dag.preds)) > 1024
+    data = serialize_block(block, dag)
+    parsed = parse_block(data)
+    assert parsed == attach_dag(block, dag)
+    assert serialize_block(parsed) == data
+
+
 def test_unsupported_version_rejected():
     data = bytearray(serialize_block(block_from_ops([intkey_set("k", 1)])))
     # patch version then re-stamp the checksum so only the version is wrong
