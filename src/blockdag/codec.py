@@ -24,14 +24,17 @@ that are not UTF-8 are malformed, so a CRC-valid body that lies raises a
 Both directions read the one opcode table, ``families.OP_SCHEMAS``, which
 each ``FamilyOp`` was checked against when it was made. The serializer
 checks the wire's own limits (u16 string lengths and pair counts, u32
-dependencies). The parser checks each record's opcode, argument count and
-tags, derives the sets from the decoded arguments, and requires the wire's
-set section to be their canonical encoding (addresses strictly ascending)
-byte for byte. Each check is one fast step, with a slow path that runs
-only to name what is wrong: a record's three head bytes (family tag,
-opcode tag, argument count) are one dict lookup, and the set section is
-one compare. So a block that parses carries the sets its ops declare, and
-re-serializes to the bytes it came from.
+indegree entries); a dependency needs none, since every ``Transaction``
+holds only ints below its own index, its position in a block the
+serializer has already held to the block cap. The parser checks each
+record's opcode, argument count and tags, derives the sets from the
+decoded arguments, and requires the wire's set section to be their
+canonical encoding (addresses strictly ascending) byte for byte. Each
+check is one fast step, with a slow path that runs only to name what is
+wrong: a record's three head bytes (family tag, opcode tag, argument count)
+are one dict lookup, and the set section is one compare. So a block that
+parses carries the sets its ops declare, and re-serializes to the bytes it
+came from.
 
 The per-record work is kept to the floor in both directions. An op whose
 read set is its write set object and holds one address (every op but a
@@ -46,13 +49,14 @@ would pass.
 
 Each transaction's sets are derived from its op once, where its block is
 made. ``block_from_ops`` and ``parse_block`` return a *checked* block
-(``Block._checked``), and ``attach_dag`` keeps the mark, since a
-``DependencyDAG`` holds only predecessors below their transaction. The
-serializer trusts a checked block's sets and dependencies. Any other block,
-such as one from ``Block(...)`` or ``dataclasses.replace``, has its sets
-derived again and compared, each declared dependency must be below its
-transaction and each indegree entry below the transaction count, so the
-bytes written always parse.
+(``Block._checked``), and ``attach_dag`` keeps the mark, since it keeps the
+input's sets and its indegrees are its lists' lengths. The serializer
+trusts a checked block's sets and indegrees. Any other block, such as one
+from ``Block(...)`` or ``dataclasses.replace``, has its sets derived again
+and compared, and each indegree entry must be below the transaction count.
+No block's dependencies are checked again: each is below its transaction
+wherever the transaction was made (its constructor, the parser's wire
+check or a ``DependencyDAG``), so the bytes written always parse.
 """
 
 from __future__ import annotations
@@ -284,7 +288,9 @@ def attach_dag(block: Block, dag: DependencyDAG) -> Block:
     """New block carrying the DAG: per-transaction predecessor lists plus
     the indegree trailer, both read from the DAG's ``preds`` in place.
 
-    A checked input gives a checked block: its sets are the input's, and a
+    A checked input gives a checked block: its sets are the input's, and
+    each indegree is a list's length, so below the transaction count. The
+    transactions skip their constructor's dependency check: a
     ``DependencyDAG`` holds only predecessors below their transaction.
     """
     if dag.txn_count != block.txn_count:
@@ -308,15 +314,16 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     When a DAG is given it is embedded (replacing whatever shared-DAG fields
     the block already has); otherwise the block's own fields are written
     as-is, shared section included only if present. Each op was checked
-    against the opcode table when it was made; here every string and pair
-    list must fit its u16 prefix, and every dependency and indegree entry
-    must be a u32, or ``ValueError`` is raised.
+    against the opcode table when it was made, and each dependency when its
+    transaction was, so it is below that transaction and needs no check
+    here; every string and pair list must fit its u16 prefix, and every
+    indegree entry must be a u32, or ``ValueError`` is raised.
 
     A checked block (from ``block_from_ops``, ``parse_block`` or
-    ``attach_dag`` of a checked block) is trusted to carry its ops' sets,
-    dependencies below each transaction and indegrees below the
-    transaction count, as its maker made sure. Any other block is checked
-    for all three, or ``ValueError`` is raised, so the bytes always parse.
+    ``attach_dag`` of a checked block) is trusted to carry its ops' sets
+    and indegrees below the transaction count, as its maker made sure. Any
+    other block is checked for both, or ``ValueError`` is raised, so the
+    bytes always parse.
     """
     if block.txn_count > MAX_BLOCK_TXNS:
         raise BlockTooLargeError(f"block has {block.txn_count} txns, cap is {MAX_BLOCK_TXNS}")
@@ -375,17 +382,7 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
             deps = txn.declared_dependencies
             if deps:
                 out += _U32.pack(len(deps))
-                try:
-                    out += _u32_array(len(deps)).pack(*deps)
-                except struct.error:
-                    raise ValueError(
-                        f"transaction {txn.index} declares dependencies {deps!r}, not all u32"
-                    ) from None
-                if not checked and max(deps) >= txn.index:
-                    bad = next(dep for dep in deps if dep >= txn.index)
-                    raise ValueError(
-                        f"transaction {txn.index} declares dependency {bad} not below it"
-                    )
+                out += _u32_array(len(deps)).pack(*deps)
             else:
                 out += _NO_DEPS
     if has_dag:

@@ -203,8 +203,9 @@ def dag_from_shared(block: Block) -> DependencyDAG:
     private ``_canonical_deps`` mark: its lists are the pass's ascending
     tuples, so they are wrapped in place (``DependencyDAG._from_pass``), with
     no copy, sort or check. Any other block's lists go to ``DependencyDAG``
-    as they are: a repeat counts once, and a dependency negative or not below
-    its transaction raises ``ValueError``.
+    as they are, and a repeat counts once. Its range check never fires here:
+    ``Transaction`` and ``parse_block`` admit only dependencies below their
+    transaction, so no block can carry another.
     """
     if not block.has_shared_dag:
         raise ValueError("block does not carry a shared DAG")

@@ -41,10 +41,10 @@ class FamilyOp:
     """Family tag plus opcode and its (hashable) arguments, checked once.
 
     The constructor raises ``ValueError`` for an op not in ``OP_SCHEMAS`` or
-    for arguments that are not a tuple of the kinds it gives. ``_unchecked``
-    skips that; the parser, which has checked and decoded each argument,
-    does the same inline. Slot-backed like ``model.Transaction``: each field
-    is stored through its slot descriptor.
+    for arguments that are not a tuple of the kinds it gives. Only the
+    parser, which has checked and decoded each argument, skips it, setting
+    the slots inline. Slot-backed like ``model.Transaction``: each field is
+    stored through its slot descriptor.
     """
 
     family: str
@@ -61,14 +61,6 @@ class FamilyOp:
         _set_family(self, family)
         _set_opcode(self, opcode)
         _set_args(self, args)
-
-    @classmethod
-    def _unchecked(cls, family: str, opcode: str, args: tuple) -> FamilyOp:
-        op = object.__new__(cls)
-        _set_family(op, family)
-        _set_opcode(op, opcode)
-        _set_args(op, args)
-        return op
 
 
 _set_family = FamilyOp.family.__set__

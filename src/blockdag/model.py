@@ -51,7 +51,12 @@ class Transaction:
     indices when its block carries a shared dependency DAG, and ``None``
     otherwise. Any other sequence is stored as a tuple, so a transaction
     equals and hashes like its tuple twin, and no later change to the
-    caller's sequence reaches it.
+    caller's sequence reaches it. Every dependency is an ``int`` in
+    ``[0, index)``, a ``bool`` not counting as one, or ``ValueError``
+    names the first, in list order, that is not. This constructor, which
+    ``dataclasses.replace`` also runs, is the one place that range is
+    checked: the serializer and the validator rely on it, and the
+    validator judges what it leaves open, a repeated dependency.
 
     The fields live in slots. The constructor stores each one through its
     slot descriptor, which skips the frozen ``__setattr__`` that the
@@ -60,7 +65,9 @@ class Transaction:
     The one exception to the constructor is the codec: ``parse_block`` and
     ``attach_dag`` build each transaction inline, with ``object.__new__``
     and the same slot setters, and hand it only tuples, ``()`` or ``None``
-    as dependencies, which already meet the tuple rule.
+    as dependencies, which already meet both rules: the parser checks each
+    list it reads against its transaction, and a ``DependencyDAG`` holds
+    only predecessors below theirs.
     """
 
     index: int
@@ -81,8 +88,12 @@ class Transaction:
         _set_read_set(self, read_set)
         _set_write_set(self, write_set)
         _set_payload(self, payload)
-        if declared_dependencies is not None and type(declared_dependencies) is not tuple:
-            declared_dependencies = tuple(declared_dependencies)
+        if declared_dependencies is not None:
+            if type(declared_dependencies) is not tuple:
+                declared_dependencies = tuple(declared_dependencies)
+            for dep in declared_dependencies:
+                if type(dep) is not int or not 0 <= dep < index:
+                    raise ValueError(f"transaction {index} declares invalid dependency {dep!r}")
         _set_declared_dependencies(self, declared_dependencies)
 
 
@@ -106,8 +117,9 @@ class Block:
     shared_indegree: tuple[int, ...] | None = None
 
     # True only on a block made by ``_checked``: every transaction's sets are
-    # its op's and every declared dependency is below its transaction. It is
-    # not a field, so equality, hashing, repr, ``Block(...)`` and
+    # its op's and every indegree entry is below the transaction count (each
+    # declared dependency is below its transaction in any block). It is not
+    # a field, so equality, hashing, repr, ``Block(...)`` and
     # ``dataclasses.replace`` never see or set it.
     _is_checked = False
     # True only on a block that ``validator.validate_dag`` found honest by
@@ -122,7 +134,7 @@ class Block:
         transactions: tuple[Transaction, ...],
         shared_indegree: tuple[int, ...] | None = None,
     ) -> "Block":
-        """A block whose maker vouches for its sets and dependencies; the
+        """A block whose maker vouches for its sets and indegrees; the
         serializer trusts them instead of deriving the sets again."""
         block = cls(transactions, shared_indegree)
         object.__setattr__(block, "_is_checked", True)

@@ -7,8 +7,8 @@ per block, by the caller through ``build_access_index`` or here), and
 compares every recomputed predecessor tuple with the transaction's declared
 dependencies:
 
-* structure — each dependency list holds distinct indices strictly below
-  the transaction's own, and its length equals the shared indegree entry;
+* structure — each dependency list holds distinct indices, and its length
+  equals the shared indegree entry;
 * missing edges — a recomputed predecessor that is not declared;
 * extra edges — a declared dependency that is not a recomputed predecessor.
 
@@ -20,8 +20,14 @@ instead of sorting them again. An honest block whose lists are permuted
 matches once each list is sorted, and is not marked. Any other block is
 walked transaction by transaction for the verdicts below.
 
+No dependency is range-checked here. Every one is an ``int`` below its
+transaction's index, since ``Transaction`` refuses any other where it is
+made and ``parse_block`` refuses one on the wire, so a forward, negative or
+non-integer dependency never reaches a verdict.
+
 Verdicts keep a fixed precedence over the whole block: a structural defect
-anywhere is ``MALICIOUS_EXTRA_EDGE``; otherwise a missing edge anywhere is
+anywhere, a repeated dependency or an indegree entry that is not its list's
+length, is ``MALICIOUS_EXTRA_EDGE``; otherwise a missing edge anywhere is
 ``MALICIOUS_MISSING_EDGE``; otherwise any other mismatch is
 ``MALICIOUS_EXTRA_EDGE``.
 """
@@ -77,8 +83,8 @@ def validate_dag(
     if list(map(len, deps_of)) != indegree:
         return Verdict.MALICIOUS_EXTRA_EDGE
     computed = (address_pass(block) if index is None else index).preds
-    # Equal to the pass's ascending tuples means distinct, in range and of
-    # the declared length, which is every structural check; a declared list
+    # Equal to the pass's ascending tuples means distinct and of the
+    # declared length, which is every structural check left; a declared list
     # that sorts to its tuple is a permutation of it, so honest too.
     if computed == deps_of:
         # Every list is then an ascending tuple in the block's own tuple of
@@ -88,9 +94,9 @@ def validate_dag(
     if computed == [tuple(sorted(deps)) for deps in deps_of]:
         return Verdict.HONEST
     missing = False
-    for j, (preds, deps) in enumerate(zip(computed, deps_of)):
+    for preds, deps in zip(computed, deps_of):
         declared = set(deps)
-        if len(declared) != len(deps) or (deps and (min(deps) < 0 or max(deps) >= j)):
+        if len(declared) != len(deps):
             return Verdict.MALICIOUS_EXTRA_EDGE
         missing = missing or not declared.issuperset(preds)
     return Verdict.MALICIOUS_MISSING_EDGE if missing else Verdict.MALICIOUS_EXTRA_EDGE

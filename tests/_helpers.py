@@ -1,11 +1,15 @@
 """Shared fixtures-by-hand for the test suite: arbitrary structural blocks,
-adversarial DAG mutation, and small verification utilities."""
+adversarial DAG mutation, hand-written wire bytes, and small verification
+utilities."""
 
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 from dataclasses import replace
 
+from blockdag import codec
 from blockdag.families import FamilyOp
 from blockdag.model import Block, StateStore, Transaction
 from blockdag.workload import WorkloadSpec, generate_block
@@ -152,3 +156,48 @@ class TrackingStore(StateStore):
     def reset_tracking(self) -> None:
         self.reads.clear()
         self.writes.clear()
+
+
+def restamp(data) -> bytes:
+    """Bytes with the total length and the CRC recomputed, so only the body lies."""
+    data = bytearray(data)
+    struct.pack_into("<I", data, 2, len(data))
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(bytes(data[:-4])))
+    return bytes(data)
+
+
+def unchecked_wire(block: Block, deps=None) -> bytes:
+    """v1 bytes for any block, written field by field from docs/wire-format.md
+    with none of serialize_block's checks: each argument is tagged by its
+    Python type and each set is written ascending as given, so the body may
+    lie about its ops. ``deps``, one list per transaction, is written as the
+    shared DAG in place of the block's own, so a list that no ``Transaction``
+    may hold reaches the parser only as bytes; each indegree entry is its
+    list's length."""
+    if deps is None and block.has_shared_dag:
+        deps = [txn.declared_dependencies for txn in block.transactions]
+    has_dag = deps is not None
+    out = bytearray(struct.pack("<BBII", 1, int(has_dag), 0, block.txn_count))
+    for k, txn in enumerate(block.transactions):
+        op = txn.payload
+        family_tag = codec._FAMILY_TAGS[op.family]
+        out += bytes((family_tag, codec._OPCODE_TAGS[op.family][op.opcode], len(op.args)))
+        for arg in op.args:
+            if isinstance(arg, int):
+                out += struct.pack("<BQ", 0, arg)
+            elif isinstance(arg, str):
+                out += struct.pack("<BH", 1, len(arg.encode())) + arg.encode()
+            else:
+                out += struct.pack("<BH", 2, len(arg))
+                for pair in arg:
+                    for text in pair:
+                        out += struct.pack("<H", len(text.encode())) + text.encode()
+        for addresses in (txn.read_set, txn.write_set):
+            out += struct.pack("<H", len(addresses))
+            for address in sorted(addresses):
+                out += struct.pack("<H", len(address)) + address
+        if has_dag:
+            out += struct.pack(f"<I{len(deps[k])}I", len(deps[k]), *deps[k])
+    if has_dag:
+        out += struct.pack(f"<{block.txn_count}I", *map(len, deps))
+    return restamp(out + bytes(4))

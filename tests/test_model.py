@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -156,8 +157,10 @@ def test_store_copy_is_independent():
 
 
 # Each slot-backed record: its field names in order, one value per field,
-# and the changes dataclasses.replace must make. A FamilyOp is checked
-# against the opcode table, so only a valid change is one it accepts.
+# the changes dataclasses.replace must make, and the ones it must refuse
+# with ValueError. A FamilyOp is checked against the opcode table and a
+# Transaction's dependencies against its index, so a change is made only
+# when it keeps that rule.
 _TRANSACTION_FIELDS = ("index", "read_set", "write_set", "payload", "declared_dependencies")
 _RECORDS = {
     "transaction": (
@@ -170,20 +173,22 @@ _RECORDS = {
             FamilyOp("wallet", "create", ("a",)),
             (0, 2),
         ),
-        dict.fromkeys(_TRANSACTION_FIELDS),
+        {**dict.fromkeys(_TRANSACTION_FIELDS), "index": 7},  # (0, 2) is below 7
+        {"index": 2},  # but not below 2
     ),
     "family-op": (
         FamilyOp,
         ("family", "opcode", "args"),
         ("voting", "vote", ("v", "p")),
         {"args": ("w", "q")},
+        dict.fromkeys(("family", "opcode", "args")),
     ),
 }
 
 
 @pytest.mark.parametrize("record", sorted(_RECORDS))
 def test_slot_backed_records_keep_the_dataclass_contract(record):
-    cls, names, values, changes = _RECORDS[record]
+    cls, names, values, changes, refusals = _RECORDS[record]
     assert tuple(f.name for f in dataclasses.fields(cls)) == names
     assert cls.__slots__ == names
     built = cls(*values)
@@ -197,10 +202,10 @@ def test_slot_backed_records_keep_the_dataclass_contract(record):
     for name, new in changes.items():
         changed = dataclasses.replace(built, **{name: new})
         assert getattr(changed, name) is new and changed != built
+    for name, bad in refusals.items():
+        with pytest.raises(ValueError):
+            dataclasses.replace(built, **{name: bad})
     for name, value in zip(names, values):
-        if cls is FamilyOp:
-            with pytest.raises(ValueError):
-                dataclasses.replace(built, **{name: None})
         assert getattr(built, name) is value
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(built, name, value)
@@ -240,3 +245,31 @@ def test_transaction_stores_its_dependencies_as_a_tuple():
     listed.append(7)
     assert made == twin
 
+
+
+@pytest.mark.parametrize(
+    "deps, bad",
+    [
+        ((-1,), "-1"),
+        ((2,), "2"),  # the transaction itself
+        ((0, 3), "3"),  # the one after it
+        ((1.0,), "1.0"),
+        ((True,), "True"),  # a bool is not an int here
+        (("0",), "'0'"),
+        ((0, 5, -1), "5"),  # the first bad one, in list order
+    ],
+    ids=["negative", "itself", "after-it", "float", "bool", "str", "first-of-two"],
+)
+def test_transaction_refuses_a_dependency_outside_its_range(deps, bad):
+    # the one place the range is checked: the serializer and the validator
+    # rely on it, and replace runs the same constructor
+    op = FamilyOp("wallet", "create", ("a",))
+    keys = frozenset({b"wallet/a"})
+    message = f"^transaction 2 declares invalid dependency {re.escape(bad)}$"
+    with pytest.raises(ValueError, match=message):
+        Transaction(2, keys, keys, op, deps)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(Transaction(2, keys, keys, op, (0, 1)), declared_dependencies=deps)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(Transaction(2, keys, keys, op), declared_dependencies=list(deps))
+    assert Transaction(2, keys, keys, op, (1, 0, 1)).declared_dependencies == (1, 0, 1)
