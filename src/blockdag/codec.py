@@ -23,9 +23,10 @@ that are not UTF-8 are malformed, so a CRC-valid body that lies raises a
 
 Both directions read the one opcode table, ``families.OP_SCHEMAS``, which
 each ``FamilyOp`` was checked against when it was made. The serializer
-checks the wire's own limits (u16 string lengths and pair counts, u32
-indegree entries); a dependency needs none, since every ``Transaction``
-holds only ints below its own index, its position in a block the
+checks only the wire's own limits (u16 string lengths and pair counts); a
+dependency or an indegree entry needs none, since every ``Transaction``
+holds only ints below its own index, its position, and every ``Block``
+only indegree entries below its transaction count, in a block the
 serializer has already held to the block cap. The parser checks each
 record's opcode, argument count and tags, derives the sets from the
 decoded arguments, and requires the wire's set section to be their
@@ -49,14 +50,17 @@ would pass.
 
 Each transaction's sets are derived from its op once, where its block is
 made. ``block_from_ops`` and ``parse_block`` return a *checked* block
-(``Block._checked``), and ``attach_dag`` keeps the mark, since it keeps the
-input's sets and its indegrees are its lists' lengths. The serializer
-trusts a checked block's sets and indegrees. Any other block, such as one
-from ``Block(...)`` or ``dataclasses.replace``, has its sets derived again
-and compared, and each indegree entry must be below the transaction count.
-No block's dependencies are checked again: each is below its transaction
-wherever the transaction was made (its constructor, the parser's wire
-check or a ``DependencyDAG``), so the bytes written always parse.
+(``Block._checked``, which skips ``Block``'s constructor), and
+``attach_dag`` keeps the mark, since it keeps the input's sets and its
+indegrees are its lists' lengths. The serializer trusts a checked block's
+sets. Any other block, such as one from ``Block(...)`` or
+``dataclasses.replace``, has its sets derived again and compared. No
+block's dependencies or indegrees are checked again: each dependency is
+below its transaction wherever the transaction was made (its constructor,
+the parser's wire check or a ``DependencyDAG``), and each indegree entry
+below the transaction count wherever the block was made (its constructor,
+the parser's wire check or ``attach_dag``'s list lengths), so the bytes
+written always parse.
 """
 
 from __future__ import annotations
@@ -288,10 +292,13 @@ def attach_dag(block: Block, dag: DependencyDAG) -> Block:
     """New block carrying the DAG: per-transaction predecessor lists plus
     the indegree trailer, both read from the DAG's ``preds`` in place.
 
-    A checked input gives a checked block: its sets are the input's, and
-    each indegree is a list's length, so below the transaction count. The
-    transactions skip their constructor's dependency check: a
-    ``DependencyDAG`` holds only predecessors below their transaction.
+    A checked input gives a checked block, built without ``Block``'s
+    constructor: its sets are the input's, its transactions are at their
+    positions and all carry a list, and each indegree is a list's length, so
+    below the transaction count. Any other input gives ``Block(...)``,
+    checked as any block is. The transactions skip their constructor's
+    dependency check: a ``DependencyDAG`` holds only predecessors below
+    their transaction.
     """
     if dag.txn_count != block.txn_count:
         raise ValueError("DAG does not match block")
@@ -314,16 +321,15 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
     When a DAG is given it is embedded (replacing whatever shared-DAG fields
     the block already has); otherwise the block's own fields are written
     as-is, shared section included only if present. Each op was checked
-    against the opcode table when it was made, and each dependency when its
-    transaction was, so it is below that transaction and needs no check
-    here; every string and pair list must fit its u16 prefix, and every
-    indegree entry must be a u32, or ``ValueError`` is raised.
+    against the opcode table when it was made, each dependency when its
+    transaction was and each indegree entry when its block was, so none
+    needs a check here; every string and pair list must fit its u16
+    prefix, or ``ValueError`` is raised.
 
     A checked block (from ``block_from_ops``, ``parse_block`` or
-    ``attach_dag`` of a checked block) is trusted to carry its ops' sets
-    and indegrees below the transaction count, as its maker made sure. Any
-    other block is checked for both, or ``ValueError`` is raised, so the
-    bytes always parse.
+    ``attach_dag`` of a checked block) is trusted to carry its ops' sets,
+    as its maker made sure. Any other block has its sets checked, or
+    ``ValueError`` is raised, so the bytes always parse.
     """
     if block.txn_count > MAX_BLOCK_TXNS:
         raise BlockTooLargeError(f"block has {block.txn_count} txns, cap is {MAX_BLOCK_TXNS}")
@@ -386,21 +392,7 @@ def serialize_block(block: Block, dag: DependencyDAG | None = None) -> bytes:
             else:
                 out += _NO_DEPS
     if has_dag:
-        indegree = block.shared_indegree
-        try:
-            out += _u32_array(block.txn_count).pack(*indegree)
-        except struct.error:
-            for index, entry in enumerate(indegree):
-                try:
-                    _U32.pack(entry)
-                except struct.error:
-                    raise ValueError(
-                        f"indegree {entry!r} for transaction {index} is not a u32"
-                    ) from None
-        n = block.txn_count
-        if not checked and indegree and max(indegree) >= n:
-            index = next(i for i, entry in enumerate(indegree) if entry >= n)
-            raise ValueError(f"indegree {indegree[index]} for transaction {index} out of range")
+        out += _u32_array(block.txn_count).pack(*block.shared_indegree)
     _U32.pack_into(out, 2, len(out) + 4)
     out += _U32.pack(zlib.crc32(out))
     return bytes(out)
@@ -542,9 +534,8 @@ def parse_block(data: bytes) -> Block:
             raise _truncated(size, off, end)
         shared_indegree = _u32_array(txn_count).unpack_from(data, off)
         off += size
-        limit = max(txn_count, 1)
-        if shared_indegree and max(shared_indegree) >= limit:
-            index = next(i for i, entry in enumerate(shared_indegree) if entry >= limit)
+        if shared_indegree and max(shared_indegree) >= txn_count:
+            index = next(i for i, entry in enumerate(shared_indegree) if entry >= txn_count)
             raise MalformedBlockError(
                 f"indegree {shared_indegree[index]} for transaction {index} out of range"
             )

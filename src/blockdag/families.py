@@ -40,8 +40,9 @@ VOTING_VOTERS_ADDR: Address = b"voting/voters"
 class FamilyOp:
     """Family tag plus opcode and its (hashable) arguments, checked once.
 
-    The constructor raises ``ValueError`` for an op not in ``OP_SCHEMAS`` or
-    for arguments that are not a tuple of the kinds it gives. Only the
+    The constructor looks the op up in ``OP_SCHEMAS`` once and raises
+    ``ValueError`` for an op not there, or for arguments that are not a
+    tuple of the kinds its entry gives, each tested by ``_fits``. Only the
     parser, which has checked and decoded each argument, skips it, setting
     the slots inline. Slot-backed like ``model.Transaction``: each field is
     stored through its slot descriptor.
@@ -52,12 +53,12 @@ class FamilyOp:
     args: tuple
 
     def __init__(self, family: str, opcode: str, args: tuple) -> None:
-        shape = _SHAPES.get((family, opcode))
-        if shape is None:
+        schema = OP_SCHEMAS.get((family, opcode))
+        if schema is None:
             raise ValueError(f"unknown op: {family!r}/{opcode!r}")
-        if not _args_fit(args, shape):
-            kinds = ", ".join(OP_SCHEMAS[family, opcode].args)
-            raise ValueError(f"{family}/{opcode} takes ({kinds}), got {args!r}")
+        kinds = schema.args
+        if type(args) is not tuple or len(args) != len(kinds) or not all(map(_fits, kinds, args)):
+            raise ValueError(f"{family}/{opcode} takes ({', '.join(kinds)}), got {args!r}")
         _set_family(self, family)
         _set_opcode(self, opcode)
         _set_args(self, args)
@@ -200,30 +201,19 @@ OP_SCHEMAS: dict[tuple[str, str], OpSchema] = {
     (INSURANCE, "read_record"): OpSchema((STR,), _record_read_sets),
 }
 
-# What FamilyOp checks per op: each argument's type, then the positions of
-# the u64 and pairs arguments, whose values their type does not bound.
-_KIND_TYPES = {STR: str, U64: int, PAIRS: tuple}
-_SHAPES = {
-    key: (
-        tuple(_KIND_TYPES[kind] for kind in schema.args),
-        tuple(k for k, kind in enumerate(schema.args) if kind == U64),
-        tuple(k for k, kind in enumerate(schema.args) if kind == PAIRS),
-    )
-    for key, schema in OP_SCHEMAS.items()
-}
 
-
-def _args_fit(args, shape) -> bool:
-    types, u64_at, pairs_at = shape
-    if type(args) is not tuple or tuple(map(type, args)) != types:
-        return False  # a bool's type is not int
-    for k in u64_at:
-        if not 0 <= args[k] <= U64_MAX:
+def _fits(kind: str, arg) -> bool:
+    """Whether one argument is of its kind; a bool is not a u64. Each kind
+    is one of this module's constants, so it is compared by identity."""
+    if kind is STR:
+        return type(arg) is str
+    if kind is U64:
+        return type(arg) is int and 0 <= arg <= U64_MAX
+    if type(arg) is not tuple:
+        return False
+    for pair in arg:
+        if type(pair) is not tuple or tuple(map(type, pair)) != (str, str):
             return False
-    for k in pairs_at:
-        for pair in args[k]:
-            if type(pair) is not tuple or tuple(map(type, pair)) != (str, str):
-                return False
     return True
 
 
@@ -232,15 +222,10 @@ def declared_sets(op: FamilyOp) -> tuple[frozenset[Address], frozenset[Address]]
     return OP_SCHEMAS[op.family, op.opcode].sets(op.args)
 
 
-def make_transaction(index: int, op: FamilyOp) -> Transaction:
-    read_set, write_set = declared_sets(op)
-    return Transaction(index, read_set, write_set, op)
-
-
 def block_from_ops(ops) -> Block:
     """Assemble a block, assigning indices by position; each transaction's
     sets come from ``declared_sets``, so the block is a checked one."""
-    return Block._checked(tuple(make_transaction(i, op) for i, op in enumerate(ops)))
+    return Block._checked(tuple(Transaction(i, *declared_sets(op), op) for i, op in enumerate(ops)))
 
 
 def _apply_wallet(op: FamilyOp, store: StateStore) -> bool:

@@ -111,16 +111,19 @@ class Block:
     ``shared_indegree`` is set, or ``ValueError`` is raised. Both fields are
     stored as tuples, whatever sequence the caller passed, so a block equals
     and hashes like any other with the same entries, and no later change to
-    the caller's sequence reaches it."""
+    the caller's sequence reaches it. Every indegree entry is an ``int`` in
+    ``[0, n)`` for ``n`` transactions, a ``bool`` not counting as one, or
+    ``ValueError`` names the first that is not. This constructor, which
+    ``dataclasses.replace`` also runs, is where a block is checked, and the
+    serializer relies on every block's indegrees; only the trusted makers,
+    through ``_checked``, skip it."""
 
     transactions: tuple[Transaction, ...]
     shared_indegree: tuple[int, ...] | None = None
 
     # True only on a block made by ``_checked``: every transaction's sets are
-    # its op's and every indegree entry is below the transaction count (each
-    # declared dependency is below its transaction in any block). It is not
-    # a field, so equality, hashing, repr, ``Block(...)`` and
-    # ``dataclasses.replace`` never see or set it.
+    # its op's. It is not a field, so equality, hashing, repr, ``Block(...)``
+    # and ``dataclasses.replace`` never see or set it.
     _is_checked = False
     # True only on a block that ``validator.validate_dag`` found honest by
     # exact compare: every declared list is the ascending tuple of the
@@ -134,18 +137,21 @@ class Block:
         transactions: tuple[Transaction, ...],
         shared_indegree: tuple[int, ...] | None = None,
     ) -> "Block":
-        """A block whose maker vouches for its sets and indegrees; the
-        serializer trusts them instead of deriving the sets again."""
-        block = cls(transactions, shared_indegree)
-        object.__setattr__(block, "_is_checked", True)
+        """A block whose maker vouches for its sets, built without the
+        constructor: its makers (``block_from_ops``, ``parse_block`` and
+        ``attach_dag`` of a checked block) already hand it tuples,
+        transactions at their positions, a DAG whole or absent, and
+        indegrees that are list lengths or wire-checked entries. The
+        serializer trusts its sets instead of deriving them again."""
+        block = object.__new__(cls)
+        block.__dict__.update(
+            transactions=transactions, shared_indegree=shared_indegree, _is_checked=True
+        )
         return block
 
     def __post_init__(self) -> None:
-        if type(self.transactions) is not tuple:
-            object.__setattr__(self, "transactions", tuple(self.transactions))
+        object.__setattr__(self, "transactions", tuple(self.transactions))
         shared = self.shared_indegree is not None
-        if shared and type(self.shared_indegree) is not tuple:
-            object.__setattr__(self, "shared_indegree", tuple(self.shared_indegree))
         for pos, txn in enumerate(self.transactions):
             if txn.index != pos:
                 raise ValueError(
@@ -157,8 +163,14 @@ class Block:
                     if shared
                     else f"transaction {pos} declares dependencies but the block carries no indegree"
                 )
-        if shared and len(self.shared_indegree) != len(self.transactions):
-            raise ValueError("shared_indegree length does not match txn count")
+        if shared:
+            object.__setattr__(self, "shared_indegree", tuple(self.shared_indegree))
+            n = len(self.transactions)
+            if len(self.shared_indegree) != n:
+                raise ValueError("shared_indegree length does not match txn count")
+            for j, entry in enumerate(self.shared_indegree):
+                if type(entry) is not int or not 0 <= entry < n:
+                    raise ValueError(f"indegree {entry!r} for transaction {j} out of range")
 
     @property
     def txn_count(self) -> int:

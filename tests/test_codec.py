@@ -602,19 +602,15 @@ def _two_deposits(deps, indegree):
         (((), (-1,)), (0, 1), "^transaction 1 declares invalid dependency -1$"),
         (((), (2**32,)), (0, 1), "^transaction 1 declares invalid dependency 4294967296$"),
         (((), (0.5,)), (0, 1), "^transaction 1 declares invalid dependency 0.5$"),
-        (((), ()), (0, -1), "^indegree -1 for transaction 1 is not a u32$"),
+        (((), ()), (0, -1), "^indegree -1 for transaction 1 out of range$"),
     ],
     ids=["negative", "above-u32", "float", "negative-indegree"],
 )
 def test_serializer_refuses_a_dependency_or_indegree_outside_u32(deps, indegree, message):
-    if any(deps):
-        # no transaction holds such a dependency, so the block cannot be
-        # built for the serializer to see; an indegree is its to refuse
-        with pytest.raises(ValueError, match=message):
-            _two_deposits(deps, indegree)
-        return
+    # no transaction holds such a dependency and no block such an indegree,
+    # so the block cannot be built for the serializer to see
     with pytest.raises(ValueError, match=message):
-        serialize_block(_two_deposits(deps, indegree))
+        _two_deposits(deps, indegree)
 
 
 @pytest.mark.parametrize(
@@ -629,15 +625,11 @@ def test_serializer_refuses_a_dependency_or_indegree_outside_u32(deps, indegree,
 )
 def test_serializer_refuses_a_dependency_not_below_its_transaction(deps, indegree, message):
     # parse_block rejects such a list or indegree, so the serializer must
-    # not write one. The transaction refuses the list where it is made, so
-    # only the indegree reaches the serializer; one that is in range but
-    # wrong still serializes
-    if any(deps):
-        with pytest.raises(ValueError, match=message):
-            _two_deposits(deps, indegree)
-        return
+    # not write one. The transaction refuses the list and the block the
+    # indegree where each is made, so neither reaches the serializer; an
+    # indegree that is in range but wrong still serializes
     with pytest.raises(ValueError, match=message):
-        serialize_block(_two_deposits(deps, indegree))
+        _two_deposits(deps, indegree)
 
 
 def test_serializer_writes_a_wrong_indegree_that_is_in_range():
@@ -1084,3 +1076,36 @@ def test_no_timed_path_runs_the_transaction_constructor(monkeypatch):
     assert block_from_ops(ops) == block
     assert len(calls) == len(ops)
     assert all(len(args) == 4 and not kwargs for args, kwargs in calls)
+
+
+def test_trusted_makers_skip_the_block_constructor(monkeypatch):
+    # block_from_ops, parse_block and attach_dag of a checked block already
+    # guarantee every check Block's constructor makes, so they skip it;
+    # Block(...), replace and attach_dag of an unchecked block run it once
+    calls = []
+    post_init = Block.__post_init__
+
+    def counted(self):
+        calls.append(self.txn_count)
+        post_init(self)
+
+    monkeypatch.setattr(Block, "__post_init__", counted)
+    for family, block in _family_blocks():
+        dag = build_dag(block)
+        trusted = [
+            block_from_ops([txn.payload for txn in block.transactions]),
+            parse_block(serialize_block(block)),
+            attach_dag(block, dag),
+            parse_block(serialize_block(block, dag)),
+        ]
+        assert calls == [], family
+        for made in trusted:
+            twin = Block(made.transactions, made.shared_indegree)
+            assert made._is_checked and not twin._is_checked, family
+            assert made == twin and hash(made) == hash(twin), family
+        assert len(calls) == len(trusted), family
+        unchecked = replace(block)
+        assert len(calls) == len(trusted) + 1, family
+        assert not attach_dag(unchecked, dag)._is_checked
+        assert len(calls) == len(trusted) + 2, family
+        calls.clear()

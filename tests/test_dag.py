@@ -367,10 +367,12 @@ def test_dag_from_shared_requires_shared_dag():
 
 
 def test_dag_from_shared_deduplicates_and_sorts_declared_lists():
+    # six transactions, so the longest padded list's length is an indegree
+    # below the transaction count
     block = attach_dag(
-        structural_block([(set(), set())] * 4), DependencyDAG([()] * 4)
+        structural_block([(set(), set())] * 6), DependencyDAG([()] * 6)
     )
-    declared = [(), (0, 0), (1, 0, 1), (2, 0, 2, 1, 0)]
+    declared = [(), (0, 0), (1, 0, 1), (2, 0, 2, 1, 0), (), ()]
     shared = Block(
         tuple(
             replace(txn, declared_dependencies=deps)
@@ -379,8 +381,8 @@ def test_dag_from_shared_deduplicates_and_sorts_declared_lists():
         tuple(len(deps) for deps in declared),
     )
     dag = dag_from_shared(shared)
-    assert dag.preds == ((), (0,), (0, 1), (0, 1, 2))
-    assert dag.indegree_snapshot() == [0, 1, 2, 3]
+    assert dag.preds == ((), (0,), (0, 1), (0, 1, 2), (), ())
+    assert dag.indegree_snapshot() == [0, 1, 2, 3, 0, 0]
     assert dag.edge_count == 6
     assert dag.edge_set() == {(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)}
     # a malicious verdict leaves the lists to be sorted and deduplicated again

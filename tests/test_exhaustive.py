@@ -13,11 +13,15 @@ order that respects every edge.
 
 The dependency range is not a verdict: a dependency of -1, of j or of
 j + 1 is refused where its transaction is made, and j or j + 1 written as
-bytes is refused by the parser.
+bytes is refused by the parser. Nor is the indegree range: an entry
+outside [0, n), such as the n that a repeat appended to a full list makes,
+is refused where its block is made, and as bytes by the parser.
 """
 
 import functools
 import itertools
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -128,19 +132,70 @@ def test_every_declared_dag_gets_the_oracles_verdict(scope):
     assert mismatches[:5] == [] and seen == set(Verdict)
 
 
+# per scope: the structural defects judged over its every 11th block
+_DEFECT_VERDICTS = {"3-over-2": 15_666, "4-over-1": 13_440}
+
+
 @pytest.mark.parametrize("scope", sorted(_SCOPES))
 def test_a_structural_defect_outranks_every_other_verdict(scope):
-    # a fixed subset of each scope: every 11th block, with every declared DAG
+    # a fixed subset of each scope: every 11th block, with every declared
+    # DAG; a defect that makes an indegree entry of n is refused below
     checked = 0
     for block, truth in _scope(scope)[::11]:
         made = {}
-        for declared in _declared_dags(block.txn_count):
+        n = block.txn_count
+        for declared in _declared_dags(n):
             for deps, indegree in _structural_defects(declared):
+                if n in indegree:
+                    continue
                 assert _oracle(truth, deps, indegree) is EXTRA
                 verdict = validate_dag(_shared(block, deps, indegree, made))
                 assert verdict is EXTRA, (truth, deps, indegree, verdict)
                 checked += 1
-    assert checked > 10_000
+    assert checked == _DEFECT_VERDICTS[scope]
+
+
+@pytest.mark.parametrize("scope", sorted(_SCOPES))
+def test_a_defect_that_makes_an_indegree_of_n_is_refused(scope):
+    # a repeat appended to the last, full list, or its entry + 1: no block
+    # holds either, and the wire refuses the first, whose lists make it
+    n = _SCOPES[scope][0]
+    block = _scope(scope)[0][0]
+    wire_block = block_from_ops([intkey_set("k", v) for v in range(n)])
+    refused = on_the_wire = 0
+    for declared in _declared_dags(n):
+        for deps, indegree in _structural_defects(declared):
+            if n not in indegree:
+                continue
+            message = f"^indegree {n} for transaction {n - 1} out of range$"
+            with pytest.raises(ValueError, match=message):
+                _shared(block, deps, indegree)
+            refused += 1
+            if indegree == tuple(map(len, deps)):
+                with pytest.raises(MalformedBlockError, match=message):
+                    parse_block(unchecked_wire(wire_block, deps))
+                on_the_wire += 1
+    assert (refused, on_the_wire) == {"3-over-2": (4, 2), "4-over-1": (16, 8)}[scope]
+
+
+@pytest.mark.parametrize("scope", sorted(_SCOPES))
+def test_an_indegree_out_of_range_is_refused_where_the_block_is_made(scope):
+    block, truth = _scope(scope)[-1]
+    shared = _shared(block, truth)
+    n = block.txn_count
+    lengths = shared.shared_indegree
+    for j in range(n):
+        for bad in (-1, n, n + 1, 2**32, 1.0, True, "0"):
+            message = f"^indegree {re.escape(repr(bad))} for transaction {j} out of range$"
+            # the first bad entry is named, whatever follows it
+            for indegree in (
+                lengths[:j] + (bad,) + lengths[j + 1 :],
+                lengths[:j] + (bad,) + (-1,) * (n - j - 1),
+            ):
+                with pytest.raises(ValueError, match=message):
+                    Block(shared.transactions, indegree)
+                with pytest.raises(ValueError, match=message):
+                    replace(shared, shared_indegree=indegree)
 
 
 @pytest.mark.parametrize("scope", sorted(_SCOPES))

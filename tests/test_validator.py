@@ -81,7 +81,8 @@ def test_dependency_not_below_own_index_is_tampering():
 
 
 def test_duplicated_dependency_is_tampering():
-    shared = _shared(structural_block([(set(), {b"a"}), ({b"a"}, set())]))
+    # a third transaction keeps the repeat's length, 2, below the count
+    shared = _shared(structural_block([(set(), {b"a"}), ({b"a"}, set()), (set(), set())]))
     transactions = list(shared.transactions)
     transactions[1] = replace(transactions[1], declared_dependencies=(0, 0))
     indegree = list(shared.shared_indegree)
