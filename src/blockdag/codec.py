@@ -43,10 +43,12 @@ wallet transfer, a voting op or an insurance read) has its section packed
 directly: one ``struct`` call, written twice. Any other pair of sets is
 encoded once per call (a memo dropped when the call returns) and still
 compared for every record. ``parse_block`` builds each ``Transaction``
-and ``FamilyOp``, and ``attach_dag`` each ``Transaction``, slot by slot
-with ``object.__new__`` and the classes' slot setters, skipping their
-constructors' calls and checks: every field they store is one those checks
-would pass.
+and ``FamilyOp``, and ``attach_dag`` each ``Transaction``, on a private
+layout twin (``_TxnFields``, ``_OpFields``: the class's slots and nothing
+else), filled with plain attribute stores and then retyped with one
+``__class__`` assignment, skipping the constructors' calls and checks:
+every field they store is one those checks would pass, and CPython refuses
+the retype if the twin's layout ever drifts from its class.
 
 Each transaction's sets are derived from its op once, where its block is
 made. ``block_from_ops`` and ``parse_block`` return a *checked* block
@@ -71,26 +73,8 @@ import zlib
 from typing import Callable, NamedTuple
 
 from .dag import DependencyDAG
-from .model import (
-    Address,
-    Block,
-    Transaction,
-    _set_declared_dependencies,
-    _set_index,
-    _set_payload,
-    _set_read_set,
-    _set_write_set,
-)
-from .families import (
-    OP_SCHEMAS,
-    PAIRS,
-    STR,
-    U64,
-    FamilyOp,
-    _set_args,
-    _set_family,
-    _set_opcode,
-)
+from .model import Address, Block, Transaction
+from .families import OP_SCHEMAS, PAIRS, STR, U64, FamilyOp
 
 WIRE_VERSION = 1
 _FLAG_SHARED_DAG = 0x01
@@ -150,9 +134,25 @@ _OPS_BY_TAG = {
     _FAMILY_TAGS[family]: {op.head[1]: op for op in _WIRE_OPS.values() if op.family == family}
     for family in _OPCODE_TAGS
 }
-# parse_block has checked each record as it decoded it, and attach_dag
-# copies a block's own objects, so both build records slot by slot
-_new = object.__new__
+
+
+class _TxnFields:
+    """``Transaction``'s slot layout without its frozen ``__setattr__``.
+
+    ``parse_block`` has checked each record as it decoded it, and
+    ``attach_dag`` copies a block's own objects, so both fill one of these
+    with plain attribute stores and then retype it, ``__class__ =
+    Transaction``. CPython allows that only between equal layouts, and
+    raises ``TypeError`` if the twin ever drifts from its class.
+    """
+
+    __slots__ = Transaction.__slots__
+
+
+class _OpFields:
+    """``FamilyOp``'s slot layout, filled and retyped like ``_TxnFields``."""
+
+    __slots__ = FamilyOp.__slots__
 
 
 class BlockCodecError(Exception):
@@ -304,12 +304,13 @@ def attach_dag(block: Block, dag: DependencyDAG) -> Block:
         raise ValueError("DAG does not match block")
     transactions = []
     for txn, deps in zip(block.transactions, dag.preds):
-        copy = _new(Transaction)
-        _set_index(copy, txn.index)
-        _set_read_set(copy, txn.read_set)
-        _set_write_set(copy, txn.write_set)
-        _set_payload(copy, txn.payload)
-        _set_declared_dependencies(copy, deps)
+        copy = _TxnFields()
+        copy.index = txn.index
+        copy.read_set = txn.read_set
+        copy.write_set = txn.write_set
+        copy.payload = txn.payload
+        copy.declared_dependencies = deps
+        copy.__class__ = Transaction
         transactions.append(copy)
     make = Block._checked if block._is_checked else Block
     return make(tuple(transactions), tuple(map(len, dag.preds)))
@@ -516,16 +517,18 @@ def parse_block(data: bytes) -> Block:
                     )
             else:
                 deps = ()
-        payload = _new(FamilyOp)
-        _set_family(payload, op.family)
-        _set_opcode(payload, op.opcode)
-        _set_args(payload, args)
-        txn = _new(Transaction)
-        _set_index(txn, index)
-        _set_read_set(txn, read_set)
-        _set_write_set(txn, write_set)
-        _set_payload(txn, payload)
-        _set_declared_dependencies(txn, deps)
+        payload = _OpFields()
+        payload.family = op.family
+        payload.opcode = op.opcode
+        payload.args = args
+        payload.__class__ = FamilyOp
+        txn = _TxnFields()
+        txn.index = index
+        txn.read_set = read_set
+        txn.write_set = write_set
+        txn.payload = payload
+        txn.declared_dependencies = deps
+        txn.__class__ = Transaction
         transactions.append(txn)
     shared_indegree = None
     if has_dag:

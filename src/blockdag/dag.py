@@ -70,7 +70,13 @@ def address_pass(block: Block) -> AccessIndex:
     conflicts(). An address's accessors include its writers, so the writers
     are read only for addresses the transaction reads but does not write,
     and not at all when its read set is its write set object (most ops), which
-    also skips the union of the two.
+    also skips the union of the two. When that one object holds one address
+    (every wallet op but a transfer, every intkey op, an insurance create or
+    update), the transaction takes a path of its own with one accessors
+    lookup: at a new address its predecessors are ``()`` and the address
+    gets its two one-entry lists, since no address has writers without
+    accessors; at a seen one they are a copy of its accessors, and the
+    transaction joins both lists.
     A transaction is registered only after its predecessors are taken, so it
     is never its own predecessor. Every per-address list is strictly
     ascending, so when all the lists a transaction reads are equal (a voting
@@ -84,10 +90,28 @@ def address_pass(block: Block) -> AccessIndex:
     accessors: dict[bytes, list[int]] = {}
     out: list[tuple[int, ...]] = []
     for j, txn in enumerate(block.transactions):
-        lists: list[list[int]] = []
         read_set = txn.read_set
         write_set = txn.write_set
         same = read_set is write_set
+        if same and len(write_set) == 1:
+            # one address: its accessors are its predecessors, and an address
+            # with no accessors has no writers either
+            (address,) = write_set
+            prior = accessors.get(address)
+            if prior is None:
+                out.append(())
+                accessors[address] = [j]
+                writers[address] = [j]
+            else:
+                out.append(tuple(prior))
+                prior.append(j)
+                prior = writers.get(address)
+                if prior is None:
+                    writers[address] = [j]
+                else:
+                    prior.append(j)
+            continue
+        lists: list[list[int]] = []
         if not same:
             for address in read_set:
                 if address not in write_set:

@@ -43,9 +43,10 @@ class FamilyOp:
     The constructor looks the op up in ``OP_SCHEMAS`` once and raises
     ``ValueError`` for an op not there, or for arguments that are not a
     tuple of the kinds its entry gives, each tested by ``_fits``. Only the
-    parser, which has checked and decoded each argument, skips it, setting
-    the slots inline. Slot-backed like ``model.Transaction``: each field is
-    stored through its slot descriptor.
+    parser, which has checked and decoded each argument, skips it: it fills
+    a layout twin (``codec._OpFields``, this class's slots and nothing else)
+    and retypes it to this class. Slot-backed like ``model.Transaction``:
+    the constructor stores each field through its slot descriptor.
     """
 
     family: str

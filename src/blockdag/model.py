@@ -63,9 +63,10 @@ class Transaction:
     generated ``__init__`` goes through once per field; equality, hashing,
     ``repr``, ``dataclasses.replace`` and frozenness are the dataclass's.
     The one exception to the constructor is the codec: ``parse_block`` and
-    ``attach_dag`` build each transaction inline, with ``object.__new__``
-    and the same slot setters, and hand it only tuples, ``()`` or ``None``
-    as dependencies, which already meet both rules: the parser checks each
+    ``attach_dag`` fill a layout twin (``codec._TxnFields``, this class's
+    slots and nothing else) with plain attribute stores and retype it to
+    this class, and hand it only tuples, ``()`` or ``None`` as
+    dependencies, which already meet both rules: the parser checks each
     list it reads against its transaction, and a ``DependencyDAG`` holds
     only predecessors below theirs.
     """

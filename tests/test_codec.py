@@ -3,7 +3,7 @@ import random
 import re
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -1109,3 +1109,50 @@ def test_trusted_makers_skip_the_block_constructor(monkeypatch):
         assert not attach_dag(unchecked, dag)._is_checked
         assert len(calls) == len(trusted) + 2, family
         calls.clear()
+
+
+def test_layout_twins_hold_their_records_slots():
+    # parse_block and attach_dag fill a twin and retype it; the retype is
+    # allowed only between equal layouts, so a twin that drifts fails loudly
+    assert codec._TxnFields.__slots__ == Transaction.__slots__
+    assert codec._OpFields.__slots__ == FamilyOp.__slots__
+
+    class Drifted:
+        __slots__ = Transaction.__slots__[:-1]
+
+    with pytest.raises(TypeError):
+        Drifted().__class__ = Transaction
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_trusted_records_are_the_frozen_records_their_constructors_make(family):
+    block = generate_block(
+        WorkloadSpec(family=family, txns_per_block=60, dependency_pct=40, rng_seed=9)
+    )
+    dag = build_dag(block)
+    made = {
+        "parse plain": parse_block(serialize_block(block)),
+        "parse shared": parse_block(serialize_block(block, dag)),
+        "attach_dag": attach_dag(block, dag),
+    }
+    for maker, built in made.items():
+        for txn in built.transactions:
+            op = txn.payload
+            assert type(txn) is Transaction and type(op) is FamilyOp, maker
+            twin = Transaction(
+                txn.index,
+                txn.read_set,
+                txn.write_set,
+                FamilyOp(op.family, op.opcode, op.args),
+                txn.declared_dependencies,
+            )
+            assert txn == twin and hash(txn) == hash(twin), maker
+            assert op == twin.payload and hash(op) == hash(twin.payload), maker
+            for record in (txn, op):
+                for name in type(record).__slots__:
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(record, name, getattr(record, name))
+    # replace runs the constructor, and with it the dependency check
+    parsed = [txn for txn in made["parse shared"].transactions if txn.declared_dependencies][-1]
+    with pytest.raises(ValueError, match="declares invalid dependency"):
+        replace(parsed, index=0)

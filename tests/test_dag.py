@@ -234,6 +234,58 @@ def test_address_pass_skips_the_writers_of_an_address_it_also_writes(monkeypatch
     assert unions == []
 
 
+def _traced_pass(block):
+    """``address_pass`` run under ``sys.settrace`` and ``sys.setprofile``:
+    the lines it runs, and how many ``get`` calls it makes on the accessors
+    and on the writers it returns. No clock is read, so the counts do not
+    depend on the host."""
+    code = address_pass.__code__
+    lines = 0
+    gets = []
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    def profiler(frame, event, arg):
+        if event == "c_call" and frame.f_code is code and arg.__name__ == "get":
+            gets.append(arg.__self__)
+
+    trace, profile = sys.gettrace(), sys.getprofile()
+    sys.settrace(tracer)
+    sys.setprofile(profiler)
+    try:
+        index = address_pass(block)
+    finally:
+        sys.setprofile(profile)
+        sys.settrace(trace)
+    accessor_gets = sum(1 for found in gets if found is index.accessors)
+    writer_gets = sum(1 for found in gets if found is index.writers)
+    return lines, accessor_gets, writer_gets
+
+
+@pytest.mark.parametrize("family", ["intkey", "wallet"])
+def test_a_one_address_transaction_takes_one_accessors_lookup(family):
+    # every op left in these blocks reads and writes one address through
+    # one set object; its path costs 12 lines and one accessors lookup at a
+    # new address, and 14 lines, that lookup and one writers lookup at a
+    # seen one, and the pass around them 5 lines
+    spec = WorkloadSpec(family=family, txns_per_block=200, dependency_pct=40, rng_seed=3)
+    ops = [t.payload for t in generate_block(spec).transactions if t.payload.opcode != "transfer"]
+    block = block_from_ops(ops)
+    txns = block.transactions
+    assert all(t.read_set is t.write_set and len(t.write_set) == 1 for t in txns)
+    new = len({t.write_set for t in txns})
+    seen = len(txns) - new
+    assert new > 1 and seen > 1
+    assert _traced_pass(block) == (5 + 12 * new + 14 * seen, len(txns), seen)
+
+
 def test_address_pass_tuples_do_not_depend_on_the_hash_seed():
     # Address sets of bytes iterate in an order that follows the hash seed.
     script = (

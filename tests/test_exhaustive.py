@@ -9,7 +9,10 @@ apart from the validator, gives the verdict each must get. On a fixed
 subset, every DAG also gets each structural defect the validator judges:
 a repeated dependency, or an indegree entry off by one. Every honest block
 also plans ``brute_force_dag``'s tuples and runs, at 1 and 2 workers, in an
-order that respects every edge.
+order that respects every edge. Each scope is judged once more with every
+transaction whose read and write sets are equal holding one object for
+both, as most ops do, which takes the per-address pass's own paths for
+such sets.
 
 The dependency range is not a verdict: a dependency of -1, of j or of
 j + 1 is refused where its transaction is made, and j or j + 1 written as
@@ -26,7 +29,7 @@ from dataclasses import replace
 import pytest
 
 from blockdag.codec import MalformedBlockError, parse_block
-from blockdag.dag import brute_force_dag, dag_from_shared
+from blockdag.dag import address_pass, brute_force_dag, dag_from_shared
 from blockdag.families import block_from_ops, intkey_set
 from blockdag.model import Block, StateStore, Transaction
 from blockdag.scheduler import execute_block_parallel
@@ -56,8 +59,13 @@ def _oracle(truth, declared, indegree) -> Verdict:
 
 
 @functools.lru_cache(maxsize=None)
-def _scope(name):
-    """Every block of the scope, each with its brute-force predecessor tuples."""
+def _scope(name, one_object=False):
+    """Every block of the scope, each with its brute-force predecessor tuples.
+
+    With ``one_object``, a transaction whose read and write sets are equal
+    holds one object for both, as every op's sets do but an insurance
+    read's; otherwise each set is an object of its own.
+    """
     n, width = _SCOPES[name]
     addresses = [b"a%d" % k for k in range(width)]
     # per address: 0 no access, 1 read, 2 write, 3 both
@@ -68,6 +76,8 @@ def _scope(name):
         )
         for codes in itertools.product(range(4), repeat=width)
     ]
+    if one_object:
+        patterns = [(reads, reads if reads == writes else writes) for reads, writes in patterns]
     blocks = []
     for sets in itertools.product(patterns, repeat=n):
         block = Block(tuple(structural_txn(j, *rw) for j, rw in enumerate(sets)))
@@ -116,20 +126,50 @@ def _shared(block, declared, indegree=None, made=None):
     return Block(tuple(txns), tuple(map(len, declared)) if indegree is None else indegree)
 
 
+def _judge_every_declared_dag(block, truth, mismatches, seen):
+    """Validate the block with every declared DAG, each also with its lists
+    reversed; record each verdict the oracle wants, and each it did not get."""
+    made = {}
+    for declared in _declared_dags(block.txn_count):
+        for deps in {declared, tuple(tuple(reversed(d)) for d in declared)}:
+            want = _oracle(truth, deps, tuple(map(len, deps)))
+            got = validate_dag(_shared(block, deps, made=made))
+            seen.add(want)
+            if got is not want:
+                mismatches.append((truth, deps, got, want))
+
+
 @pytest.mark.parametrize("scope", sorted(_SCOPES))
 def test_every_declared_dag_gets_the_oracles_verdict(scope):
     mismatches = []
     seen = set()
     for block, truth in _scope(scope):
-        made = {}
-        for declared in _declared_dags(block.txn_count):
-            for deps in {declared, tuple(tuple(reversed(d)) for d in declared)}:
-                want = _oracle(truth, deps, tuple(map(len, deps)))
-                got = validate_dag(_shared(block, deps, made=made))
-                seen.add(want)
-                if got is not want:
-                    mismatches.append((truth, deps, got, want))
+        _judge_every_declared_dag(block, truth, mismatches, seen)
     assert mismatches[:5] == [] and seen == set(Verdict)
+
+
+# per scope: the transactions whose one set object holds one address, and
+# those whose one object holds more
+_ONE_OBJECT_TXNS = {"3-over-2": (1_536, 768), "4-over-1": (256, 0)}
+
+
+@pytest.mark.parametrize("scope", sorted(_SCOPES))
+def test_sets_held_as_one_object_get_the_oracles_verdicts(scope):
+    # the pass's paths for a read set that is its write set object, judged
+    # like the separate sets above: the same lists, then every declared DAG
+    reached = [0, 0]
+    mismatches = []
+    seen = set()
+    for (block, truth), (apart, _) in zip(_scope(scope, one_object=True), _scope(scope)):
+        for txn in block.transactions:
+            if txn.read_set is txn.write_set and txn.write_set:
+                reached[len(txn.write_set) > 1] += 1
+        index = address_pass(block)
+        assert tuple(index.preds) == truth
+        assert index[1:] == address_pass(apart)[1:]
+        _judge_every_declared_dag(block, truth, mismatches, seen)
+    assert mismatches[:5] == [] and seen == set(Verdict)
+    assert tuple(reached) == _ONE_OBJECT_TXNS[scope]
 
 
 # per scope: the structural defects judged over its every 11th block
